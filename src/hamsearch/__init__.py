@@ -22,8 +22,8 @@ from .amplify import (
 from .decompose import (
     EdgeColoring,
     InteractionGraph,
-    block_labels,
     color_edges,
+    graph_laplacian,
     honeycomb_lattice,
     laplacian_chain,
 )
@@ -47,6 +47,7 @@ from .search import (
 )
 from .statevector import grover_iterate, subspace_agreement, success_curve, uniform_state
 from .trotter import (
+    BlockTerm,
     HermitianTermSet,
     TrotterPlan,
     commutator_error,

@@ -31,6 +31,7 @@ EXIT_IO = 4
 RESIDUAL_LIMIT = 1e-9
 ENDPOINT_TOL = 1e-9
 SLOPE_WINDOW = (0.9, 1.1)
+COMMUTING_TOL = 1e-12
 
 
 class CliError(Exception):
@@ -156,17 +157,11 @@ def cmd_equivalence(args) -> int:
 def _scan_problem(args):
     if args.problem == "search-split":
         inst = search.SearchInstance(args.n)
-        s = inst.source_state
-        t = inst.target_state
-        terms = trotter.HermitianTermSet(
-            dimension=2,
-            terms=(np.outer(s, s.conj()), np.outer(t, t.conj())),
-            labels=("source-projector", "target-projector"),
-        )
+        terms = search.search_split(inst)
         total_time = args.t if args.t is not None else inst.total_time
     elif args.problem == "chain":
-        h, graph = decompose.laplacian_chain(args.length, periodic=args.periodic)
-        terms = decompose.decompose(h, graph)
+        graph, values, diagonal = _chain(args.length, args.periodic)
+        terms = decompose.decompose(graph, values, diagonal)
         total_time = args.t if args.t is not None else 2.0
     else:
         raise CliError(f"unknown problem {args.problem!r}", EXIT_VALIDATION)
@@ -181,6 +176,9 @@ def cmd_trotter_scan(args) -> int:
         raise CliError("dt values must be positive", EXIT_VALIDATION)
     terms, total_time = _scan_problem(args)
     norm_e2 = trotter.commutator_error(terms).norm_e2
+    # A commuting split is exact at every dt, as in trotter.plan_for_budget:
+    # its errors are round-off and there is no slope to fit.
+    commuting = norm_e2 == 0.0
     exact = trotter.exact_term_exponential(terms.total(), total_time)
     rows = []
     for dt in dt_grid:
@@ -192,17 +190,27 @@ def cmd_trotter_scan(args) -> int:
         error = spectral_norm(approx - exact)
         bound = 2.0 * total_time * norm_e2 * plan.dt
         rows.append([plan.dt, steps, error, bound])
-    logs = np.log([row[0] for row in rows])
-    errs = np.log([row[2] for row in rows])
-    slope = float(np.polyfit(logs, errs, 1)[0])
+    slope = None
+    if not commuting:
+        logs = np.log([row[0] for row in rows])
+        errs = np.log([row[2] for row in rows])
+        slope = float(np.polyfit(logs, errs, 1)[0])
     extra = {
         "slope": slope,
         "slope_window": list(SLOPE_WINDOW),
         "norm_e2": norm_e2,
         "total_time": total_time,
     }
+    if commuting:
+        extra["commuting"] = True
     text = _table_text(args.format, ["dt", "n", "error", "bound"], rows, extra=extra)
     _write_text(args.out, text)
+    if commuting:
+        if max(row[2] for row in rows) <= COMMUTING_TOL:
+            return EXIT_OK
+        print(f"commuting split is off the exact evolution by over {COMMUTING_TOL:.0e}",
+              file=sys.stderr)
+        return EXIT_CLAIM
     if any(row[2] > row[3] for row in rows):
         print("measured error above the slack-2 commutator bound", file=sys.stderr)
         return EXIT_CLAIM
@@ -212,39 +220,62 @@ def cmd_trotter_scan(args) -> int:
     return EXIT_OK
 
 
+def _chain(length: int, periodic: bool):
+    # (graph, edge values, diagonal) of the chain Laplacian: diagonal 2.
+    graph = decompose.laplacian_chain(length, periodic=periodic)
+    return graph, decompose.graph_laplacian(graph)[0], np.full(length, 2.0)
+
+
 def _decompose_input(args):
+    # (graph, edge values, diagonal, expected spectrum or None)
     if args.graph is not None:
         try:
             graph = decompose.load_graph(args.graph)
         except (OSError, ValueError) as exc:
             code = EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
             raise CliError(f"cannot load graph {args.graph}: {exc}", code) from exc
-        n = graph.vertex_count
-        h = np.zeros((n, n), dtype=complex)
-        for u, v, w in graph.edges:
-            h[u, v] = -w
-            h[v, u] = -w
-            h[u, u] += abs(w)
-            h[v, v] += abs(w)
-        return h, graph, None
+        return (graph, *decompose.graph_laplacian(graph), None)
     if args.lattice == "chain":
-        h, graph = decompose.laplacian_chain(args.length, periodic=False)
-        return h, graph, None
+        return (*_chain(args.length, False), None)
     if args.lattice == "ring":
-        h, graph = decompose.laplacian_chain(args.length, periodic=True)
         spectrum = np.sort(4.0 * np.sin(np.pi * np.arange(args.length) / args.length) ** 2)
-        return h, graph, spectrum
+        return (*_chain(args.length, True), spectrum)
     if args.lattice == "honeycomb":
-        h, graph = decompose.honeycomb_lattice(args.cells_x, args.cells_y, periodic=args.periodic)
-        return h, graph, None
+        graph = decompose.honeycomb_lattice(args.cells_x, args.cells_y, periodic=args.periodic)
+        return (graph, *decompose.graph_laplacian(graph), None)
     raise CliError(f"unknown lattice {args.lattice!r}", EXIT_VALIDATION)
+
+
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+def _reconstruction_residual(term_set, graph, values, diagonal) -> float:
+    # max |sum_k H_k - H| entry by entry, summing the terms' block and
+    # diagonal entries per position and then subtracting H's.
+    n = graph.vertex_count
+    us, vs, _ = graph.edge_arrays()
+    sites = np.arange(n)
+    h = (np.concatenate([us, vs, sites]), np.concatenate([vs, us, sites]),
+         -np.concatenate([values, values.conj(), diagonal]))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*(t.entries() for t in term_set.terms), h))
+    keys, position = np.unique(rows * n + cols, return_inverse=True)
+    total = np.zeros(keys.size, dtype=complex)
+    np.add.at(total, position, vals)
+    return _max_abs(total)
+
+
+def _squaring_residual(term) -> float:
+    # max |T^2 - 2T| of a block term: block by block, then on the bare diagonal.
+    b, d = term.blocks, term.diagonal
+    return max(_max_abs(b @ b - 2.0 * b), _max_abs(d * d - 2.0 * d))
 
 
 def cmd_decompose(args) -> int:
     try:
-        h, graph, expected_spectrum = _decompose_input(args)
+        graph, values, diagonal, expected_spectrum = _decompose_input(args)
         coloring = decompose.color_edges(graph)
-        term_set = decompose.decompose(h, graph, coloring)
+        term_set = decompose.decompose(graph, values, diagonal, coloring)
     except CliError:
         raise
     except AssertionError as exc:
@@ -258,11 +289,12 @@ def cmd_decompose(args) -> int:
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
 
-    reconstruction = float(np.max(np.abs(term_set.total() - h)))
-    squaring = {}
-    for label, term in zip(term_set.labels, term_set.terms):
-        if label.startswith("color"):
-            squaring[label] = float(np.max(np.abs(term @ term - 2.0 * term)))
+    reconstruction = _reconstruction_residual(term_set, graph, values, diagonal)
+    squaring = {
+        label: _squaring_residual(term)
+        for label, term in zip(term_set.labels, term_set.terms)
+        if label.startswith("color")
+    }
     report = {
         "vertices": graph.vertex_count,
         "edges": len(graph.edges),
@@ -354,14 +386,7 @@ def cmd_cost(args) -> int:
     total_time = args.t if args.t is not None else inst.total_time
     if total_time <= 0:
         raise CliError("t must be positive", EXIT_VALIDATION)
-    s = inst.source_state
-    tgt = inst.target_state
-    split = trotter.HermitianTermSet(
-        dimension=2,
-        terms=(np.outer(s, s.conj()), np.outer(tgt, tgt.conj())),
-        labels=("source-projector", "target-projector"),
-    )
-    norm_e2 = trotter.commutator_error(split).norm_e2
+    norm_e2 = trotter.commutator_error(search.search_split(inst)).norm_e2
     cm = amplify.CostModel(
         total_time=total_time,
         error_budget=args.eps,

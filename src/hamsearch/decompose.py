@@ -1,8 +1,9 @@
 # Interaction graphs, proper edge coloring, and the block-diagonal splitting
 # of sparse Hermitian matrices into one term per color class.
 #
-# Each color class is a matching, so its term is a direct sum of 2x2 blocks.
-# An edge (u, v) with off-diagonal value h takes the block
+# Each color class is a matching, so its term is a direct sum of 2x2 blocks,
+# stored as a trotter.BlockTerm record without any d x d array. An edge
+# (u, v) with off-diagonal value h takes the block
 #     [[|h|, h], [conj(h), |h|]]
 # i.e. the edge's share of the diagonal; whatever remains of the matrix
 # diagonal (boundary sites of open lattices, on-site potentials) goes into
@@ -18,23 +19,24 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import assert_hermitian
-from .trotter import HermitianTermSet
+from .trotter import BlockTerm, HermitianTermSet
 
 __all__ = [
     "InteractionGraph",
     "EdgeColoring",
     "color_edges",
     "decompose",
-    "block_labels",
+    "decompose_matrix",
+    "graph_laplacian",
     "laplacian_chain",
     "honeycomb_lattice",
-    "graph_from_matrix",
     "bipartition",
     "save_graph",
     "load_graph",
@@ -61,6 +63,8 @@ class InteractionGraph:
                 raise ValueError(f"edge ({u}, {v}) outside vertex range")
             if u > v:
                 u, v = v, u
+            if not math.isfinite(float(w)):
+                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
             normalized.append((u, v, float(w)))
         normalized.sort()
         for a, b in zip(normalized, normalized[1:]):
@@ -78,6 +82,11 @@ class InteractionGraph:
             deg[u] += 1
             deg[v] += 1
         return max(deg, default=0)
+
+    def edge_arrays(self):
+        """The edges as three arrays: u, v and weight."""
+        e = np.array(self.edges, dtype=float).reshape(-1, 3)
+        return e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2]
 
     def neighbors(self) -> dict:
         """Adjacency as {vertex: sorted list of (other_vertex, edge_index)}."""
@@ -284,78 +293,93 @@ def color_edges(graph: InteractionGraph) -> EdgeColoring:
     return EdgeColoring(colors=tuple(colors), color_count=max(colors) + 1)
 
 
+def graph_laplacian(graph: InteractionGraph):
+    """The weighted graph Laplacian as ``(values, diagonal)``: ``values[k]
+    = -w`` is its (u, v) entry on edge k, and each diagonal entry sums |w|
+    over the vertex's edges."""
+    us, vs, w = graph.edge_arrays()
+    degree = np.zeros(graph.vertex_count)
+    # Edges are sorted, so a vertex meets its edges (u, x) before its edges
+    # (x, v); adding in that order keeps the sums of a pass over the edges.
+    np.add.at(degree, vs, np.abs(w))
+    np.add.at(degree, us, np.abs(w))
+    return (-w).astype(complex), degree
+
+
 def decompose(
-    h: np.ndarray,
     graph: InteractionGraph,
+    values,
+    diagonal,
     coloring: EdgeColoring | None = None,
 ) -> HermitianTermSet:
     """Split a sparse Hermitian matrix into block-diagonal color terms.
 
-    The off-diagonal support of ``h`` must lie on the graph's edges. Each
-    edge contributes [[|h|, h], [conj(h), |h|]] to its color's term; the
-    residual diagonal, if any, becomes one extra term labeled "diagonal".
-    The terms sum to ``h`` exactly.
+    The matrix is given by ``values[k]``, its (u, v) entry on edge k of
+    ``graph.edges``, and its real ``diagonal``. Each edge contributes
+    [[|h|, h], [conj(h), |h|]] to its color's term; the residual diagonal,
+    if any, becomes one extra term labeled "diagonal". The terms sum to the
+    matrix exactly.
     """
-    h = np.asarray(h, dtype=complex)
     n = graph.vertex_count
-    if h.shape != (n, n):
-        raise ValueError(f"matrix shape {h.shape} does not match {n} vertices")
-    assert_hermitian(h, 1e-12, what="input matrix")
-    edge_set = {(u, v) for u, v, _ in graph.edges}
-    rows, cols = np.nonzero(h)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        if r < c and (r, c) not in edge_set:
-            raise ValueError(f"off-diagonal support at ({r}, {c}) has no matching edge")
+    values = np.asarray(values, dtype=complex)
+    residual = np.array(diagonal, dtype=float)
+    if values.shape != (len(graph.edges),) or residual.shape != (n,):
+        raise ValueError(f"need one value per edge and a diagonal of {n} vertices")
     if coloring is None:
         coloring = color_edges(graph)
     if len(coloring.colors) != len(graph.edges):
         raise ValueError("coloring does not match the graph's edge list")
 
-    terms, labels, blocks = [], [], []
-    residual = np.real(np.diag(h)).astype(float).copy()
+    us, vs, _ = graph.edge_arrays()
+    colors = np.array(coloring.colors, dtype=np.intp)
+    terms, labels = [], []
     for color in range(coloring.color_count):
-        term = np.zeros((n, n), dtype=complex)
-        pairs = []
-        for k, (u, v, _) in enumerate(graph.edges):
-            if coloring.colors[k] != color:
-                continue
-            val = h[u, v]
-            mag = abs(val)
-            term[u, v] = val
-            term[v, u] = np.conjugate(val)
-            term[u, u] += mag
-            term[v, v] += mag
-            residual[u] -= mag
-            residual[v] -= mag
-            pairs.append((u, v))
-        terms.append(term)
+        k = np.flatnonzero(colors == color)
+        val = values[k]
+        mag = np.hypot(val.real, val.imag)  # abs() bit for bit; np.abs may differ
+        blocks = np.stack([mag, val, val.conj(), mag], axis=1)
+        # A color is a matching, so these subtract once per vertex, in the
+        # same order as a pass over the colors and their edges.
+        residual[us[k]] -= mag
+        residual[vs[k]] -= mag
+        terms.append(BlockTerm(np.stack([us[k], vs[k]], axis=1), blocks, np.zeros(n)))
         labels.append(f"color{color}")
-        blocks.append(tuple(pairs))
     if np.any(residual != 0.0):
-        terms.append(np.diag(residual).astype(complex))
+        terms.append(BlockTerm((), (), residual))
         labels.append("diagonal")
-        blocks.append(())
-    return HermitianTermSet(
-        dimension=n,
-        terms=tuple(terms),
-        labels=tuple(labels),
-        blocks=tuple(blocks),
-    )
+    return HermitianTermSet(dimension=n, terms=tuple(terms), labels=tuple(labels))
 
 
-def block_labels(graph: InteractionGraph, coloring: EdgeColoring) -> dict:
-    """Per color, the ordered list of vertex pairs addressing its 2x2 blocks."""
-    table = {color: [] for color in range(coloring.color_count)}
-    for k, (u, v, _) in enumerate(graph.edges):
-        table[coloring.colors[k]].append((u, v))
-    return table
+def decompose_matrix(
+    h: np.ndarray,
+    graph: InteractionGraph | None = None,
+    coloring: EdgeColoring | None = None,
+) -> HermitianTermSet:
+    """``decompose`` for a dense Hermitian matrix. Its off-diagonal support
+    must lie on the graph's edges; without a graph, the support is the graph."""
+    h = np.asarray(h, dtype=complex)
+    n = len(h) if graph is None else graph.vertex_count
+    if h.shape != (n, n):
+        raise ValueError(f"matrix shape {h.shape} does not match {n} vertices")
+    assert_hermitian(h, 1e-12, what="input matrix")
+    rows, cols = np.nonzero(np.triu(h, 1))
+    if graph is None:
+        weights = np.abs(h[rows, cols]).tolist()
+        graph = InteractionGraph(n, tuple(zip(rows.tolist(), cols.tolist(), weights)))
+    edge_set = {(u, v) for u, v, _ in graph.edges}
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if (r, c) not in edge_set:
+            raise ValueError(f"off-diagonal support at ({r}, {c}) has no matching edge")
+    us, vs, _ = graph.edge_arrays()
+    return decompose(graph, h[us, vs], np.real(np.diag(h)), coloring)
 
 
-def laplacian_chain(length: int, periodic: bool = False):
-    """1D lattice Laplacian (diagonal 2, off-diagonal -1) and its graph.
+def laplacian_chain(length: int, periodic: bool = False) -> InteractionGraph:
+    """Graph of the 1D lattice Laplacian (diagonal 2, off-diagonal -1).
 
-    Periodic rings have eigenvalues 4 sin^2(pi j / L). A periodic 2-site
-    chain would need a double edge and is rejected.
+    Its matrix has ``graph_laplacian``'s edge values and diagonal 2 on every
+    site; periodic rings have eigenvalues 4 sin^2(pi j / L). A periodic
+    2-site chain would need a double edge and is rejected.
     """
     if length < 2:
         raise ValueError("chain needs at least 2 sites")
@@ -364,16 +388,11 @@ def laplacian_chain(length: int, periodic: bool = False):
     edges = [(i, i + 1, 1.0) for i in range(length - 1)]
     if periodic:
         edges.append((0, length - 1, 1.0))
-    graph = InteractionGraph(vertex_count=length, edges=tuple(edges))
-    h = 2.0 * np.eye(length, dtype=complex)
-    for u, v, _ in graph.edges:
-        h[u, v] = -1.0
-        h[v, u] = -1.0
-    return h, graph
+    return InteractionGraph(vertex_count=length, edges=tuple(edges))
 
 
-def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False):
-    """Graph Laplacian (degree diagonal, -1 off-diagonal) of a honeycomb patch.
+def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False) -> InteractionGraph:
+    """Graph of a honeycomb patch; ``graph_laplacian`` gives its Laplacian.
 
     Two sites per unit cell, 2 * cells_x * cells_y sites total; interior
     sites have degree 3. With ``periodic`` the patch closes into a torus and
@@ -397,28 +416,7 @@ def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False):
                 edges.append((a, site((x - 1) % cells_x, y, 1), 1.0))
             if y > 0 or periodic:
                 edges.append((a, site(x, (y - 1) % cells_y, 1), 1.0))
-    n = 2 * cells_x * cells_y
-    graph = InteractionGraph(vertex_count=n, edges=tuple(edges))
-    h = np.zeros((n, n), dtype=complex)
-    for u, v, _ in graph.edges:
-        h[u, v] = -1.0
-        h[v, u] = -1.0
-        h[u, u] += 1.0
-        h[v, v] += 1.0
-    return h, graph
-
-
-def graph_from_matrix(h: np.ndarray) -> InteractionGraph:
-    """Interaction graph of a Hermitian matrix: one edge per off-diagonal entry."""
-    h = np.asarray(h, dtype=complex)
-    assert_hermitian(h, 1e-12, what="matrix")
-    n = h.shape[0]
-    edges = []
-    rows, cols = np.nonzero(h)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        if r < c:
-            edges.append((r, c, abs(h[r, c])))
-    return InteractionGraph(vertex_count=n, edges=tuple(edges))
+    return InteractionGraph(vertex_count=2 * cells_x * cells_y, edges=tuple(edges))
 
 
 def save_graph(path, graph: InteractionGraph) -> None:

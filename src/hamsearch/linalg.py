@@ -8,7 +8,6 @@ import numpy as np
 __all__ = [
     "spectral_norm",
     "is_hermitian",
-    "is_unitary",
     "assert_hermitian",
     "random_unitary",
 ]
@@ -20,23 +19,20 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+    """True for a square matrix, or a stack of them, within tol of its adjoint."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(_hermitian_deviation(m) <= tol)
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
+def _hermitian_deviation(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0))
 
 
 def assert_hermitian(m: np.ndarray, tol: float = 1e-12, what: str = "matrix") -> None:
     if not is_hermitian(m, tol):
-        dev = float(np.max(np.abs(m - np.asarray(m).conj().T)))
+        dev = _hermitian_deviation(np.asarray(m))
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e}, tol {tol:.1e})")
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "pauli_decompose",
     "rotation_unitary",
     "phase_aligned_distance",
-    "optimal_phase",
     "bloch_point",
     "bloch_rotation_matrix",
 ]
@@ -129,30 +128,18 @@ def rotation_unitary(rotation: AxisAngle | tuple, angle: float | None = None) ->
     return np.cos(half) * IDENTITY2 - 1j * np.sin(half) * n_dot_sigma
 
 
-def _eigenphase_arc_width(w: np.ndarray) -> tuple[float, float]:
-    """Width and midpoint of the smallest arc covering the eigenphases of w."""
+def _eigenphase_arc_width(w: np.ndarray) -> float:
+    """Width of the smallest arc covering the eigenphases of w."""
     phases = np.sort(np.angle(np.linalg.eigvals(w)))
     if phases.size == 1:
-        return 0.0, float(phases[0])
+        return 0.0
     gaps = np.diff(phases)
     wrap_gap = 2.0 * np.pi - (phases[-1] - phases[0])
-    k = int(np.argmax(gaps)) if gaps.size and np.max(gaps) > wrap_gap else None
-    if k is None:
-        # Largest gap is across the +-pi wrap: the covering arc is contiguous.
-        width = phases[-1] - phases[0]
-        mid = 0.5 * (phases[0] + phases[-1])
-    else:
-        # Covering arc runs from phases[k+1] around the wrap to phases[k].
-        width = 2.0 * np.pi - gaps[k]
-        mid = 0.5 * (phases[k + 1] + phases[k] + 2.0 * np.pi)
-    return float(width), float(mid)
-
-
-def optimal_phase(u: np.ndarray, v: np.ndarray) -> float:
-    """Phase phi minimizing || U - e^{i phi} V ||_2 for unitary U, V."""
-    w = np.asarray(v, dtype=complex).conj().T @ np.asarray(u, dtype=complex)
-    _, mid = _eigenphase_arc_width(w)
-    return float(np.remainder(mid + np.pi, 2.0 * np.pi) - np.pi)
+    if gaps.size and np.max(gaps) > wrap_gap:
+        # Covering arc runs from the largest gap's upper end around the wrap.
+        return float(2.0 * np.pi - np.max(gaps))
+    # Largest gap is across the +-pi wrap: the covering arc is contiguous.
+    return float(phases[-1] - phases[0])
 
 
 def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -162,7 +149,7 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operands must be square matrices of equal shape")
     w = v.conj().T @ u
-    width, _ = _eigenphase_arc_width(w)
+    width = _eigenphase_arc_width(w)
     return 2.0 * float(np.sin(0.25 * width))
 
 

@@ -25,6 +25,7 @@ from .pauli import (
     phase_aligned_distance,
     rotation_unitary,
 )
+from .trotter import HermitianTermSet
 
 __all__ = [
     "SearchInstance",
@@ -33,6 +34,7 @@ __all__ = [
     "GROVER_AXIS",
     "continuous_axis",
     "hamiltonian_continuous",
+    "search_split",
     "evolve_continuous",
     "grover_step",
     "grover_hamiltonian",
@@ -112,6 +114,13 @@ def hamiltonian_continuous(inst: SearchInstance) -> PauliVector:
     """H = |s><s| + |t><t| = I + (sqrt(N-1)/N) s1 + (1/N) s3."""
     n = inst.n
     return PauliVector(1.0, np.array([np.sqrt(n - 1.0) / n, 0.0, 1.0 / n]))
+
+
+def search_split(inst: SearchInstance) -> HermitianTermSet:
+    """H = |s><s| + |t><t| split into its two projectors."""
+    s, t = inst.source_state, inst.target_state
+    return HermitianTermSet(2, (np.outer(s, s.conj()), np.outer(t, t.conj())),
+                            ("source-projector", "target-projector"))
 
 
 def evolve_continuous(inst: SearchInstance, t: float) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import assert_hermitian, spectral_norm
 
 __all__ = [
+    "BlockTerm",
     "HermitianTermSet",
     "TrotterPlan",
     "CommutatorEstimate",
@@ -39,54 +40,99 @@ HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
+class BlockTerm:
+    """A direct sum of 2x2 blocks on disjoint index pairs plus a real diagonal.
+
+    ``blocks[n]`` acts on rows and columns ``pairs[n]``; ``diagonal`` holds
+    the sites no pair covers and is zero on covered ones. A term without
+    pairs is purely diagonal. Nothing of size d x d is stored.
+    """
+
+    pairs: np.ndarray  # (k, 2) ints
+    blocks: np.ndarray  # (k, 2, 2) complex
+    diagonal: np.ndarray  # (d,) float
+
+    def __post_init__(self) -> None:
+        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        blocks = np.array(self.blocks, dtype=complex).reshape(-1, 2, 2)
+        diagonal = np.array(self.diagonal, dtype=float)
+        sites = pairs.ravel()
+        if diagonal.ndim != 1 or len(blocks) != len(pairs):
+            raise ValueError("block term needs (k, 2) pairs, (k, 2, 2) blocks and a (d,) diagonal")
+        if sites.size and not (0 <= sites.min() and sites.max() < len(diagonal)):
+            raise ValueError(f"block index outside dimension {len(diagonal)}")
+        if np.unique(sites).size != sites.size:
+            raise ValueError("block pairs must be disjoint")
+        if np.any(diagonal[sites] != 0.0):
+            raise ValueError("diagonal must vanish on sites covered by a block")
+        for name, value in (("pairs", pairs), ("blocks", blocks), ("diagonal", diagonal)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.diagonal)
+
+    def entries(self) -> tuple:
+        """(rows, cols, values): every block entry, then the nonzero bare diagonal."""
+        i, j = self.pairs.T
+        free = np.flatnonzero(self.diagonal)
+        rows = np.concatenate([i, i, j, j, free])
+        cols = np.concatenate([i, j, i, j, free])
+        values = np.concatenate([self.blocks.reshape(-1, 4).T.ravel(), self.diagonal[free]])
+        return rows, cols, values
+
+    def dense(self) -> np.ndarray:
+        h = np.zeros((self.dimension,) * 2, dtype=complex)
+        rows, cols, values = self.entries()
+        h[rows, cols] = values
+        return h
+
+
+@dataclass(frozen=True)
 class HermitianTermSet:
     """A Hamiltonian split H = sum_i H_i into labeled Hermitian terms.
 
-    ``blocks`` optionally records, per term, the list of (i, j) index pairs
-    of its 2x2 blocks; block-diagonal terms admit an exact closed-form
-    exponential with zero fill-in.
+    Each term is a dense (d, d) matrix or a ``BlockTerm``; block terms admit
+    an exact closed-form exponential with zero fill-in.
     """
 
     dimension: int
     terms: tuple
     labels: tuple
-    blocks: tuple | None = None
 
     def __post_init__(self) -> None:
-        terms = tuple(np.asarray(t, dtype=complex) for t in self.terms)
-        if not terms:
+        if not self.terms:
             raise ValueError("term set must contain at least one term")
         d = int(self.dimension)
+        terms = tuple(t if isinstance(t, BlockTerm) else np.asarray(t, dtype=complex)
+                      for t in self.terms)
         for k, t in enumerate(terms):
-            if t.shape != (d, d):
-                raise ValueError(f"term {k} has shape {t.shape}, expected ({d}, {d})")
-            assert_hermitian(t, HERMITICITY_TOL, what=f"term {k}")
-            t.flags.writeable = False
+            block = isinstance(t, BlockTerm)
+            shape = (t.dimension,) * 2 if block else t.shape
+            if shape != (d, d):
+                raise ValueError(f"term {k} has shape {shape}, expected ({d}, {d})")
+            assert_hermitian(t.blocks if block else t, HERMITICITY_TOL, what=f"term {k}")
+            if not block:
+                t.flags.writeable = False
         labels = tuple(str(x) for x in self.labels)
         if len(labels) != len(terms):
             raise ValueError("labels and terms must have equal length")
-        blocks = self.blocks
-        if blocks is not None:
-            blocks = tuple(
-                None if b is None else tuple((int(i), int(j)) for i, j in b)
-                for b in blocks
-            )
-            if len(blocks) != len(terms):
-                raise ValueError("blocks and terms must have equal length")
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "blocks", blocks)
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def total(self) -> np.ndarray:
-        """The summed Hamiltonian H = sum_i H_i."""
-        return np.sum(self.terms, axis=0)
+    def dense(self, k: int) -> np.ndarray:
+        """Term k as a dense (d, d) matrix."""
+        t = self.terms[k]
+        return t.dense() if isinstance(t, BlockTerm) else t
 
-    def term_blocks(self, k: int):
-        return None if self.blocks is None else self.blocks[k]
+    def total(self) -> np.ndarray:
+        """The summed Hamiltonian H = sum_i H_i, as a dense matrix."""
+        return np.sum([self.dense(k) for k in range(len(self))], axis=0)
 
 
 @dataclass(frozen=True)
@@ -123,54 +169,48 @@ class CommutatorEstimate:
             raise ValueError("norm must be nonnegative")
 
 
-def _block_exponential_2x2(b: np.ndarray, tau: float) -> np.ndarray:
-    # exp(-i B tau) for Hermitian 2x2 B = a0 I + a.sigma, in closed form.
-    a0 = 0.5 * (b[0, 0] + b[1, 1]).real
-    ax = b[0, 1].real
-    ay = -b[0, 1].imag
-    az = 0.5 * (b[0, 0] - b[1, 1]).real
+def _block_exponentials(b: np.ndarray, tau: float) -> np.ndarray:
+    # exp(-i B tau) in closed form for a (k, 2, 2) stack of Hermitian
+    # B = a0 I + a.sigma, one row of entries (00, 01, 10, 11) per block;
+    # B = a0 I (r = 0) gives the pure phase.
+    a0 = 0.5 * (b[:, 0, 0] + b[:, 1, 1]).real
+    ax = b[:, 0, 1].real
+    ay = -b[:, 0, 1].imag
+    az = 0.5 * (b[:, 0, 0] - b[:, 1, 1]).real
     r = np.sqrt(ax * ax + ay * ay + az * az)
     phase = np.exp(-1j * a0 * tau)
-    if r == 0.0:
-        return phase * np.eye(2, dtype=complex)
-    c, s = np.cos(r * tau), np.sin(r * tau) / r
-    return phase * np.array(
-        [
-            [c - 1j * s * az, -1j * s * (ax - 1j * ay)],
-            [-1j * s * (ax + 1j * ay), c + 1j * s * az],
-        ]
-    )
+    rotating = r != 0.0
+    c = np.cos(r * tau)
+    s = np.sin(r * tau) / np.where(rotating, r, 1.0)
+    u = np.stack([c - 1j * s * az, -1j * s * (ax - 1j * ay), -1j * s * (ax + 1j * ay),
+                  c + 1j * s * az], axis=1)
+    u[~rotating] = [1.0, 0.0, 0.0, 1.0]
+    return phase[:, None] * u
 
 
-def exact_term_exponential(h: np.ndarray, tau: float, blocks=None) -> np.ndarray:
+def exact_term_exponential(h, tau: float) -> np.ndarray:
     """exp(-i H tau) for a Hermitian term, exact up to round-off.
 
-    Generic path: eigendecomposition. When ``blocks`` lists the term's 2x2
-    index pairs, each block is exponentiated in closed form instead, which
-    keeps entries outside the blocks exactly zero.
+    Dense terms take an eigendecomposition. A ``BlockTerm`` is exponentiated
+    block by block in closed form, which keeps entries outside the blocks
+    exactly zero.
     """
-    h = np.asarray(h, dtype=complex)
-    assert_hermitian(h, HERMITICITY_TOL, what="term")
-    if blocks is None:
+    if not isinstance(h, BlockTerm):
+        h = np.asarray(h, dtype=complex)
+        assert_hermitian(h, HERMITICITY_TOL, what="term")
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w * tau)) @ v.conj().T
-    u = np.eye(h.shape[0], dtype=complex)
-    covered = set()
-    for i, j in blocks:
-        sub = h[np.ix_([i, j], [i, j])]
-        u[np.ix_([i, j], [i, j])] = _block_exponential_2x2(sub, tau)
-        covered.update((i, j))
-    for k in range(h.shape[0]):
-        if k not in covered:
-            u[k, k] = np.exp(-1j * h[k, k].real * tau)
+    u = np.diag(np.exp(-1j * h.diagonal * tau))
+    i, j = h.pairs.T
+    u[np.r_[i, i, j, j], np.r_[i, j, i, j]] = _block_exponentials(h.blocks, tau).T.ravel()
     return u
 
 
 def trotter_step(terms: HermitianTermSet, dt: float) -> np.ndarray:
     """One product step: exp(-i H_1 dt) exp(-i H_2 dt) ... in declared order."""
     u = np.eye(terms.dimension, dtype=complex)
-    for k, h in enumerate(terms.terms):
-        u = u @ exact_term_exponential(h, dt, blocks=terms.term_blocks(k))
+    for h in terms.terms:
+        u = u @ exact_term_exponential(h, dt)
     return u
 
 
@@ -187,7 +227,7 @@ def commutator_error(terms: HermitianTermSet) -> CommutatorEstimate:
     acc = np.zeros((terms.dimension, terms.dimension), dtype=complex)
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
-            hi, hj = terms.terms[i], terms.terms[j]
+            hi, hj = terms.dense(i), terms.dense(j)
             acc += hi @ hj - hj @ hi
     return CommutatorEstimate(norm_e2=0.5 * spectral_norm(acc))
 
@@ -251,16 +291,42 @@ def energy_drift(terms: HermitianTermSet, plan: TrotterPlan, state: np.ndarray) 
 # JSON interchange: {dimension, terms: [{label, entries: [[row, col, re, im]]}]}
 
 
+def _nonzero_entries(h) -> tuple:
+    # (rows, cols, values) of the nonzero entries of a term, in (row, col) order.
+    if not isinstance(h, BlockTerm):
+        rows, cols = np.nonzero(h)
+        return rows, cols, h[rows, cols]
+    rows, cols, values = h.entries()
+    keep = np.flatnonzero(values)
+    order = keep[np.lexsort((cols[keep], rows[keep]))]
+    return rows[order], cols[order], values[order]
+
+
 def term_set_to_json(terms: HermitianTermSet) -> dict:
     doc_terms = []
     for label, h in zip(terms.labels, terms.terms):
-        entries = []
-        rows, cols = np.nonzero(h)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            v = h[r, c]
-            entries.append([r, c, float(v.real), float(v.imag)])
+        rows, cols, values = _nonzero_entries(h)
+        entries = [list(e) for e in zip(rows.tolist(), cols.tolist(),
+                                        values.real.tolist(), values.imag.tolist())]
         doc_terms.append({"label": label, "entries": entries})
     return {"dimension": terms.dimension, "terms": doc_terms}
+
+
+def _term_from_entries(dim: int, entries: dict):
+    # A BlockTerm when the off-diagonal support is a matching and the
+    # uncovered diagonal is real; a dense matrix otherwise.
+    pairs = sorted({(min(r, c), max(r, c)) for r, c in entries if r != c})
+    covered = {site for pair in pairs for site in pair}
+    free = {r: v for (r, c), v in entries.items() if r == c and r not in covered}
+    if len(covered) == 2 * len(pairs) and not any(v.imag for v in free.values()):
+        diagonal = np.zeros(dim)
+        diagonal[list(free)] = [v.real for v in free.values()]
+        blocks = [[[entries.get((a, b), 0.0) for b in pair] for a in pair] for pair in pairs]
+        return BlockTerm(pairs, blocks, diagonal)
+    h = np.zeros((dim, dim), dtype=complex)
+    for (r, c), v in entries.items():
+        h[r, c] = v
+    return h
 
 
 def term_set_from_json(doc: dict) -> HermitianTermSet:
@@ -271,14 +337,18 @@ def term_set_from_json(doc: dict) -> HermitianTermSet:
         raise ValueError(f"malformed term-set document: {exc}") from exc
     terms, labels = [], []
     for k, item in enumerate(raw_terms):
-        h = np.zeros((dim, dim), dtype=complex)
+        entries = {}
         for entry in item.get("entries", []):
             r, c, re, im = entry
-            r, c = int(r), int(c)
+            r, c, value = int(r), int(c), complex(float(re), float(im))
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"term {k}: entry ({r}, {c}) outside dimension {dim}")
-            h[r, c] = re + 1j * im
-        terms.append(h)
+            if not np.isfinite(value):
+                raise ValueError(f"term {k}: entry ({r}, {c}) is non-finite ({value})")
+            if (r, c) in entries:
+                raise ValueError(f"term {k}: duplicate entry ({r}, {c})")
+            entries[r, c] = value
+        terms.append(_term_from_entries(dim, entries))
         labels.append(item.get("label", f"term{k}"))
     return HermitianTermSet(dimension=dim, terms=tuple(terms), labels=tuple(labels))
 

@@ -2,10 +2,15 @@
 # formats, determinism, and config/flag precedence.
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hamsearch
 from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from hamsearch.decompose import honeycomb_lattice, save_graph
 from hamsearch.trotter import load_term_set
@@ -102,6 +107,21 @@ class TestTrotterScan:
         assert rc == EXIT_OK
         assert 0.9 <= _footer(out)["slope"] <= 1.1
 
+    def test_commuting_split_is_exact(self, tmp_path, capsys):
+        # The open 2-site chain splits into a block and a multiple of the
+        # identity: the bound is 0, so the errors must be round-off and no
+        # slope is fitted.
+        out = tmp_path / "scan.csv"
+        rc = main(["trotter-scan", "--problem", "chain", "--length", "2", "--out", str(out)])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        _, rows = _read_rows(out)
+        assert len(rows) == 4
+        assert all(row[2] <= 1e-12 and row[3] == 0.0 for row in rows)
+        footer = _footer(out)
+        assert footer["commuting"] is True
+        assert footer["slope"] is None
+        assert footer["norm_e2"] == 0.0
+
     def test_needs_four_grid_points(self, tmp_path):
         rc = main(["trotter-scan", "--dt-grid", "0.2,0.1,0.05", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_VALIDATION
@@ -133,7 +153,7 @@ class TestDecompose:
         assert report["reconstruction_residual"] < 1e-12
 
     def test_external_graph_input(self, tmp_path, capsys):
-        _, graph = honeycomb_lattice(2, 2)
+        graph = honeycomb_lattice(2, 2)
         gpath = tmp_path / "graph.json"
         save_graph(gpath, graph)
         out = tmp_path / "terms.json"
@@ -142,6 +162,49 @@ class TestDecompose:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert load_term_set(out).dimension == 8
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_rejects_non_finite_weight(self, tmp_path, capsys, weight):
+        gpath = tmp_path / "graph.json"
+        gpath.write_text('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, %s]]}' % weight)
+        out = tmp_path / "terms.json"
+        rc = main(["decompose", "--graph", str(gpath), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "edge (1, 2) has non-finite weight" in err
+        assert "Hermitian" not in err
+        assert not out.exists()
+
+    def test_open_chain_keeps_its_diagonal_term(self, tmp_path):
+        out = tmp_path / "terms.json"
+        report_path = tmp_path / "report.json"
+        rc = main(["decompose", "--lattice", "chain", "--length", "5", "--out", str(out),
+                   "--report", str(report_path)])
+        assert rc == EXIT_OK
+        report = json.loads(report_path.read_text())
+        assert report["terms"] == ["color0", "color1", "diagonal"]
+        assert report["reconstruction_residual"] == 0.0
+        h = load_term_set(out).total()
+        assert np.array_equal(np.diag(h).real, [2.0] * 5)
+
+    def test_8192_site_torus_stays_small(self, tmp_path):
+        # 64 x 64 periodic honeycomb: dense d x d terms would need 1 GiB
+        # each. RUSAGE_CHILDREN reports the largest child waited for, and
+        # this test starts exactly one.
+        src = os.path.dirname(os.path.dirname(hamsearch.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        report_path = tmp_path / "report.json"
+        argv = ["decompose", "--lattice", "honeycomb", "--cells-x", "64", "--cells-y", "64",
+                "--periodic", "--out", str(tmp_path / "terms.json"), "--report", str(report_path)]
+        proc = subprocess.run([sys.executable, "-m", "hamsearch.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = json.loads(report_path.read_text())
+        assert report["pass"] is True
+        assert report["vertices"] == 8192 and report["color_count"] == 3
+        peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        assert peak_mib < 200.0
 
     def test_rejects_degenerate_ring(self, tmp_path):
         rc = main(["decompose", "--lattice", "ring", "--length", "2", "--out", str(tmp_path / "x.json")])

@@ -8,16 +8,33 @@ from hamsearch.decompose import (
     EdgeColoring,
     InteractionGraph,
     bipartition,
-    block_labels,
     color_edges,
     decompose,
-    graph_from_matrix,
+    decompose_matrix,
+    graph_laplacian,
     honeycomb_lattice,
     laplacian_chain,
     load_graph,
     save_graph,
 )
-from hamsearch.trotter import exact_term_exponential
+from hamsearch.trotter import BlockTerm, exact_term_exponential
+
+
+def _laplacian_matrix(graph, diagonal=None):
+    # Dense reference: -w off the diagonal; weighted degree, or `diagonal`, on it.
+    h = np.zeros((graph.vertex_count,) * 2, dtype=complex)
+    for u, v, w in graph.edges:
+        h[u, v] = h[v, u] = -w
+        h[u, u] += abs(w)
+        h[v, v] += abs(w)
+    if diagonal is not None:
+        np.fill_diagonal(h, diagonal)
+    return h
+
+
+def _chain(length, periodic):
+    g = laplacian_chain(length, periodic=periodic)
+    return _laplacian_matrix(g, 2.0), g, decompose(g, graph_laplacian(g)[0], np.full(length, 2.0))
 
 
 def _path_graph(n):
@@ -71,6 +88,11 @@ class TestInteractionGraph:
         with pytest.raises(ValueError):
             InteractionGraph(2, ((0, 5, 1.0),))
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_weights(self, weight):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) has non-finite weight"):
+            InteractionGraph(3, ((0, 1, 1.0), (2, 0, weight)))
+
 
 class TestColorEdges:
     def test_path_alternates_two_colors(self):
@@ -91,7 +113,7 @@ class TestColorEdges:
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_honeycomb_three_colors(self, periodic):
-        _, g = honeycomb_lattice(3, 4, periodic=periodic)
+        g = honeycomb_lattice(3, 4, periodic=periodic)
         assert g.vertex_count == 24
         assert bipartition(g) is not None
         coloring = color_edges(g)
@@ -123,18 +145,17 @@ class TestColorEdges:
 
 class TestDecompose:
     def test_ring_splits_into_even_and_odd_projector_terms(self):
-        h, g = laplacian_chain(8, periodic=True)
-        terms = decompose(h, g)
+        h, _, terms = _chain(8, periodic=True)
         assert len(terms) == 2
-        for term in terms.terms:
+        for k in range(len(terms)):
+            term = terms.dense(k)
             assert np.max(np.abs(term @ term - 2.0 * term)) < 1e-12
         assert np.max(np.abs(terms.total() - h)) < 1e-12
 
     def test_open_chain_leaves_boundary_diagonal_term(self):
-        h, g = laplacian_chain(6, periodic=False)
-        terms = decompose(h, g)
+        h, _, terms = _chain(6, periodic=False)
         assert terms.labels[-1] == "diagonal"
-        diag = np.real(np.diag(terms.terms[-1]))
+        diag = np.real(np.diag(terms.dense(-1)))
         assert diag[0] == 1.0 and diag[-1] == 1.0
         assert np.all(diag[1:-1] == 0.0)
         assert np.max(np.abs(terms.total() - h)) < 1e-12
@@ -142,25 +163,55 @@ class TestDecompose:
     def test_diagonal_matrix_gives_single_term(self):
         h = np.diag([1.0, -2.0, 0.5]).astype(complex)
         g = InteractionGraph(3, ())
-        terms = decompose(h, g)
+        terms = decompose_matrix(h, g)
         assert len(terms) == 1
         assert terms.labels == ("diagonal",)
-        assert np.max(np.abs(terms.terms[0] - h)) == 0.0
+        assert np.max(np.abs(terms.dense(0) - h)) == 0.0
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_honeycomb_three_projector_terms(self, periodic):
-        h, g = honeycomb_lattice(3, 4, periodic=periodic)
-        terms = decompose(h, g)
+        g = honeycomb_lattice(3, 4, periodic=periodic)
+        terms = decompose(g, *graph_laplacian(g))
         assert len(terms) == 3  # degree diagonal fully absorbed by the blocks
-        for term in terms.terms:
+        for k in range(len(terms)):
+            term = terms.dense(k)
             assert np.max(np.abs(term @ term - 2.0 * term)) < 1e-12
-        assert np.max(np.abs(terms.total() - h)) < 1e-12
+        assert np.max(np.abs(terms.total() - _laplacian_matrix(g))) < 1e-12
 
     def test_rejects_support_mismatch(self):
-        h, _ = laplacian_chain(4, periodic=False)
+        h, _, _ = _chain(4, periodic=False)
         smaller = InteractionGraph(4, ((0, 1, 1.0), (1, 2, 1.0)))
         with pytest.raises(ValueError, match="support"):
-            decompose(h, smaller)
+            decompose_matrix(h, smaller)
+
+    def test_rejects_non_hermitian_matrix(self):
+        h, g, _ = _chain(4, periodic=False)
+        h[0, 1] = 2.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            decompose_matrix(h, g)
+
+    def test_records_match_the_dense_adapter(self):
+        # Weighted non-bipartite graph: the records built from edge values
+        # equal those the dense adapter reads off the matrix, bit for bit.
+        g = InteractionGraph(5, ((0, 1, 0.3), (1, 2, 1.7), (0, 2, 2.5), (2, 3, 0.1),
+                                 (3, 4, 1.1), (1, 4, 0.7)))
+        sparse = decompose(g, *graph_laplacian(g))
+        dense = decompose_matrix(_laplacian_matrix(g), g)
+        assert sparse.labels == dense.labels
+        for a, b in zip(sparse.terms, dense.terms):
+            for field in ("pairs", "blocks", "diagonal"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    def test_graph_laplacian_sums_weights_in_edge_order(self):
+        g = InteractionGraph(3, ((0, 1, 0.1), (0, 2, -0.2), (1, 2, 0.3)))
+        values, diagonal = graph_laplacian(g)
+        assert values.tolist() == [-0.1, 0.2, -0.3]
+        assert diagonal.tolist() == [0.1 + 0.2, 0.1 + 0.3, 0.2 + 0.3]
+
+    def test_rejects_misaligned_values(self):
+        g = laplacian_chain(4)
+        with pytest.raises(ValueError, match="one value per edge"):
+            decompose(g, np.ones(2), np.zeros(4))
 
     def test_complex_weights_give_scaled_projector_blocks(self):
         # Each edge block is 2|h| times a projector even for complex h.
@@ -173,12 +224,11 @@ class TestDecompose:
             h[v, u] = np.conj(h[u, v])
             h[u, u] += abs(h[u, v])
             h[v, v] += abs(h[u, v])
-        g = graph_from_matrix(h)
-        terms = decompose(h, g)
+        terms = decompose_matrix(h)
         assert np.max(np.abs(terms.total() - h)) == 0.0
         for k, term in enumerate(terms.terms):
-            for u, v in terms.term_blocks(k):
-                block = term[np.ix_([u, v], [u, v])]
+            for u, v in term.pairs:
+                block = terms.dense(k)[np.ix_([u, v], [u, v])]
                 mag = abs(h[u, v])
                 assert np.max(np.abs(block @ block - 2.0 * mag * block)) < 1e-14
 
@@ -210,19 +260,18 @@ class TestDecompose:
             h[np.abs(h) < 1.0] = 0.0  # sparsify
             np.fill_diagonal(h, rng.normal(size=n))
             h = 0.5 * (h + h.conj().T)
-            g = graph_from_matrix(h)
-            terms = decompose(h, g)
+            terms = decompose_matrix(h)
             assert np.max(np.abs(terms.total() - h)) < 1e-12
 
     def test_block_exponential_of_color_terms_has_no_fill_in(self):
-        h, g = honeycomb_lattice(2, 3)
-        terms = decompose(h, g)
-        for k in range(len(terms)):
-            blocks = terms.term_blocks(k)
-            u = exact_term_exponential(terms.terms[k], 1.3, blocks=blocks)
+        g = honeycomb_lattice(2, 3)
+        terms = decompose(g, *graph_laplacian(g))
+        for term in terms.terms:
+            assert isinstance(term, BlockTerm)
+            u = exact_term_exponential(term, 1.3)
             mask = np.ones(u.shape, dtype=bool)
             np.fill_diagonal(mask, False)
-            for i, j in blocks:
+            for i, j in term.pairs:
                 mask[i, j] = mask[j, i] = False
             assert np.max(np.abs(u[mask])) < 1e-14
 
@@ -238,22 +287,22 @@ class TestLaplacianChain:
 
     @pytest.mark.parametrize("length", [4, 8, 16, 64])
     def test_ring_spectrum_law(self, length):
-        h, _ = laplacian_chain(length, periodic=True)
+        h, _, terms = _chain(length, periodic=True)
+        assert np.max(np.abs(terms.total() - h)) == 0.0
         observed = np.sort(np.linalg.eigvalsh(h))
         expected = np.sort(4.0 * np.sin(np.pi * np.arange(length) / length) ** 2)
         assert np.max(np.abs(observed - expected)) < 1e-10
 
     def test_split_terms_have_binary_spectrum(self):
-        h, g = laplacian_chain(4, periodic=True)
-        terms = decompose(h, g)
-        for term in terms.terms:
-            values = np.linalg.eigvalsh(term)
+        _, _, terms = _chain(4, periodic=True)
+        for k in range(len(terms)):
+            values = np.linalg.eigvalsh(terms.dense(k))
             assert np.all(np.min(np.abs(values[:, None] - np.array([0.0, 2.0])), axis=1) < 1e-12)
 
 
 class TestHoneycomb:
     def test_torus_is_three_regular(self):
-        _, g = honeycomb_lattice(3, 4, periodic=True)
+        g = honeycomb_lattice(3, 4, periodic=True)
         degree = np.zeros(g.vertex_count, dtype=int)
         for u, v, _ in g.edges:
             degree[u] += 1
@@ -261,7 +310,7 @@ class TestHoneycomb:
         assert np.all(degree == 3)
 
     def test_open_patch_has_degree_three_interior(self):
-        _, g = honeycomb_lattice(3, 4, periodic=False)
+        g = honeycomb_lattice(3, 4, periodic=False)
         degree = np.zeros(g.vertex_count, dtype=int)
         for u, v, _ in g.edges:
             degree[u] += 1
@@ -274,28 +323,29 @@ class TestHoneycomb:
             honeycomb_lattice(1, 4, periodic=True)
 
 
-class TestBlockLabels:
+class TestBlockPairs:
     def test_chain_parity_rule(self):
         # Edge (i, i+1) lands in color i mod 2, so "odd" blocks start at odd
         # left-vertex indices: the last bit of the label addresses the term.
         g = _path_graph(8)
-        coloring = color_edges(g)
-        table = block_labels(g, coloring)
-        for color, pairs in table.items():
-            for u, _ in pairs:
+        terms = decompose(g, *graph_laplacian(g))
+        assert terms.labels == ("color0", "color1")
+        for color, term in enumerate(terms.terms):
+            for u, _ in term.pairs:
                 assert u % 2 == color
 
     def test_single_edge(self):
         g = InteractionGraph(2, ((0, 1, 1.0),))
-        table = block_labels(g, color_edges(g))
-        assert table == {0: [(0, 1)]}
+        terms = decompose(g, *graph_laplacian(g))
+        assert len(terms) == 1
+        assert terms.terms[0].pairs.tolist() == [[0, 1]]
 
     def test_honeycomb_vertex_appears_once_per_color(self):
-        _, g = honeycomb_lattice(3, 4, periodic=True)
-        coloring = color_edges(g)
-        table = block_labels(g, coloring)
+        g = honeycomb_lattice(3, 4, periodic=True)
+        terms = decompose(g, *graph_laplacian(g))
         per_vertex = {}
-        for color, pairs in table.items():
+        for term in terms.terms:
+            pairs = term.pairs.tolist()
             seen = set()
             for u, v in pairs:
                 assert u not in seen and v not in seen
@@ -307,7 +357,7 @@ class TestBlockLabels:
 
 class TestGraphJson:
     def test_round_trip(self, tmp_path):
-        _, g = honeycomb_lattice(2, 2)
+        g = honeycomb_lattice(2, 2)
         path = tmp_path / "graph.json"
         save_graph(path, g)
         assert load_graph(path) == g
@@ -316,6 +366,13 @@ class TestGraphJson:
         path = tmp_path / "bad.json"
         path.write_text('{"edges": [[0, 1, 1.0]]}')
         with pytest.raises(ValueError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_weights(self, tmp_path, weight):
+        path = tmp_path / "bad.json"
+        path.write_text('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, %s]]}' % weight)
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has non-finite weight"):
             load_graph(path)
 
 

@@ -1,0 +1,76 @@
+# Byte-identity pins: sha256 digests of CLI outputs, recorded from the dense
+# d x d term implementation that block-sparse term records replaced. Any
+# change that moves one output byte of the decomposition, the term-set
+# writer or the product-formula scan fails here.
+#
+# The graph's weights are multiples of 1/4, so its residuals are exact in
+# binary floating point and do not depend on how a product is summed. The
+# trotter-scan rows go through LAPACK (eigh, svd), so their digests assume
+# the same numpy/BLAS build (recorded with numpy 2.4.6 and OpenBLAS).
+
+import hashlib
+import json
+
+import pytest
+
+from hamsearch.cli import EXIT_OK, main
+
+GRAPH = {
+    "vertices": 6,
+    "edges": [[0, 1, 1.0], [1, 2, 0.5], [0, 2, 2.0], [2, 3, 1.25],
+              [3, 4, 0.75], [4, 5, 1.5], [3, 5, 0.25], [1, 4, 1.0]],
+}
+
+DECOMPOSE = {
+    "honeycomb": (
+        ["--lattice", "honeycomb", "--cells-x", "3", "--cells-y", "4", "--periodic"],
+        "72eb9a6fa3d21936c57b0683d72127ce6fd64ea7e6acb8ec16d288254f68a1cc",
+        "4ac294854766c350603b7388c2f0431ac4b2a3d030fcf69ea42d8c1d33960261",
+    ),
+    "ring": (
+        ["--lattice", "ring", "--length", "8"],
+        "8ab2236ff1d3aa7876f83e9461cc4c0fd9b1046bdde1c5b7f694da8498955efa",
+        "0e04c911d8de35535d93fe678ad7a90a26f41239d3225571fe561ff23afff908",
+    ),
+    "graph": (
+        ["--graph", "{graph}"],
+        "2b208ed8cd68c86f72222772aff830d671170788e86de20d10f3b541be36dffc",
+        "5fd5f17dc2c3f8a0ba3361beb97d97b9588c4da01b7ab36600794e3bc329fbc6",
+    ),
+}
+
+SCAN = {
+    "chain": (
+        ["--problem", "chain", "--length", "16", "--periodic"],
+        "9091e1feb7f3f441371ff314ba0e622d3c600c1605976e1e7796ea56d7629a86",
+    ),
+    "search-split": (
+        ["--problem", "search-split"],
+        "a05a8f5caf1be027eb6953bae6678b05db97d662593c28405e0506106246b2e5",
+    ),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE))
+def test_decompose_outputs_are_pinned(tmp_path, name):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(GRAPH))
+    flags, terms_digest, report_digest = DECOMPOSE[name]
+    terms, report = tmp_path / "terms.json", tmp_path / "report.json"
+    argv = [flag.format(graph=graph) for flag in flags]
+    rc = main(["decompose", *argv, "--out", str(terms), "--report", str(report)])
+    assert rc == EXIT_OK
+    assert _sha256(terms) == terms_digest
+    assert _sha256(report) == report_digest
+
+
+@pytest.mark.parametrize("name", sorted(SCAN))
+def test_trotter_scan_outputs_are_pinned(tmp_path, name):
+    flags, digest = SCAN[name]
+    out = tmp_path / "scan.csv"
+    assert main(["trotter-scan", *flags, "--out", str(out)]) == EXIT_OK
+    assert _sha256(out) == digest

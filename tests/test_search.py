@@ -18,6 +18,7 @@ from hamsearch.search import (
     grover_power,
     grover_step,
     hamiltonian_continuous,
+    search_split,
     step_params,
 )
 from hamsearch.trotter import HermitianTermSet, TrotterPlan, trotter_step
@@ -57,6 +58,15 @@ class TestContinuousHamiltonian:
             inst = SearchInstance(n)
             ps, pt = _projectors(inst)
             assert np.max(np.abs(hamiltonian_continuous(inst).matrix() - (ps + pt))) < 1e-15
+
+    def test_search_split_is_the_projector_pair(self):
+        for n in (2, 3, 16, 100):
+            inst = SearchInstance(n)
+            split = search_split(inst)
+            assert split.labels == ("source-projector", "target-projector")
+            for term, projector in zip(split.terms, _projectors(inst)):
+                assert np.array_equal(term, projector)
+            assert np.max(np.abs(split.total() - hamiltonian_continuous(inst).matrix())) < 1e-15
 
     def test_large_n_coefficients_vanish(self):
         pv = hamiltonian_continuous(SearchInstance(10**12))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hamsearch.decompose import decompose, laplacian_chain
+from hamsearch.decompose import decompose, graph_laplacian, honeycomb_lattice, laplacian_chain
 from hamsearch.linalg import random_unitary, spectral_norm
 from hamsearch.pauli import phase_aligned_distance
-from hamsearch.search import SearchInstance, evolve_continuous
+from hamsearch.search import SearchInstance, evolve_continuous, search_split
 from hamsearch.trotter import (
+    BlockTerm,
     CommutatorEstimate,
     HermitianTermSet,
     TrotterPlan,
@@ -27,18 +28,25 @@ from hamsearch.trotter import (
 
 
 def _search_split(n):
-    inst = SearchInstance(n)
-    s, t = inst.source_state, inst.target_state
-    return HermitianTermSet(
-        2,
-        (np.outer(s, s.conj()), np.outer(t, t.conj())),
-        ("source-projector", "target-projector"),
-    )
+    return search_split(SearchInstance(n))
+
+
+def _laplacian_matrix(graph, diagonal=None):
+    # Dense reference: -w off the diagonal; weighted degree, or `diagonal`, on it.
+    h = np.zeros((graph.vertex_count,) * 2, dtype=complex)
+    for u, v, w in graph.edges:
+        h[u, v] = h[v, u] = -w
+        h[u, u] += abs(w)
+        h[v, v] += abs(w)
+    if diagonal is not None:
+        np.fill_diagonal(h, diagonal)
+    return h
 
 
 def _chain_split(length, periodic=True):
-    h, graph = laplacian_chain(length, periodic=periodic)
-    return h, decompose(h, graph)
+    graph = laplacian_chain(length, periodic=periodic)
+    values, _ = graph_laplacian(graph)
+    return _laplacian_matrix(graph, 2.0), decompose(graph, values, np.full(length, 2.0))
 
 
 class TestTermSetValidation:
@@ -55,6 +63,31 @@ class TestTermSetValidation:
         ts = _search_split(16)
         h = ts.total()
         assert np.max(np.abs(h - (ts.terms[0] + ts.terms[1]))) == 0.0
+
+    def test_rejects_non_hermitian_block(self):
+        bad = BlockTerm([[0, 1]], [[[1.0, 2.0], [0.5, 1.0]]], np.zeros(3))
+        with pytest.raises(ValueError, match="term 0 is not Hermitian"):
+            HermitianTermSet(3, (bad,), ("bad",))
+
+    def test_block_term_dimension_must_match(self):
+        term = BlockTerm([[0, 1]], [[[1.0, 1.0], [1.0, 1.0]]], np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            HermitianTermSet(4, (term,), ("a",))
+
+    def test_block_term_validation(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            BlockTerm([[0, 1], [1, 2]], np.zeros((2, 2, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="outside"):
+            BlockTerm([[0, 3]], np.zeros((1, 2, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="vanish"):
+            BlockTerm([[0, 1]], np.zeros((1, 2, 2)), np.ones(3))
+        with pytest.raises(ValueError):
+            BlockTerm([[0, 1]], np.zeros((2, 2, 2)), np.zeros(3))
+
+    def test_block_term_densifies(self):
+        term = BlockTerm([[2, 0]], [[[1.0, 2j], [-2j, 3.0]]], [0.0, -4.0, 0.0])
+        expected = np.array([[3.0, 0, -2j], [0, -4.0, 0], [2j, 0, 1.0]])
+        assert np.array_equal(term.dense(), expected)
 
 
 class TestPlan:
@@ -85,9 +118,8 @@ class TestExactTermExponential:
 
     def test_even_chain_term_matches_scipy_expm(self):
         _, terms = _chain_split(8)
-        h_even = terms.terms[0]
-        mine = exact_term_exponential(h_even, 0.3)
-        oracle = scipy.linalg.expm(-0.3j * h_even)
+        mine = exact_term_exponential(terms.terms[0], 0.3)
+        oracle = scipy.linalg.expm(-0.3j * terms.dense(0))
         assert np.max(np.abs(mine - oracle)) < 1e-10
 
     def test_unitarity(self):
@@ -103,16 +135,26 @@ class TestExactTermExponential:
 
     def test_block_path_has_zero_fill_in(self):
         _, terms = _chain_split(8)
-        for k in range(len(terms)):
-            h = terms.terms[k]
-            blocks = terms.term_blocks(k)
-            u = exact_term_exponential(h, 0.7, blocks=blocks)
+        for k, term in enumerate(terms.terms):
+            u = exact_term_exponential(term, 0.7)
             mask = np.ones_like(u, dtype=bool)
             np.fill_diagonal(mask, False)
-            for i, j in blocks:
+            for i, j in term.pairs:
                 mask[i, j] = mask[j, i] = False
             assert np.max(np.abs(u[mask])) < 1e-14
-            assert np.max(np.abs(u - scipy.linalg.expm(-0.7j * h))) < 1e-12
+            assert np.max(np.abs(u - scipy.linalg.expm(-0.7j * terms.dense(k)))) < 1e-12
+
+    def test_block_path_matches_eigh_on_general_blocks(self):
+        # Complex off-diagonals, unequal diagonals, a pure-phase block
+        # (r = 0) and a bare diagonal site.
+        rng = np.random.default_rng(24)
+        b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        b = b + b.conj().transpose(0, 2, 1)
+        b[2] = 0.7 * np.eye(2)
+        term = BlockTerm([[0, 3], [1, 5], [6, 2]], b, [0, 0, 0, 0, -1.5, 0, 0])
+        for tau in (0.0, 0.4, 2.9):
+            u = exact_term_exponential(term, tau)
+            assert np.max(np.abs(u - exact_term_exponential(term.dense(), tau))) < 1e-12
 
 
 class TestTrotterEvolve:
@@ -164,10 +206,9 @@ class TestTrotterEvolve:
 
     def test_three_term_split_scales_first_order(self):
         # 3-colorable lattice: the engine is not specific to two terms.
-        from hamsearch.decompose import honeycomb_lattice
-
-        h, g = honeycomb_lattice(3, 4, periodic=True)
-        terms = decompose(h, g)
+        g = honeycomb_lattice(3, 4, periodic=True)
+        h = _laplacian_matrix(g)
+        terms = decompose(g, *graph_laplacian(g))
         assert len(terms) == 3
         norm_e2 = commutator_error(terms).norm_e2
         assert norm_e2 > 1.0
@@ -186,10 +227,9 @@ class TestTrotterEvolve:
         # The 2x2-cell periodic honeycomb is the cube graph: its three
         # matchings act on disjoint tensor factors, so the product formula
         # is exact and the planner takes a single step.
-        from hamsearch.decompose import honeycomb_lattice
-
-        h, g = honeycomb_lattice(2, 2, periodic=True)
-        terms = decompose(h, g)
+        g = honeycomb_lattice(2, 2, periodic=True)
+        h = _laplacian_matrix(g)
+        terms = decompose(g, *graph_laplacian(g))
         assert commutator_error(terms).norm_e2 == 0.0
         plan = plan_for_budget(terms, 5.0, 1e-6)
         assert plan.steps == 1
@@ -212,7 +252,7 @@ class TestCommutatorError:
 
     def test_chain_split_matches_dense_commutator(self):
         _, terms = _chain_split(8)
-        h_even, h_odd = terms.terms[0], terms.terms[1]
+        h_even, h_odd = terms.dense(0), terms.dense(1)
         oracle = 0.5 * spectral_norm(h_even @ h_odd - h_odd @ h_even)
         assert commutator_error(terms).norm_e2 == pytest.approx(oracle, abs=1e-12)
         assert commutator_error(terms).norm_e2 > 0.1
@@ -311,8 +351,27 @@ class TestJsonInterchange:
         back = load_term_set(path)
         assert back.dimension == terms.dimension
         assert back.labels == terms.labels
-        for a, b in zip(back.terms, terms.terms):
-            assert np.max(np.abs(a - b)) == 0.0
+        for k, (a, b) in enumerate(zip(back.terms, terms.terms)):
+            assert isinstance(a, BlockTerm)  # loaded terms keep their blocks
+            assert np.array_equal(a.pairs, b.pairs)
+            assert np.max(np.abs(back.dense(k) - terms.dense(k))) == 0.0
+
+    def test_round_trip_of_open_chain_and_dense_terms(self, tmp_path):
+        # The open chain adds a purely diagonal term; a dense term whose
+        # support is not a matching loads back dense.
+        _, chain = _chain_split(5, periodic=False)
+        full = np.ones((5, 5)) + np.diag(np.arange(5.0))
+        terms = HermitianTermSet(5, chain.terms + (full,), chain.labels + ("full",))
+        path = tmp_path / "terms.json"
+        save_term_set(path, terms)
+        back = load_term_set(path)
+        assert back.labels[-2:] == ("diagonal", "full")
+        assert isinstance(back.terms[-2], BlockTerm) and len(back.terms[-2].pairs) == 0
+        assert not isinstance(back.terms[-1], BlockTerm)
+        for k in range(len(terms)):
+            assert np.array_equal(back.dense(k), terms.dense(k))
+        save_term_set(tmp_path / "again.json", back)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_rejects_non_hermitian_document(self):
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": [[0, 1, 1.0, 0.0]]}]}
@@ -327,3 +386,17 @@ class TestJsonInterchange:
     def test_rejects_malformed_document(self):
         with pytest.raises(ValueError):
             term_set_from_json({"terms": []})
+
+    def test_rejects_duplicate_entries(self):
+        entries = [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0], [0, 0, 5.0, 0.0]]
+        doc = {"dimension": 2, "terms": [{"label": "x", "entries": entries}]}
+        with pytest.raises(ValueError, match=r"term 0: duplicate entry \(0, 0\)"):
+            term_set_from_json(doc)
+
+    @pytest.mark.parametrize("value", [(float("nan"), 0.0), (1.0, float("inf")),
+                                       (-float("inf"), 0.0)])
+    def test_rejects_non_finite_entries(self, value):
+        entries = [[0, 1, *value], [1, 0, 1.0, 0.0]]
+        doc = {"dimension": 2, "terms": [{"label": "x", "entries": entries}]}
+        with pytest.raises(ValueError, match=r"term 0: entry \(0, 1\) is non-finite"):
+            term_set_from_json(doc)
