@@ -113,60 +113,68 @@ def pauli_decompose(m: np.ndarray) -> PauliVector:
     return PauliVector(a0, np.array([a1, a2, a3]))
 
 
-def rotation_unitary(rotation: AxisAngle | tuple, angle: float | None = None) -> np.ndarray:
+def rotation_unitary(
+    rotation: AxisAngle | np.ndarray, angle: float | np.ndarray | None = None
+) -> np.ndarray:
     """exp(-i (angle/2) n.sigma) for a unit axis n.
 
-    Accepts either an AxisAngle or the pair (axis, angle).
+    Accepts either an AxisAngle or the pair (axis, angle). The angle may be
+    an array of shape (...); the result then has shape (..., 2, 2), one
+    rotation about the same axis per angle.
     """
-    if angle is not None:
-        rotation = AxisAngle(np.asarray(rotation, dtype=float), angle)
-    elif not isinstance(rotation, AxisAngle):
-        raise TypeError("pass an AxisAngle or (axis, angle)")
-    half = 0.5 * rotation.angle
-    n = rotation.axis
+    if angle is None:
+        if not isinstance(rotation, AxisAngle):
+            raise TypeError("pass an AxisAngle or (axis, angle)")
+        n, angle = rotation.axis, rotation.angle
+    else:
+        n = AxisAngle(rotation, 0.0).axis
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
     n_dot_sigma = n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]
     return np.cos(half) * IDENTITY2 - 1j * np.sin(half) * n_dot_sigma
 
 
-def _eigenphase_arc_width(w: np.ndarray) -> float:
-    """Width of the smallest arc covering the eigenphases of w."""
-    phases = np.sort(np.angle(np.linalg.eigvals(w)))
-    if phases.size == 1:
-        return 0.0
-    gaps = np.diff(phases)
-    wrap_gap = 2.0 * np.pi - (phases[-1] - phases[0])
-    if gaps.size and np.max(gaps) > wrap_gap:
-        # Covering arc runs from the largest gap's upper end around the wrap.
-        return float(2.0 * np.pi - np.max(gaps))
-    # Largest gap is across the +-pi wrap: the covering arc is contiguous.
-    return float(phases[-1] - phases[0])
+def _eigenphase_arc_width(w: np.ndarray) -> np.ndarray:
+    """Width of the smallest arc covering the eigenphases of each w[..., :, :]."""
+    phases = np.sort(np.angle(np.linalg.eigvals(w)), axis=-1)
+    spread = phases[..., -1] - phases[..., 0]
+    largest_gap = np.max(np.diff(phases, axis=-1), axis=-1, initial=0.0)
+    # If the largest gap lies inside (-pi, pi], the covering arc runs from its
+    # upper end around the wrap; otherwise the largest gap is across the wrap
+    # and the covering arc is contiguous.
+    return np.where(largest_gap > 2.0 * np.pi - spread, 2.0 * np.pi - largest_gap, spread)
 
 
-def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over phi of || U - e^{i phi} V ||_2; zero iff U = e^{i phi} V."""
+def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """min over phi of || U - e^{i phi} V ||_2; zero iff U = e^{i phi} V.
+
+    u and v are square matrices or stacks (..., n, n) of them; the result
+    holds one distance per matrix (a scalar for two matrices).
+    """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2:] != v.shape[-2:] or u.shape[-1] != u.shape[-2]:
         raise ValueError("operands must be square matrices of equal shape")
-    w = v.conj().T @ u
-    width = _eigenphase_arc_width(w)
-    return 2.0 * float(np.sin(0.25 * width))
+    w = v.conj().swapaxes(-1, -2) @ u
+    return (2.0 * np.sin(0.25 * _eigenphase_arc_width(w)))[()]
 
 
 def bloch_point(state: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Bloch coordinates (<s1>, <s2>, <s3>) of a normalized 2-vector."""
-    psi = np.asarray(state, dtype=complex).reshape(2)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
+    """Bloch coordinates (<s1>, <s2>, <s3>) of normalized 2-vectors.
+
+    Maps states of shape (..., 2) to points of shape (..., 3).
+    """
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape[-1:] != (2,):
+        raise ValueError("states must have a last axis of length 2")
+    deviation = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    if np.any(deviation > tol):
+        worst = np.unravel_index(np.argmax(deviation), deviation.shape)
+        norm = float(np.linalg.norm(psi[worst]))
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond {tol:.0e}")
-    cross = psi[0].conjugate() * psi[1]
-    return np.array(
-        [
-            2.0 * cross.real,
-            2.0 * cross.imag,
-            float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2),
-        ]
-    )
+    a, b = psi[..., 0], psi[..., 1]
+    cross = a.conj() * b
+    z = np.square(np.hypot(a.real, a.imag)) - np.square(np.hypot(b.real, b.imag))
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, z], axis=-1)
 
 
 def bloch_rotation_matrix(rotation: AxisAngle) -> np.ndarray:

@@ -20,7 +20,6 @@ import numpy as np
 from .pauli import (
     IDENTITY2,
     SIGMA,
-    AxisAngle,
     PauliVector,
     phase_aligned_distance,
     rotation_unitary,
@@ -98,10 +97,13 @@ class GroverStepParams:
 
 @dataclass(frozen=True)
 class EquivalenceParams:
-    """Fractional Grover power Q_t and phase angle beta at evolution time t."""
+    """Fractional Grover power Q_t and phase angle beta at evolution time t.
 
-    q_t: float
-    beta: float
+    Both fields have the shape of the t they were computed for.
+    """
+
+    q_t: float | np.ndarray
+    beta: float | np.ndarray
 
 
 def continuous_axis(inst: SearchInstance) -> np.ndarray:
@@ -123,15 +125,17 @@ def search_split(inst: SearchInstance) -> HermitianTermSet:
                             ("source-projector", "target-projector"))
 
 
-def evolve_continuous(inst: SearchInstance, t: float) -> np.ndarray:
+def evolve_continuous(inst: SearchInstance, t: float | np.ndarray) -> np.ndarray:
     """Continuous evolution operator at time t, global phase stripped.
 
     exp(-i n.sigma t/sqrt(N)): a rotation by 2 t/sqrt(N) about continuous_axis.
+    For an array of times (...) the result has shape (..., 2, 2).
     """
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"evolution time must be nonnegative (t={float(np.min(t))!r})")
     angle = 2.0 * t / np.sqrt(inst.n)
-    return rotation_unitary(AxisAngle(continuous_axis(inst), angle))
+    return rotation_unitary(continuous_axis(inst), angle)
 
 
 def grover_step(inst: SearchInstance) -> np.ndarray:
@@ -159,46 +163,56 @@ def step_params(inst: SearchInstance) -> GroverStepParams:
     return GroverStepParams(tau=float(tau), q_total=float(q_total))
 
 
-def grover_power(inst: SearchInstance, q: float) -> np.ndarray:
+def grover_power(inst: SearchInstance, q: float | np.ndarray) -> np.ndarray:
     """Fractional Grover power: rotation by q * 4 arcsin(1/sqrt(N)).
 
     Coincides exactly with the integer matrix power for integer q (the step
-    is already in SU(2), so no global phase appears).
+    is already in SU(2), so no global phase appears). For an array of powers
+    (...) the result has shape (..., 2, 2).
     """
-    return rotation_unitary(AxisAngle(GROVER_AXIS, 2.0 * q * inst.half_step_angle))
+    return rotation_unitary(GROVER_AXIS, 2.0 * np.asarray(q, dtype=float) * inst.half_step_angle)
 
 
-def phase_rotation(beta: float) -> np.ndarray:
-    """exp(i beta s3) = diag(e^{i beta}, e^{-i beta})."""
-    return np.diag([np.exp(1j * beta), np.exp(-1j * beta)])
+def phase_rotation(beta: float | np.ndarray) -> np.ndarray:
+    """exp(i beta s3) = diag(e^{i beta}, e^{-i beta}), shape (..., 2, 2) for beta (...)."""
+    beta = np.asarray(beta, dtype=float)
+    out = np.zeros(beta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(1j * beta)
+    out[..., 1, 1] = np.exp(-1j * beta)
+    return out
 
 
-def equivalence_params(inst: SearchInstance, t: float) -> EquivalenceParams:
+def equivalence_params(inst: SearchInstance, t: float | np.ndarray) -> EquivalenceParams:
     """Fractional power Q_t and phase beta linking the two routes at time t.
 
     Q_t = arcsin(sqrt((N-1)/N) sin(t/sqrt(N))) / (2 arcsin(1/sqrt(N)))
     beta = -pi/4 - (1/2) arctan(tan(t/sqrt(N)) / sqrt(N))
 
     Valid for 0 <= t <= T (principal arcsin branch); beta is evaluated via
-    atan2 so the t = T endpoint is finite.
+    atan2 so the t = T endpoint is finite. t may be an array; every element
+    must lie in the domain, and a failure names the one farthest outside.
     """
+    t = np.asarray(t, dtype=float)
     t_max = inst.total_time
-    if t < 0 or t > t_max * (1.0 + 1e-12):
-        raise ValueError(f"t={t!r} outside the supported domain [0, {t_max!r}]")
+    outside = ~((t >= 0) & (t <= t_max * (1.0 + 1e-12)))
+    if np.any(outside):
+        worst = t[outside][np.argmax(np.abs(t[outside] - 0.5 * t_max))]
+        raise ValueError(f"t={float(worst)!r} outside the supported domain [0, {float(t_max)!r}]")
     s = inst.overlap
     c = np.sqrt(1.0 - s * s)
     x = t / np.sqrt(inst.n)
     q_t = np.arcsin(np.clip(c * np.sin(x), -1.0, 1.0)) / (2.0 * np.arcsin(s))
     beta = -0.25 * np.pi - 0.5 * np.arctan2(np.sin(x), np.cos(x) / s)
-    return EquivalenceParams(q_t=float(q_t), beta=float(beta))
+    return EquivalenceParams(q_t=q_t, beta=beta)
 
 
-def equivalence_residual(inst: SearchInstance, t: float) -> float:
+def equivalence_residual(inst: SearchInstance, t: float | np.ndarray) -> float | np.ndarray:
     """Phase-aligned distance between the two routes at time t.
 
     Left side: the continuous evolution at t. Right side:
     exp(i beta s3) U^{Q_t} exp(i (pi/2 + beta) s3) built from the fractional
-    Grover power. Exact equality is expected up to floating round-off.
+    Grover power. Exact equality is expected up to floating round-off. For
+    an array of times the result holds one distance per time.
     """
     params = equivalence_params(inst, t)
     lhs = evolve_continuous(inst, t)

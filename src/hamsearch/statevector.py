@@ -2,8 +2,9 @@
 #
 # The step applies -(1 - 2|s><s|)(1 - 2|t><t|) as two rank-1 updates per
 # iteration (sign flip on the target, then inversion about the mean with an
-# overall sign), O(N) per step with no dense operator. This is the
-# brute-force oracle that validates the 2x2 subspace models.
+# overall sign), O(N) per step in place, with no dense operator and no copy
+# of the state. This is the brute-force oracle that validates the 2x2
+# subspace models.
 
 from __future__ import annotations
 
@@ -24,32 +25,34 @@ __all__ = [
 MAX_DIMENSION = 2**22
 
 
-def _check_dimension(n: int, max_dimension: int) -> int:
+def uniform_state(n: int, max_dimension: int = MAX_DIMENSION) -> np.ndarray:
+    """Uniform superposition: every amplitude 1/sqrt(N)."""
     n = int(n)
     if n < 2:
         raise ValueError("database size must be >= 2")
     if n > max_dimension:
         raise ValueError(f"N={n} exceeds the configured cap {max_dimension}")
-    return n
-
-
-def uniform_state(n: int, max_dimension: int = MAX_DIMENSION) -> np.ndarray:
-    """Uniform superposition: every amplitude 1/sqrt(N)."""
-    n = _check_dimension(n, max_dimension)
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+
+
+def _iterates(psi: np.ndarray, target: int, steps: int):
+    """Yield psi after 0, 1, ..., steps search steps, stepping it in place."""
+    if not (0 <= target < psi.size):
+        raise ValueError(f"target index {target} outside [0, {psi.size})")
+    yield psi
+    for _ in range(steps):
+        psi[target] = -psi[target]
+        np.subtract(2.0 * psi.mean(), psi, out=psi)
+        yield psi
 
 
 def grover_iterate(state: np.ndarray, target: int, steps: int) -> np.ndarray:
     """Apply the search step ``steps`` times; returns a new state vector."""
-    psi = np.asarray(state, dtype=complex).copy()
-    n = psi.size
-    if not (0 <= target < n):
-        raise ValueError(f"target index {target} outside [0, {n})")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    for _ in range(steps):
-        psi[target] = -psi[target]
-        psi = 2.0 * psi.mean() - psi
+    psi = np.array(state, dtype=complex)
+    for _ in _iterates(psi, target, steps):
+        pass
     return psi
 
 
@@ -63,12 +66,7 @@ def success_curve(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     psi = uniform_state(n, max_dimension)
-    probs = np.empty(max_steps + 1)
-    probs[0] = abs(psi[target]) ** 2
-    for k in range(1, max_steps + 1):
-        psi = grover_iterate(psi, target, 1)
-        probs[k] = abs(psi[target]) ** 2
-    return probs
+    return np.array([abs(p[target]) ** 2 for p in _iterates(psi, target, max_steps)])
 
 
 def peak_step(curve: np.ndarray) -> int:
@@ -91,21 +89,15 @@ def subspace_agreement(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     inst = SearchInstance(n)
-    psi = uniform_state(n, max_dimension)
+    models = grover_power(inst, np.arange(steps + 1)) @ inst.source_state
     worst = 0.0
-    for k in range(steps + 1):
-        if k > 0:
-            psi = grover_iterate(psi, target, 1)
-        model = grover_power(inst, float(k)) @ inst.source_state
+    for psi, model in zip(_iterates(uniform_state(n, max_dimension), target, steps), models):
+        # ||psi - <t|psi> |t>||, read with the target zeroed for a moment.
         amp_t = psi[target]
-        rest = psi.copy()
-        rest[target] = 0.0
-        amp_perp = float(np.linalg.norm(rest))
-        worst = max(
-            worst,
-            abs(amp_t - model[0]),
-            abs(amp_perp - abs(model[1])),
-        )
+        psi[target] = 0.0
+        amp_perp = float(np.linalg.norm(psi))
+        psi[target] = amp_t
+        worst = max(worst, abs(amp_t - model[0]), abs(amp_perp - abs(model[1])))
     return worst
 
 

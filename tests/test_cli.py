@@ -6,12 +6,14 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import hamsearch
-from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from hamsearch import cli
+from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from hamsearch.decompose import honeycomb_lattice, save_graph
 from hamsearch.trotter import load_term_set
 
@@ -73,12 +75,19 @@ class TestEquivalence:
         assert max(row[4] for row in rows) < 1e-9
         assert rows[0][3] == pytest.approx(-np.pi / 4.0)
 
-    def test_threads_give_identical_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["equivalence", "--n-list", "4,16,64", "--samples", "9"]
-        assert main(args + ["--out", str(a), "--threads", "1"]) == EXIT_OK
-        assert main(args + ["--out", str(b), "--threads", "4"]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+    def test_claim_failure_names_worst_point(self, tmp_path, capsys, monkeypatch):
+        # With a zero limit every nonzero residual fails; stderr names the
+        # largest one and its (N, t), and the table is written unchanged.
+        monkeypatch.setattr(cli, "RESIDUAL_LIMIT", 0.0)
+        out = tmp_path / "eq.csv"
+        rc = main(["equivalence", "--n-list", "4,16", "--samples", "6", "--out", str(out)])
+        assert rc == EXIT_CLAIM
+        _, rows = _read_rows(out)
+        n, t, _, _, residual = max(rows, key=lambda row: row[4])
+        err = capsys.readouterr().err
+        assert f"{residual:.3e}" in err
+        assert f"at N={n:.0f}, t={t!r}" in err
+        assert "at N=" not in out.read_text()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "eq.json"
@@ -125,6 +134,16 @@ class TestTrotterScan:
     def test_needs_four_grid_points(self, tmp_path):
         rc = main(["trotter-scan", "--dt-grid", "0.2,0.1,0.05", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("grid", ["0.1,0.1,0.1,0.1", "0.2,0.1,0.1,0.05"])
+    def test_needs_four_distinct_step_counts(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["trotter-scan", "--dt-grid", grid, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "distinct step counts" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDecompose:
@@ -248,6 +267,21 @@ class TestGrover:
         rc = main(["grover", "--n", "16", "--runs", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_VALIDATION
 
+    def test_rejected_runs_leave_no_output(self, tmp_path):
+        out = tmp_path / "x.csv"
+        rc = main(["grover", "--n", "64", "--runs", "2", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_two_items_meet_the_bound(self, tmp_path, capsys):
+        # At N = 2 every step leaves the success probability at 1/2 = 1 - 1/N,
+        # so only round-off separates the peak from the bound.
+        out = tmp_path / "x.csv"
+        assert main(["grover", "--n", "2", "--out", str(out)]) == EXIT_OK, capsys.readouterr().err
+        footer = _footer(out)
+        assert footer["peak_probability"] == pytest.approx(0.5, abs=1e-12)
+        assert footer["bound"] == 0.5
+
 
 class TestCost:
     def test_report_contents(self, tmp_path):
@@ -319,12 +353,6 @@ class TestPlumbing:
         cfg.write_text("frobnicate = 1\n")
         assert main(["equivalence", "--config", str(cfg)]) == EXIT_VALIDATION
         assert "frobnicate" in capsys.readouterr().err
-
-    def test_threads_default_honors_environment(self, monkeypatch):
-        monkeypatch.setenv("HAMSEARCH_THREADS", "3")
-        parser, _ = build_parser()
-        args = parser.parse_args(["equivalence"])
-        assert args.threads == 3
 
     def test_seventeen_significant_digits(self, tmp_path):
         out = tmp_path / "eq.csv"

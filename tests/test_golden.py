@@ -1,12 +1,21 @@
-# Byte-identity pins: sha256 digests of CLI outputs, recorded from the dense
-# d x d term implementation that block-sparse term records replaced. Any
-# change that moves one output byte of the decomposition, the term-set
-# writer or the product-formula scan fails here.
+# Byte-identity pins: sha256 digests of CLI outputs. Any change that moves
+# one output byte fails here.
+#
+# - decompose and trotter-scan were recorded from the dense d x d term
+#   implementation that block-sparse term records replaced.
+# - equivalence and grover were recorded from the per-sample 2x2 layer and
+#   the copying full-space step, before the stacked layer and the in-place
+#   step replaced them.
+# - trajectory was recorded from the stacked layer. It differs from the
+#   per-sample output in 24 z cells, by at most 2.2e-16 each: the stacked
+#   |a|^2 is a correctly rounded square, the per-sample one went through
+#   libm pow.
 #
 # The graph's weights are multiples of 1/4, so its residuals are exact in
 # binary floating point and do not depend on how a product is summed. The
-# trotter-scan rows go through LAPACK (eigh, svd), so their digests assume
-# the same numpy/BLAS build (recorded with numpy 2.4.6 and OpenBLAS).
+# trotter-scan rows and the phase-aligned distances go through LAPACK (eigh,
+# svd, geev), so their digests assume the same numpy/BLAS build (recorded
+# with numpy 2.4.6 and OpenBLAS).
 
 import hashlib
 import json
@@ -51,6 +60,24 @@ SCAN = {
 }
 
 
+SUBSPACE = {
+    "equivalence": (
+        ["equivalence", "--n-list", "4,16,64,256,1024,4096,16384,65536", "--samples", "50"],
+        "88b550893be3f023864cced3af1dfe439377e32dbeb2224f5179463a8efd57c6",
+    ),
+    "trajectory": (
+        ["trajectory", "--n", "1024", "--samples", "10001"],
+        "5344fa48adb9f58d6a6fba6b2594b4d7269153ea023a5ea75b53e36369caf681",
+    ),
+}
+
+GROVER = (
+    ["grover", "--n", "4096", "--runs", "5", "--trials", "20000"],
+    "85d8699327a71e67841de9afbbf7c6170a08f813d8662969d1f1f71b759320ab",
+    "b512afc27761b6462c4cf3539a6c35575ca619f4268cb76cd932f4147c51d030",
+)
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -74,3 +101,19 @@ def test_trotter_scan_outputs_are_pinned(tmp_path, name):
     out = tmp_path / "scan.csv"
     assert main(["trotter-scan", *flags, "--out", str(out)]) == EXIT_OK
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(SUBSPACE))
+def test_subspace_outputs_are_pinned(tmp_path, name):
+    argv, digest = SUBSPACE[name]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert _sha256(out) == digest
+
+
+def test_grover_outputs_are_pinned(tmp_path):
+    argv, curve_digest, amplification_digest = GROVER
+    out = tmp_path / "curve.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert _sha256(out) == curve_digest
+    assert _sha256(tmp_path / "curve.csv.amplification.csv") == amplification_digest
