@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 Z_95 = 1.959963984540054
+SHARD_SIZE = 1 << 18
+MAX_RUNS = 399
+# Binary-query accounting: two queries per small-step term pair, one per
+# reflection step.
+QUERIES_PER_TROTTER_STEP = 2
+QUERIES_PER_GROVER_STEP = 1
 
 
 @dataclass(frozen=True)
@@ -75,22 +81,14 @@ class MajorityEstimate:
         return 0.5 * (self.ci_high - self.ci_low)
 
 
-def majority_bound(runs: int, n: int | None = None, p: float | None = None) -> float:
-    """Majority-vote failure probability after ``runs`` repetitions.
-
-    With ``n`` given (per-run error 1/N) this returns the closed-form bound
-    2^{R-1} / N^{ceil(R/2)}; with an explicit ``p`` it returns the exact
-    binomial tail instead.
-    """
+def majority_bound(runs: int, n: int) -> float:
+    """Closed-form bound 2^{R-1} / N^{ceil(R/2)} on the majority-vote failure
+    probability after ``runs`` repetitions with per-run error 1/N."""
     if runs < 1 or runs % 2 == 0:
         raise ValueError("runs must be an odd integer >= 1")
-    if (n is None) == (p is None):
-        raise ValueError("pass exactly one of n or p")
-    if n is not None:
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        return float(2 ** (runs - 1)) / float(n) ** ceil(runs / 2)
-    return majority_error_exact(p, runs)
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return float(2 ** (runs - 1)) / float(n) ** ceil(runs / 2)
 
 
 def majority_error_exact(p: float, runs: int) -> float:
@@ -105,10 +103,11 @@ def majority_error_exact(p: float, runs: int) -> float:
     )
 
 
-def wilson_interval(failures: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    z = Z_95
     phat = failures / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -116,10 +115,10 @@ def wilson_interval(failures: int, trials: int, z: float = Z_95) -> tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def simulate_majority(plan: AmplificationPlan, shard_size: int = 1 << 18) -> MajorityEstimate:
+def simulate_majority(plan: AmplificationPlan) -> MajorityEstimate:
     """Monte Carlo estimate of the majority failure rate.
 
-    Trials are processed in shards; shard ``i`` draws from
+    Trials are processed in shards of SHARD_SIZE; shard ``i`` draws from
     Philox(key=(seed, i)), so the result is independent of how shards are
     scheduled and reproducible from the seed alone.
     """
@@ -130,7 +129,7 @@ def simulate_majority(plan: AmplificationPlan, shard_size: int = 1 << 18) -> Maj
     done = 0
     shard = 0
     while done < plan.trials:
-        count = min(shard_size, plan.trials - done)
+        count = min(SHARD_SIZE, plan.trials - done)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([plan.seed, shard], dtype=np.uint64))
         )
@@ -155,7 +154,7 @@ def averaging_error(n: int, runs: int) -> float:
     return 1.0 / (n * sqrt(runs))
 
 
-def runs_required(n: int, error_budget: float, max_runs: int = 399) -> int:
+def runs_required(n: int, error_budget: float) -> int:
     """Smallest odd R with 2^{R-1}/N^{ceil(R/2)} <= error_budget."""
     if not 0.0 < error_budget < 1.0:
         raise ValueError("error budget must lie in (0, 1)")
@@ -163,10 +162,10 @@ def runs_required(n: int, error_budget: float, max_runs: int = 399) -> int:
         # 2^{R-1}/N^{ceil(R/2)} does not shrink with R for N <= 2.
         raise ValueError("majority amplification needs n >= 3")
     runs = 1
-    while majority_bound(runs, n=n) > error_budget:
+    while majority_bound(runs, n) > error_budget:
         runs += 2
-        if runs > max_runs:
-            raise ValueError(f"budget {error_budget:g} needs more than {max_runs} runs")
+        if runs > MAX_RUNS:
+            raise ValueError(f"budget {error_budget:g} needs more than {MAX_RUNS} runs")
     return runs
 
 
@@ -205,22 +204,15 @@ def per_step_cost(dimension: int, bits: int) -> float:
 class CostModel:
     """Inputs of the complexity comparison, in abstract cost units.
 
-    ``norm_e2`` comes from the product-formula commutator estimate;
-    ``queries_per_*`` record the binary-query accounting conventions (two
-    per small-step term pair, one per reflection step) and enter reports
-    only.
+    ``norm_e2`` comes from the product-formula commutator estimate.
     """
 
     total_time: float
     error_budget: float
     database_size: int
-    term_count: int = 2
     norm_e2: float = 0.0
     step_cost: float = 1.0
     grover_step_cost: float = 1.0
-    queries_per_trotter_step: int = 2
-    queries_per_grover_step: int = 1
-    degree: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.total_time > 0 and 0 < self.error_budget < 1):
@@ -253,7 +245,7 @@ def trotter_complexity(cm: CostModel) -> TrotterCost:
     return TrotterCost(
         cost=steps * cm.step_cost,
         steps=steps,
-        queries=steps * cm.queries_per_trotter_step,
+        queries=steps * QUERIES_PER_TROTTER_STEP,
     )
 
 
@@ -271,5 +263,5 @@ def grover_complexity(cm: CostModel) -> GroverCost:
         q_steps=q_steps,
         runs=runs,
         runs_formula=asymptotic_runs(cm.database_size, cm.error_budget),
-        queries=q_steps * runs * cm.queries_per_grover_step,
+        queries=q_steps * runs * QUERIES_PER_GROVER_STEP,
     )

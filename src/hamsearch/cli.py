@@ -6,8 +6,9 @@
 #
 # Output is deterministic given (arguments, seed): CSV uses '.' decimals
 # and 17 significant digits; no timestamps. Config files are flat
-# "key = value" lines (keys are the option names with '-' -> '_'); command
-# line beats config beats defaults, and unknown keys are rejected.
+# "key = value" lines (keys are the option names with '-' -> '_'), checked
+# like the flags they name; command line beats config beats defaults, and
+# unknown keys are rejected.
 
 from __future__ import annotations
 
@@ -140,12 +141,10 @@ def _scan_problem(args):
         inst = search.SearchInstance(args.n)
         terms = search.search_split(inst)
         total_time = args.t if args.t is not None else inst.total_time
-    elif args.problem == "chain":
+    else:
         graph, values, diagonal = _chain(args.length, args.periodic)
         terms = decompose.decompose(graph, values, diagonal)
         total_time = args.t if args.t is not None else 2.0
-    else:
-        raise CliError(f"unknown problem {args.problem!r}", EXIT_VALIDATION)
     return terms, total_time
 
 
@@ -163,7 +162,7 @@ def cmd_trotter_scan(args) -> int:
     if len(set(step_counts)) < 4:
         raise CliError(f"dt grid gives {len(set(step_counts))} distinct step counts; "
                        "the slope fit needs at least 4", EXIT_VALIDATION)
-    norm_e2 = trotter.commutator_error(terms).norm_e2
+    norm_e2 = trotter.commutator_error(terms)
     # A commuting split is exact at every dt, as in trotter.plan_for_budget:
     # its errors are round-off and there is no slope to fit.
     commuting = norm_e2 == 0.0
@@ -225,10 +224,8 @@ def _decompose_input(args):
     if args.lattice == "ring":
         spectrum = np.sort(4.0 * np.sin(np.pi * np.arange(args.length) / args.length) ** 2)
         return (*_chain(args.length, True), spectrum)
-    if args.lattice == "honeycomb":
-        graph = decompose.honeycomb_lattice(args.cells_x, args.cells_y, periodic=args.periodic)
-        return (graph, *decompose.graph_laplacian(graph), None)
-    raise CliError(f"unknown lattice {args.lattice!r}", EXIT_VALIDATION)
+    graph = decompose.honeycomb_lattice(args.cells_x, args.cells_y, periodic=args.periodic)
+    return (graph, *decompose.graph_laplacian(graph), None)
 
 
 def _max_abs(x) -> float:
@@ -372,12 +369,12 @@ def cmd_cost(args) -> int:
     total_time = args.t if args.t is not None else inst.total_time
     if total_time <= 0:
         raise CliError("t must be positive", EXIT_VALIDATION)
-    norm_e2 = trotter.commutator_error(search.search_split(inst)).norm_e2
+    split = search.search_split(inst)
+    norm_e2 = trotter.commutator_error(split)
     cm = amplify.CostModel(
         total_time=total_time,
         error_budget=args.eps,
         database_size=args.n,
-        term_count=2,
         norm_e2=norm_e2,
         step_cost=args.step_cost,
         grover_step_cost=args.grover_step_cost,
@@ -385,13 +382,13 @@ def cmd_cost(args) -> int:
     tc = amplify.trotter_complexity(cm)
     gc = amplify.grover_complexity(cm)
     steps = max(1, int(np.ceil(tc.steps)))
-    bits = amplify.register_width(steps, cm.term_count, args.eps)
+    bits = amplify.register_width(steps, len(split), args.eps)
     report = {
         "inputs": {
             "N": args.n,
             "t": total_time,
             "eps": args.eps,
-            "term_count": cm.term_count,
+            "term_count": len(split),
             "norm_e2": norm_e2,
             "step_cost": cm.step_cost,
             "grover_step_cost": cm.grover_step_cost,
@@ -408,8 +405,8 @@ def cmd_cost(args) -> int:
         "grover": {"q_steps": gc.q_steps, "runs": gc.runs, "runs_formula": gc.runs_formula},
         "queries": {"trotter": tc.queries, "grover": gc.queries},
         "convention": {
-            "queries_per_trotter_step": cm.queries_per_trotter_step,
-            "queries_per_grover_step": cm.queries_per_grover_step,
+            "queries_per_trotter_step": amplify.QUERIES_PER_TROTTER_STEP,
+            "queries_per_grover_step": amplify.QUERIES_PER_GROVER_STEP,
         },
     }
     _write_text(args.out, json.dumps(report, indent=1, sort_keys=True) + "\n")
@@ -441,13 +438,13 @@ def build_parser():
     sp.add_argument("--n", type=int, default=16, help="database size")
     sp.add_argument("--samples", type=int, default=65)
     _add_common(sp)
-    commands["trajectory"] = (sp, cmd_trajectory)
+    commands["trajectory"] = cmd_trajectory
 
     sp = subparsers.add_parser("equivalence", help="residuals of the route-equivalence identity")
     sp.add_argument("--n-list", default="4,16,64,256,1024")
     sp.add_argument("--samples", type=int, default=20)
     _add_common(sp)
-    commands["equivalence"] = (sp, cmd_equivalence)
+    commands["equivalence"] = cmd_equivalence
 
     sp = subparsers.add_parser("trotter-scan", help="error vs step size for a term split")
     sp.add_argument("--problem", choices=("search-split", "chain"), default="search-split")
@@ -458,7 +455,7 @@ def build_parser():
     sp.add_argument("--dt-grid", default="0.2,0.1,0.05,0.025")
     sp.add_argument("--step-cap", type=int, default=10_000_000)
     _add_common(sp)
-    commands["trotter-scan"] = (sp, cmd_trotter_scan)
+    commands["trotter-scan"] = cmd_trotter_scan
 
     sp = subparsers.add_parser("decompose", help="edge-color a lattice and emit its term set")
     sp.add_argument("--lattice", choices=("chain", "ring", "honeycomb"), default="ring")
@@ -469,7 +466,7 @@ def build_parser():
     sp.add_argument("--graph", default=None, help="external graph JSON instead of a lattice")
     sp.add_argument("--report", default=None, help="where to write the validation report")
     _add_common(sp)
-    commands["decompose"] = (sp, cmd_decompose)
+    commands["decompose"] = cmd_decompose
 
     sp = subparsers.add_parser("grover", help="full-space success curve and amplification")
     sp.add_argument("--n", type=int, default=1024)
@@ -484,7 +481,7 @@ def build_parser():
     )
     sp.add_argument("--amplification-out", default=None)
     _add_common(sp)
-    commands["grover"] = (sp, cmd_grover)
+    commands["grover"] = cmd_grover
 
     sp = subparsers.add_parser("cost", help="small-step vs reflection-route complexity")
     sp.add_argument("--n", type=int, default=1024)
@@ -493,18 +490,22 @@ def build_parser():
     sp.add_argument("--step-cost", type=float, default=1.0)
     sp.add_argument("--grover-step-cost", type=float, default=1.0)
     _add_common(sp)
-    commands["cost"] = (sp, cmd_cost)
+    commands["cost"] = cmd_cost
 
     return parser, commands
 
 
-def _load_config(path: str) -> dict:
+def _config_tokens(path: str, options: dict) -> list:
+    # Each "key = value" line as the token "--key=value", so that argparse
+    # checks it like the flag it names; a flag becomes a bare "--key" only
+    # when its value is 1/true/yes/on. ``options`` maps the subcommand's
+    # option names to their parsed values.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_IO) from exc
-    config = {}
+    tokens = []
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -512,49 +513,34 @@ def _load_config(path: str) -> dict:
         if "=" not in stripped:
             raise CliError(f"{path}:{lineno}: expected 'key = value'", EXIT_VALIDATION)
         key, _, value = stripped.partition("=")
-        config[key.strip().replace("-", "_")] = value.strip()
-    return config
-
-
-def _apply_config(subparser, config: dict) -> None:
-    known = {}
-    for action in subparser._actions:
-        if action.dest not in ("help", "config"):
-            known[action.dest] = action
-    overrides = {}
-    for key, raw in config.items():
-        if key not in known:
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in options or key in ("command", "config"):
             raise CliError(f"unknown config key {key!r}", EXIT_VALIDATION)
-        action = known[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            overrides[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                overrides[key] = action.type(raw)
-            except ValueError as exc:
-                raise CliError(f"config key {key!r}: {exc}", EXIT_VALIDATION) from exc
-        else:
-            overrides[key] = raw
-    subparser.set_defaults(**overrides)
+        option = "--" + key.replace("_", "-")
+        if not isinstance(options[key], bool):
+            tokens.append(f"{option}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(option)
+    return tokens
 
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            subparser, _ = commands[args.command]
-            _apply_config(subparser, _load_config(args.config))
-            args = parser.parse_args(argv)
+        if args.config:
+            # Config tokens go first, so the command line's values win.
+            tokens = _config_tokens(args.config, vars(args))
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     except CliError as exc:
         print(f"hamsearch: {exc}", file=sys.stderr)
         return exc.code
 
-    _, handler = commands[args.command]
     try:
-        return handler(args)
+        return commands[args.command](args)
     except CliError as exc:
         print(f"hamsearch: {exc}", file=sys.stderr)
         return exc.code

@@ -101,17 +101,20 @@ class InteractionGraph:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Color index per edge (aligned with graph.edges) and the palette size."""
+    """Color index per edge, aligned with graph.edges."""
 
     colors: tuple
-    color_count: int
 
     def __post_init__(self) -> None:
         colors = tuple(int(c) for c in self.colors)
         if any(c < 0 for c in colors):
             raise ValueError("colors must be nonnegative")
         object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "color_count", int(self.color_count))
+
+    @property
+    def color_count(self) -> int:
+        """The palette size: one more than the largest color, 0 without edges."""
+        return max(self.colors, default=-1) + 1
 
 
 def bipartition(graph: InteractionGraph):
@@ -283,14 +286,12 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
 def color_edges(graph: InteractionGraph) -> EdgeColoring:
     """Proper edge coloring: max-degree colors on bipartite graphs,
     at most max-degree + 1 (Misra-Gries) otherwise."""
-    if not graph.edges:
-        return EdgeColoring(colors=(), color_count=0)
     if bipartition(graph) is not None:
         colors = _color_bipartite(graph)
     else:
         colors = _color_misra_gries(graph)
     _verify_proper(graph, colors)
-    return EdgeColoring(colors=tuple(colors), color_count=max(colors) + 1)
+    return EdgeColoring(colors=tuple(colors))
 
 
 def graph_laplacian(graph: InteractionGraph):
@@ -317,8 +318,8 @@ def decompose(
     The matrix is given by ``values[k]``, its (u, v) entry on edge k of
     ``graph.edges``, and its real ``diagonal``. Each edge contributes
     [[|h|, h], [conj(h), |h|]] to its color's term; the residual diagonal,
-    if any, becomes one extra term labeled "diagonal". The terms sum to the
-    matrix exactly.
+    if any, becomes one extra term labeled "diagonal" (so does the zero
+    diagonal of a graph without edges). The terms sum to the matrix exactly.
     """
     n = graph.vertex_count
     values = np.asarray(values, dtype=complex)
@@ -344,24 +345,20 @@ def decompose(
         residual[vs[k]] -= mag
         terms.append(BlockTerm(np.stack([us[k], vs[k]], axis=1), blocks, np.zeros(n)))
         labels.append(f"color{color}")
-    if np.any(residual != 0.0):
+    if np.any(residual != 0.0) or not terms:
         terms.append(BlockTerm((), (), residual))
         labels.append("diagonal")
     return HermitianTermSet(dimension=n, terms=tuple(terms), labels=tuple(labels))
 
 
-def decompose_matrix(
-    h: np.ndarray,
-    graph: InteractionGraph | None = None,
-    coloring: EdgeColoring | None = None,
-) -> HermitianTermSet:
+def decompose_matrix(h: np.ndarray, graph: InteractionGraph | None = None) -> HermitianTermSet:
     """``decompose`` for a dense Hermitian matrix. Its off-diagonal support
     must lie on the graph's edges; without a graph, the support is the graph."""
     h = np.asarray(h, dtype=complex)
     n = len(h) if graph is None else graph.vertex_count
     if h.shape != (n, n):
         raise ValueError(f"matrix shape {h.shape} does not match {n} vertices")
-    assert_hermitian(h, 1e-12, what="input matrix")
+    assert_hermitian(h, what="input matrix")
     rows, cols = np.nonzero(np.triu(h, 1))
     if graph is None:
         weights = np.abs(h[rows, cols]).tolist()
@@ -371,7 +368,7 @@ def decompose_matrix(
         if (r, c) not in edge_set:
             raise ValueError(f"off-diagonal support at ({r}, {c}) has no matching edge")
     us, vs, _ = graph.edge_arrays()
-    return decompose(graph, h[us, vs], np.real(np.diag(h)), coloring)
+    return decompose(graph, h[us, vs], np.real(np.diag(h)))
 
 
 def laplacian_chain(length: int, periodic: bool = False) -> InteractionGraph:

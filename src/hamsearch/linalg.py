@@ -7,10 +7,11 @@ import numpy as np
 
 __all__ = [
     "spectral_norm",
-    "is_hermitian",
     "assert_hermitian",
     "random_unitary",
 ]
+
+HERMITIAN_TOL = 1e-12
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -18,22 +19,15 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """True for a square matrix, or a stack of them, within tol of its adjoint."""
+def assert_hermitian(m: np.ndarray, what: str = "matrix") -> None:
+    """Raise unless m, a square matrix or a stack of them, is within
+    HERMITIAN_TOL of its adjoint entry by entry."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        return False
-    return bool(_hermitian_deviation(m) <= tol)
-
-
-def _hermitian_deviation(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0))
-
-
-def assert_hermitian(m: np.ndarray, tol: float = 1e-12, what: str = "matrix") -> None:
-    if not is_hermitian(m, tol):
-        dev = _hermitian_deviation(np.asarray(m))
-        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e}, tol {tol:.1e})")
+        raise ValueError(f"{what} is not Hermitian (shape {m.shape} is not square)")
+    dev = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0))
+    if not dev <= HERMITIAN_TOL:
+        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e}, tol {HERMITIAN_TOL:.1e})")
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -113,21 +113,13 @@ def pauli_decompose(m: np.ndarray) -> PauliVector:
     return PauliVector(a0, np.array([a1, a2, a3]))
 
 
-def rotation_unitary(
-    rotation: AxisAngle | np.ndarray, angle: float | np.ndarray | None = None
-) -> np.ndarray:
-    """exp(-i (angle/2) n.sigma) for a unit axis n.
+def rotation_unitary(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
+    """exp(-i (angle/2) n.sigma) for the unit vector n = axis.
 
-    Accepts either an AxisAngle or the pair (axis, angle). The angle may be
-    an array of shape (...); the result then has shape (..., 2, 2), one
-    rotation about the same axis per angle.
+    The angle may be an array of shape (...); the result then has shape
+    (..., 2, 2), one rotation about the same axis per angle.
     """
-    if angle is None:
-        if not isinstance(rotation, AxisAngle):
-            raise TypeError("pass an AxisAngle or (axis, angle)")
-        n, angle = rotation.axis, rotation.angle
-    else:
-        n = AxisAngle(rotation, 0.0).axis
+    n = AxisAngle(axis, 0.0).axis
     half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
     n_dot_sigma = n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]
     return np.cos(half) * IDENTITY2 - 1j * np.sin(half) * n_dot_sigma
@@ -158,7 +150,10 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     return (2.0 * np.sin(0.25 * _eigenphase_arc_width(w)))[()]
 
 
-def bloch_point(state: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+STATE_NORM_TOL = 1e-12
+
+
+def bloch_point(state: np.ndarray) -> np.ndarray:
     """Bloch coordinates (<s1>, <s2>, <s3>) of normalized 2-vectors.
 
     Maps states of shape (..., 2) to points of shape (..., 3).
@@ -167,10 +162,10 @@ def bloch_point(state: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if psi.shape[-1:] != (2,):
         raise ValueError("states must have a last axis of length 2")
     deviation = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-    if np.any(deviation > tol):
+    if np.any(deviation > STATE_NORM_TOL):
         worst = np.unravel_index(np.argmax(deviation), deviation.shape)
         norm = float(np.linalg.norm(psi[worst]))
-        raise ValueError(f"state norm {norm!r} deviates from 1 beyond {tol:.0e}")
+        raise ValueError(f"state norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL:.0e}")
     a, b = psi[..., 0], psi[..., 1]
     cross = a.conj() * b
     z = np.square(np.hypot(a.real, a.imag)) - np.square(np.hypot(b.real, b.imag))

@@ -25,13 +25,13 @@ __all__ = [
 MAX_DIMENSION = 2**22
 
 
-def uniform_state(n: int, max_dimension: int = MAX_DIMENSION) -> np.ndarray:
+def uniform_state(n: int) -> np.ndarray:
     """Uniform superposition: every amplitude 1/sqrt(N)."""
     n = int(n)
     if n < 2:
         raise ValueError("database size must be >= 2")
-    if n > max_dimension:
-        raise ValueError(f"N={n} exceeds the configured cap {max_dimension}")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"N={n} exceeds the cap {MAX_DIMENSION}")
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
@@ -56,16 +56,11 @@ def grover_iterate(state: np.ndarray, target: int, steps: int) -> np.ndarray:
     return psi
 
 
-def success_curve(
-    n: int,
-    max_steps: int,
-    target: int = 0,
-    max_dimension: int = MAX_DIMENSION,
-) -> np.ndarray:
+def success_curve(n: int, max_steps: int, target: int = 0) -> np.ndarray:
     """Success probability |<t|psi_k>|^2 for k = 0 .. max_steps."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    psi = uniform_state(n, max_dimension)
+    psi = uniform_state(n)
     return np.array([abs(p[target]) ** 2 for p in _iterates(psi, target, max_steps)])
 
 
@@ -74,12 +69,7 @@ def peak_step(curve: np.ndarray) -> int:
     return int(np.argmax(curve))
 
 
-def subspace_agreement(
-    n: int,
-    steps: int,
-    target: int = 0,
-    max_dimension: int = MAX_DIMENSION,
-) -> float:
+def subspace_agreement(n: int, steps: int, target: int = 0) -> float:
     """Worst deviation between the full-space run and the 2D model.
 
     Tracks (<t|psi>, ||psi - <t|psi> |t>||) after each of 0..steps full-space
@@ -91,7 +81,7 @@ def subspace_agreement(
     inst = SearchInstance(n)
     models = grover_power(inst, np.arange(steps + 1)) @ inst.source_state
     worst = 0.0
-    for psi, model in zip(_iterates(uniform_state(n, max_dimension), target, steps), models):
+    for psi, model in zip(_iterates(uniform_state(n), target, steps), models):
         # ||psi - <t|psi> |t>||, read with the target zeroed for a moment.
         amp_t = psi[target]
         psi[target] = 0.0

@@ -22,7 +22,6 @@ __all__ = [
     "BlockTerm",
     "HermitianTermSet",
     "TrotterPlan",
-    "CommutatorEstimate",
     "exact_term_exponential",
     "trotter_step",
     "trotter_evolve",
@@ -35,9 +34,6 @@ __all__ = [
     "save_term_set",
     "load_term_set",
 ]
-
-HERMITICITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BlockTerm:
@@ -112,7 +108,7 @@ class HermitianTermSet:
             shape = (t.dimension,) * 2 if block else t.shape
             if shape != (d, d):
                 raise ValueError(f"term {k} has shape {shape}, expected ({d}, {d})")
-            assert_hermitian(t.blocks if block else t, HERMITICITY_TOL, what=f"term {k}")
+            assert_hermitian(t.blocks if block else t, what=f"term {k}")
             if not block:
                 t.flags.writeable = False
         labels = tuple(str(x) for x in self.labels)
@@ -137,36 +133,22 @@ class HermitianTermSet:
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Total time, step size dt = total_time/steps, and the error budget."""
+    """Total time and step count; the step size is dt = total_time/steps."""
 
     total_time: float
     steps: int
-    error_budget: float = np.inf
 
     def __post_init__(self) -> None:
         if self.steps < 1 or int(self.steps) != self.steps:
             raise ValueError("steps must be a positive integer")
         if not self.total_time > 0:
             raise ValueError("total_time must be positive")
-        if not self.error_budget > 0:
-            raise ValueError("error budget must be positive")
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "total_time", float(self.total_time))
 
     @property
     def dt(self) -> float:
         return self.total_time / self.steps
-
-
-@dataclass(frozen=True)
-class CommutatorEstimate:
-    """Spectral norm of the leading error generator (zero for commuting terms)."""
-
-    norm_e2: float
-
-    def __post_init__(self) -> None:
-        if self.norm_e2 < 0:
-            raise ValueError("norm must be nonnegative")
 
 
 def _block_exponentials(b: np.ndarray, tau: float) -> np.ndarray:
@@ -197,7 +179,7 @@ def exact_term_exponential(h, tau: float) -> np.ndarray:
     """
     if not isinstance(h, BlockTerm):
         h = np.asarray(h, dtype=complex)
-        assert_hermitian(h, HERMITICITY_TOL, what="term")
+        assert_hermitian(h, what="term")
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w * tau)) @ v.conj().T
     u = np.diag(np.exp(-1j * h.diagonal * tau))
@@ -220,8 +202,9 @@ def trotter_evolve(terms: HermitianTermSet, plan: TrotterPlan) -> np.ndarray:
     return np.linalg.matrix_power(step, plan.steps)
 
 
-def commutator_error(terms: HermitianTermSet) -> CommutatorEstimate:
-    """|| (1/2) sum_{i<j} [H_i, H_j] ||, the dt -> 0 limit of the error generator."""
+def commutator_error(terms: HermitianTermSet) -> float:
+    """||E2|| = || (1/2) sum_{i<j} [H_i, H_j] ||, the dt -> 0 limit of the
+    error generator; zero for commuting terms."""
     if len(terms) < 2:
         raise ValueError("commutator estimate needs at least two terms")
     acc = np.zeros((terms.dimension, terms.dimension), dtype=complex)
@@ -229,7 +212,7 @@ def commutator_error(terms: HermitianTermSet) -> CommutatorEstimate:
         for j in range(i + 1, len(terms)):
             hi, hj = terms.dense(i), terms.dense(j)
             acc += hi @ hj - hj @ hi
-    return CommutatorEstimate(norm_e2=0.5 * spectral_norm(acc))
+    return 0.5 * spectral_norm(acc)
 
 
 def plan_for_budget(
@@ -237,7 +220,6 @@ def plan_for_budget(
     total_time: float,
     error_budget: float,
     step_cap: int = 10_000_000,
-    commuting_tol: float = 0.0,
 ) -> TrotterPlan:
     """Largest step size with  total_time * ||E2|| * dt <= error_budget.
 
@@ -247,16 +229,16 @@ def plan_for_budget(
     """
     if not (total_time > 0 and error_budget > 0):
         raise ValueError("total_time and error_budget must be positive")
-    norm_e2 = commutator_error(terms).norm_e2
-    if norm_e2 <= commuting_tol:
-        return TrotterPlan(total_time, 1, error_budget)
+    norm_e2 = commutator_error(terms)
+    if norm_e2 == 0.0:
+        return TrotterPlan(total_time, 1)
     raw_steps = total_time * total_time * norm_e2 / error_budget
     steps = max(1, ceil(raw_steps - 1e-12))
     if steps > step_cap:
         raise ValueError(
             f"budget {error_budget:g} needs {steps} steps, above the cap {step_cap}"
         )
-    return TrotterPlan(total_time, steps, error_budget)
+    return TrotterPlan(total_time, steps)
 
 
 def telescoping_bound_check(x: np.ndarray, y: np.ndarray, n: int) -> tuple[float, float]:

@@ -31,7 +31,6 @@ from hamsearch.search import (
     endpoint_residual,
     equivalence_residual,
     evolve_continuous,
-    search_split,
     step_params,
 )
 from hamsearch.statevector import peak_step, subspace_agreement, success_curve
@@ -41,29 +40,14 @@ from hamsearch.trotter import (
     exact_term_exponential,
     trotter_evolve,
 )
+from oracles import laplacian_matrix, search_split_of
 
 EQUIVALENCE_SIZES = (4, 16, 64, 256, 1024)
 CURVE_SIZES = (4, 16, 64, 1024, 4096)
 
 
-def _search_split(n):
-    return search_split(SearchInstance(n))
-
-
-def _laplacian_matrix(graph, diagonal=None):
-    # Dense reference: -w off the diagonal; weighted degree, or `diagonal`, on it.
-    h = np.zeros((graph.vertex_count,) * 2, dtype=complex)
-    for u, v, w in graph.edges:
-        h[u, v] = h[v, u] = -w
-        h[u, u] += abs(w)
-        h[v, v] += abs(w)
-    if diagonal is not None:
-        np.fill_diagonal(h, diagonal)
-    return h
-
-
 def _scan(terms, total_time, dt_grid):
-    norm_e2 = commutator_error(terms).norm_e2
+    norm_e2 = commutator_error(terms)
     exact = exact_term_exponential(terms.total(), total_time)
     dts, errors, bounds = [], [], []
     for dt in dt_grid:
@@ -134,7 +118,7 @@ def test_criterion_05_step_count_asymptotics():
 def test_criterion_06_first_order_scaling():
     grid = (0.2, 0.1, 0.05, 0.025)
     problems = [
-        ("projector split", _search_split(16), SearchInstance(16).total_time),
+        ("projector split", search_split_of(16), SearchInstance(16).total_time),
         ("even/odd chain", None, 2.0),
     ]
     g = laplacian_chain(8, periodic=True)
@@ -151,7 +135,7 @@ def test_criterion_06_first_order_scaling():
 def test_criterion_07_commutator_estimator():
     worst = 0.0
     for n in (4, 16, 64, 1024):
-        measured = commutator_error(_search_split(n)).norm_e2
+        measured = commutator_error(search_split_of(n))
         worst = max(worst, abs(measured - 0.5 * np.sqrt(n - 1.0) / n))
     assert worst < 1e-12
     print(f"ACCEPTANCE 07 PASS - ||E2|| = (1/2) sqrt(N-1)/N to {worst:.2e}")
@@ -161,7 +145,7 @@ def test_criterion_08_decomposition_identities():
     # Chain and ring: two colors, projector squaring, binary term spectrum.
     for periodic in (False, True):
         g = laplacian_chain(8, periodic=periodic)
-        h = _laplacian_matrix(g, 2.0)
+        h = laplacian_matrix(g, 2.0)
         coloring = color_edges(g)
         assert coloring.color_count == 2
         terms = decompose(g, graph_laplacian(g)[0], np.full(8, 2.0), coloring)
@@ -175,7 +159,7 @@ def test_criterion_08_decomposition_identities():
         assert np.max(np.abs(terms.total() - h)) < 1e-12
     # Ring spectrum law across sizes.
     for length in (4, 8, 16, 64):
-        h = _laplacian_matrix(laplacian_chain(length, periodic=True), 2.0)
+        h = laplacian_matrix(laplacian_chain(length, periodic=True), 2.0)
         observed = np.sort(np.linalg.eigvalsh(h))
         expected = np.sort(4.0 * np.sin(np.pi * np.arange(length) / length) ** 2)
         assert np.max(np.abs(observed - expected)) < 1e-10
@@ -187,7 +171,7 @@ def test_criterion_08_decomposition_identities():
         assert coloring.color_count <= g.max_degree + 1
         assert coloring.color_count == 3
         terms = decompose(g, *graph_laplacian(g), coloring)
-        assert np.max(np.abs(terms.total() - _laplacian_matrix(g))) == 0.0
+        assert np.max(np.abs(terms.total() - laplacian_matrix(g))) == 0.0
     print("ACCEPTANCE 08 PASS - chain/ring/honeycomb decompositions verified")
 
 
@@ -211,7 +195,7 @@ def test_criterion_09_majority_amplification():
 
 def test_criterion_10_efficiency_separation():
     inst = SearchInstance(1024)
-    norm_e2 = commutator_error(_search_split(1024)).norm_e2
+    norm_e2 = commutator_error(search_split_of(1024))
     ratios = []
     for eps in [10.0**-k for k in range(2, 13)]:
         cm = CostModel(

@@ -34,7 +34,6 @@ class TestMajorityBound:
         want = 3.0 * p * p * (1.0 - p) + p**3
         assert want == pytest.approx(0.011230468750, abs=1e-12)
         assert majority_error_exact(p, 3) == pytest.approx(want, abs=1e-15)
-        assert majority_bound(3, p=p) == pytest.approx(want, abs=1e-15)
 
     def test_exact_tail_below_bound_on_power_grid(self):
         for n in (4, 16, 64, 256, 1024, 4096):
@@ -46,12 +45,6 @@ class TestMajorityBound:
             majority_bound(2, n=16)
         with pytest.raises(ValueError):
             majority_error_exact(0.1, 4)
-
-    def test_requires_exactly_one_model(self):
-        with pytest.raises(ValueError):
-            majority_bound(3)
-        with pytest.raises(ValueError):
-            majority_bound(3, n=16, p=0.1)
 
     def test_majority_error_strictly_decreases_in_runs(self):
         for p in (0.3, 1.0 / 16.0, 0.01):
@@ -79,12 +72,12 @@ class TestSimulateMajority:
         assert simulate_majority(plan).rate == simulate_majority(plan).rate
 
     def test_shards_merge_by_summation(self):
-        # One big shard vs many small ones with the same keys differ only in
-        # stream layout; per-shard draws are identical streams, so equal
-        # shard sizes reproduce the same tally regardless of scheduling.
-        plan = AmplificationPlan(0.05, 3, 40_000, seed=3)
-        a = simulate_majority(plan, shard_size=10_000)
-        b = simulate_majority(plan, shard_size=10_000)
+        # 600 000 trials span three 2^18-trial shards; each shard's draws
+        # come from its own (seed, shard) stream, so the summed tally is
+        # the same on every run.
+        plan = AmplificationPlan(0.05, 3, 600_000, seed=3)
+        a = simulate_majority(plan)
+        b = simulate_majority(plan)
         assert a.failures == b.failures
 
     def test_requires_enough_trials(self):
@@ -206,7 +199,7 @@ class TestComplexities:
             total_time=inst.total_time,
             error_budget=eps,
             database_size=16,
-            norm_e2=commutator_error(terms).norm_e2,
+            norm_e2=commutator_error(terms),
         )
         implied = trotter_complexity(cm).steps
         planned = plan_for_budget(terms, inst.total_time, eps).steps

@@ -354,6 +354,27 @@ class TestPlumbing:
         assert main(["equivalence", "--config", str(cfg)]) == EXIT_VALIDATION
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line", [("equivalence", "format = xml"),
+                                               ("trotter-scan", "problem = foo")])
+    def test_config_values_meet_the_flag_checks(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_flag_needs_a_true_value(self, tmp_path):
+        reports = []
+        for value in ("yes", "off"):
+            cfg = tmp_path / f"{value}.cfg"
+            cfg.write_text(f"lattice = honeycomb\ncells_x = 2\ncells_y = 2\nperiodic = {value}\n")
+            report = tmp_path / f"{value}.json"
+            rc = main(["decompose", "--config", str(cfg), "--out", "-", "--report", str(report)])
+            assert rc == EXIT_OK
+            reports.append(json.loads(report.read_text()))
+        assert [r["edges"] for r in reports] == [12, 8]
+
     def test_seventeen_significant_digits(self, tmp_path):
         out = tmp_path / "eq.csv"
         assert main(["equivalence", "--n-list", "4", "--samples", "3", "--out", str(out)]) == EXIT_OK

@@ -3,6 +3,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hamsearch.decompose import (
     EdgeColoring,
@@ -18,23 +21,12 @@ from hamsearch.decompose import (
     save_graph,
 )
 from hamsearch.trotter import BlockTerm, exact_term_exponential
-
-
-def _laplacian_matrix(graph, diagonal=None):
-    # Dense reference: -w off the diagonal; weighted degree, or `diagonal`, on it.
-    h = np.zeros((graph.vertex_count,) * 2, dtype=complex)
-    for u, v, w in graph.edges:
-        h[u, v] = h[v, u] = -w
-        h[u, u] += abs(w)
-        h[v, v] += abs(w)
-    if diagonal is not None:
-        np.fill_diagonal(h, diagonal)
-    return h
+from oracles import laplacian_matrix
 
 
 def _chain(length, periodic):
     g = laplacian_chain(length, periodic=periodic)
-    return _laplacian_matrix(g, 2.0), g, decompose(g, graph_laplacian(g)[0], np.full(length, 2.0))
+    return laplacian_matrix(g, 2.0), g, decompose(g, graph_laplacian(g)[0], np.full(length, 2.0))
 
 
 def _path_graph(n):
@@ -47,10 +39,17 @@ def _cycle_graph(n):
 
 
 def _random_bounded_graph(rng, n, degree_cap):
+    candidates = (rng.integers(0, n, 2) for _ in range(4 * n * degree_cap))
+    return _bounded_graph(n, degree_cap, candidates)
+
+
+def _bounded_graph(n, degree_cap, candidates):
+    # Keep each candidate vertex pair that is new and leaves both degrees
+    # within the cap.
     edges = set()
     degree = [0] * n
-    for _ in range(4 * n * degree_cap):
-        u, v = (int(x) for x in rng.integers(0, n, 2))
+    for pair in candidates:
+        u, v = (int(x) for x in pair)
         if u == v:
             continue
         u, v = min(u, v), max(u, v)
@@ -60,6 +59,27 @@ def _random_bounded_graph(rng, n, degree_cap):
         degree[u] += 1
         degree[v] += 1
     return InteractionGraph(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
+
+
+@st.composite
+def bounded_graphs(draw):
+    n = draw(st.integers(min_value=4, max_value=39))
+    cap = draw(st.integers(min_value=2, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    candidates = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n * cap))
+    return _bounded_graph(n, cap, candidates)
+
+
+@st.composite
+def sparse_hermitian_matrices(draw):
+    n = draw(st.integers(min_value=3, max_value=11))
+    entries = st.floats(min_value=-3.0, max_value=3.0)
+    real, imag = (draw(arrays(float, (n, n), elements=entries)) for _ in range(2))
+    m = real + 1j * imag
+    h = m + m.conj().T
+    h[np.abs(h) < 1.0] = 0.0  # sparsify
+    np.fill_diagonal(h, draw(arrays(float, n, elements=entries)))
+    return 0.5 * (h + h.conj().T)
 
 
 def _assert_proper(graph, coloring):
@@ -121,17 +141,14 @@ class TestColorEdges:
         assert coloring.color_count <= g.max_degree + 1  # <= 4
         assert coloring.color_count == 3  # bipartite fast path hits max degree
 
-    def test_random_bounded_degree_graphs(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            n = int(rng.integers(4, 40))
-            cap = int(rng.integers(2, 7))
-            g = _random_bounded_graph(rng, n, cap)
-            if not g.edges:
-                continue
-            coloring = color_edges(g)
-            _assert_proper(g, coloring)
-            assert coloring.color_count <= g.max_degree + 1
+    @settings(max_examples=60, deadline=None)
+    @given(bounded_graphs())
+    def test_random_bounded_degree_graphs(self, g):
+        coloring = color_edges(g)
+        _assert_proper(g, coloring)
+        assert coloring.color_count <= g.max_degree + 1
+        if bipartition(g) is not None:
+            assert coloring.color_count == g.max_degree
 
     def test_deterministic(self):
         rng = np.random.default_rng(32)
@@ -176,7 +193,7 @@ class TestDecompose:
         for k in range(len(terms)):
             term = terms.dense(k)
             assert np.max(np.abs(term @ term - 2.0 * term)) < 1e-12
-        assert np.max(np.abs(terms.total() - _laplacian_matrix(g))) < 1e-12
+        assert np.max(np.abs(terms.total() - laplacian_matrix(g))) < 1e-12
 
     def test_rejects_support_mismatch(self):
         h, _, _ = _chain(4, periodic=False)
@@ -196,7 +213,7 @@ class TestDecompose:
         g = InteractionGraph(5, ((0, 1, 0.3), (1, 2, 1.7), (0, 2, 2.5), (2, 3, 0.1),
                                  (3, 4, 1.1), (1, 4, 0.7)))
         sparse = decompose(g, *graph_laplacian(g))
-        dense = decompose_matrix(_laplacian_matrix(g), g)
+        dense = decompose_matrix(laplacian_matrix(g), g)
         assert sparse.labels == dense.labels
         for a, b in zip(sparse.terms, dense.terms):
             for field in ("pairs", "blocks", "diagonal"):
@@ -251,17 +268,12 @@ class TestDecompose:
         _assert_proper(petersen, coloring)
         assert coloring.color_count == 4
 
-    def test_random_hermitian_reconstruction(self):
-        rng = np.random.default_rng(33)
-        for _ in range(50):
-            n = int(rng.integers(3, 12))
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = m + m.conj().T
-            h[np.abs(h) < 1.0] = 0.0  # sparsify
-            np.fill_diagonal(h, rng.normal(size=n))
-            h = 0.5 * (h + h.conj().T)
-            terms = decompose_matrix(h)
-            assert np.max(np.abs(terms.total() - h)) < 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_hermitian_matrices())
+    @example(np.zeros((3, 3), dtype=complex))  # no edges and a zero diagonal
+    def test_random_hermitian_reconstruction(self, h):
+        terms = decompose_matrix(h)
+        assert np.max(np.abs(terms.total() - h)) < 1e-12
 
     def test_block_exponential_of_color_terms_has_no_fill_in(self):
         g = honeycomb_lattice(2, 3)
@@ -379,4 +391,4 @@ class TestGraphJson:
 class TestEdgeColoringType:
     def test_rejects_negative_colors(self):
         with pytest.raises(ValueError):
-            EdgeColoring(colors=(-1,), color_count=1)
+            EdgeColoring(colors=(-1,))

@@ -33,8 +33,7 @@ class TestFullSpaceProjectorSplit:
         # The commutator lives in the 2D subspace, so the full-space
         # estimate must reproduce the closed form (1/2) sqrt(N-1)/N.
         for n in (4, 8, 16):
-            est = commutator_error(_full_space_split(n))
-            assert est.norm_e2 == pytest.approx(0.5 * np.sqrt(n - 1.0) / n, abs=1e-13)
+            assert commutator_error(_full_space_split(n)) == pytest.approx(0.5 * np.sqrt(n - 1.0) / n, abs=1e-13)
 
     def test_small_step_evolution_tracks_the_2d_model(self):
         n = 8

@@ -199,6 +199,6 @@ class TestBlochPoint:
             rot = AxisAngle(axis, rng.uniform(-6.0, 6.0))
             psi = rng.normal(size=2) + 1j * rng.normal(size=2)
             psi /= np.linalg.norm(psi)
-            rotated = bloch_point(rotation_unitary(rot) @ psi)
+            rotated = bloch_point(rotation_unitary(rot.axis, rot.angle) @ psi)
             expected = bloch_rotation_matrix(rot) @ bloch_point(psi)
             assert np.max(np.abs(rotated - expected)) < 1e-10

@@ -30,7 +30,6 @@ class TestUniformState:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
             uniform_state(2**23)
-        uniform_state(64, max_dimension=64)  # custom cap admits the boundary
 
 
 class TestGroverIterate:
