@@ -60,8 +60,8 @@ class AmplificationPlan:
             raise ValueError("per-run error must lie in [0, 1/2]")
         if self.runs < 1 or self.runs % 2 == 0:
             raise ValueError("runs must be an odd integer >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if self.trials < 10_000:
+            raise ValueError("need at least 1e4 trials for a meaningful estimate")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -122,8 +122,6 @@ def simulate_majority(plan: AmplificationPlan) -> MajorityEstimate:
     Philox(key=(seed, i)), so the result is independent of how shards are
     scheduled and reproducible from the seed alone.
     """
-    if plan.trials < 10_000:
-        raise ValueError("need at least 1e4 trials for a meaningful estimate")
     threshold = ceil(plan.runs / 2)
     failures = 0
     done = 0

@@ -1,8 +1,9 @@
 # Batch experiment front end. Subcommands: trajectory, equivalence,
 # trotter-scan, decompose, grover, cost.
 #
-# Exit codes (stable for CI): 0 success, 2 validation failure, 3 claim
-# assertion failure, 4 I/O failure.
+# Exit codes (stable for CI): 0 success, 2 validation failure (ValueError),
+# 3 claim assertion failure (or the edge coloring's AssertionError), 4 I/O
+# failure (OSError). ``main`` maps each exception to its code.
 #
 # Output is deterministic given (arguments, seed): CSV uses '.' decimals
 # and 17 significant digits; no timestamps. Config files are flat
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,29 +36,17 @@ COMMUTING_TOL = 1e-12
 PEAK_ROUNDOFF = 1e-12
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_list(text: str, kind: type) -> list:
     # Comma-separated values of one type, e.g. "4,16,64" with kind=int.
-    try:
-        return [kind(part) for part in str(text).split(",") if part.strip()]
-    except ValueError as exc:
-        raise CliError(f"bad {kind.__name__} list {text!r}: {exc}", EXIT_VALIDATION) from exc
+    return [kind(part) for part in str(text).split(",") if part.strip()]
 
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None) -> str:
@@ -82,10 +72,8 @@ def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None) -
 
 
 def cmd_trajectory(args) -> int:
-    if args.n < 2:
-        raise CliError("N must be >= 2", EXIT_VALIDATION)
     if args.samples < 2:
-        raise CliError("need at least 2 samples", EXIT_VALIDATION)
+        raise ValueError("need at least 2 samples")
     inst = search.SearchInstance(args.n)
     q_total = search.step_params(inst).q_total
     total = inst.total_time
@@ -95,13 +83,14 @@ def cmd_trajectory(args) -> int:
         bloch_point(search.evolve_continuous(inst, t) @ inst.source_state),
         bloch_point(search.grover_power(inst, q_total * t / total) @ inst.source_state),
     ])
+    text = _table_text(args.format, ["t", "x_C", "y_C", "z_C", "x_G", "y_G", "z_G"], rows)
+    _write_text(args.out, text)
     start = bloch_point(inst.source_state)
     end = bloch_point(inst.target_state)
     for row, ref in ((rows[0], start), (rows[-1], end)):
         if max(_max_abs(row[1:4] - ref), _max_abs(row[4:7] - ref)) > ENDPOINT_TOL:
-            raise CliError("trajectory endpoints deviate from the search states", EXIT_CLAIM)
-    text = _table_text(args.format, ["t", "x_C", "y_C", "z_C", "x_G", "y_G", "z_G"], rows)
-    _write_text(args.out, text)
+            print("trajectory endpoints deviate from the search states", file=sys.stderr)
+            return EXIT_CLAIM
     return EXIT_OK
 
 
@@ -116,10 +105,10 @@ def _equivalence_rows(n: int, samples: int) -> np.ndarray:
 
 def cmd_equivalence(args) -> int:
     n_values = _parse_list(args.n_list, int)
-    if not n_values or any(n < 2 for n in n_values):
-        raise CliError("N list must contain integers >= 2", EXIT_VALIDATION)
+    if not n_values:
+        raise ValueError("N list is empty")
     if args.samples < 2:
-        raise CliError("need at least 2 samples", EXIT_VALIDATION)
+        raise ValueError("need at least 2 samples")
     rows = np.concatenate([_equivalence_rows(n, args.samples) for n in n_values])
     n_worst, t_worst, _, _, worst = rows[np.argmax(rows[:, 4])].tolist()
     text = _table_text(
@@ -150,18 +139,16 @@ def _scan_problem(args):
 
 def cmd_trotter_scan(args) -> int:
     dt_grid = _parse_list(args.dt_grid, float)
-    if len(dt_grid) < 4:
-        raise CliError("dt grid needs at least 4 points", EXIT_VALIDATION)
     if any(dt <= 0 for dt in dt_grid):
-        raise CliError("dt values must be positive", EXIT_VALIDATION)
+        raise ValueError("dt values must be positive")
     terms, total_time = _scan_problem(args)
     step_counts = [max(1, round(total_time / dt)) for dt in dt_grid]
     for dt, steps in zip(dt_grid, step_counts):
         if steps > args.step_cap:
-            raise CliError(f"dt={dt:g} needs {steps} steps, above cap {args.step_cap}", EXIT_VALIDATION)
+            raise ValueError(f"dt={dt:g} needs {steps} steps, above cap {args.step_cap}")
     if len(set(step_counts)) < 4:
-        raise CliError(f"dt grid gives {len(set(step_counts))} distinct step counts; "
-                       "the slope fit needs at least 4", EXIT_VALIDATION)
+        raise ValueError(f"dt grid gives {len(set(step_counts))} distinct step counts; "
+                         "the slope fit needs at least 4")
     norm_e2 = trotter.commutator_error(terms)
     # A commuting split is exact at every dt, as in trotter.plan_for_budget:
     # its errors are round-off and there is no slope to fit.
@@ -213,11 +200,7 @@ def _chain(length: int, periodic: bool):
 def _decompose_input(args):
     # (graph, edge values, diagonal, expected spectrum or None)
     if args.graph is not None:
-        try:
-            graph = decompose.load_graph(args.graph)
-        except (OSError, ValueError) as exc:
-            code = EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
-            raise CliError(f"cannot load graph {args.graph}: {exc}", code) from exc
+        graph = decompose.load_graph(args.graph)
         return (graph, *decompose.graph_laplacian(graph), None)
     if args.lattice == "chain":
         return (*_chain(args.length, False), None)
@@ -254,23 +237,11 @@ def _squaring_residual(term) -> float:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        graph, values, diagonal, expected_spectrum = _decompose_input(args)
-        coloring = decompose.color_edges(graph)
-        term_set = decompose.decompose(graph, values, diagonal, coloring)
-    except CliError:
-        raise
-    except AssertionError as exc:
-        raise CliError(f"edge coloring failed: {exc}", EXIT_CLAIM) from exc
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
-
+    graph, values, diagonal, expected_spectrum = _decompose_input(args)
+    coloring = decompose.color_edges(graph)
+    term_set = decompose.decompose(graph, values, diagonal, coloring)
     if args.out != "-":
-        try:
-            trotter.save_term_set(args.out, term_set)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
-
+        trotter.save_term_set(args.out, term_set)
     reconstruction = _reconstruction_residual(term_set, graph, values, diagonal)
     squaring = {
         label: _squaring_residual(term)
@@ -294,30 +265,25 @@ def cmd_decompose(args) -> int:
         report["spectrum_residual"] = spectrum_err
         ok = ok and spectrum_err <= 1e-10
     report["pass"] = bool(ok)
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    if args.report is not None:
-        _write_text(args.report, text)
-    elif args.out == "-":
-        _write_text("-", text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.report, json.dumps(report, indent=1, sort_keys=True) + "\n")
     return EXIT_OK if ok else EXIT_CLAIM
 
 
 def cmd_grover(args) -> int:
-    if args.n < 2:
-        raise CliError("N must be >= 2", EXIT_VALIDATION)
     expected = statevector.expected_peak_step(args.n)
+    # Every amplification plan, the one for --runs first, is built before
+    # the first write, so a bad run or trial count leaves no output.
+    plans = []
+    if args.runs is not None:
+        plan = amplify.AmplificationPlan(1.0 / args.n, args.runs, args.trials, args.seed)
+        plans = [replace(plan, runs=r) for r in range(1, plan.runs + 1, 2)]
     max_steps = args.max_steps if args.max_steps is not None else max(1, 2 * expected)
-    if max_steps < 1:
-        raise CliError("max-steps must be >= 1", EXIT_VALIDATION)
-    if not (0 <= args.target < args.n):
-        raise CliError("target index outside the database", EXIT_VALIDATION)
-    if args.runs is not None and (args.runs < 1 or args.runs % 2 == 0):
-        raise CliError("runs must be an odd integer >= 1", EXIT_VALIDATION)
     curve = statevector.success_curve(args.n, max_steps, target=args.target)
     rows = [[k, p] for k, p in enumerate(curve)]
     peak = statevector.peak_step(curve)
+    if args.measured_error:
+        per_run = max(0.0, 1.0 - float(curve[peak]))
+        plans = [replace(plan, per_run_error=per_run) for plan in plans]
     extra = {
         "peak_step": peak,
         "expected_peak_step": expected,
@@ -327,21 +293,15 @@ def cmd_grover(args) -> int:
     text = _table_text(args.format, ["step", "probability"], rows, extra=extra)
     _write_text(args.out, text)
 
-    if args.runs is not None:
-        per_run = 1.0 / args.n
-        if args.measured_error:
-            per_run = max(0.0, 1.0 - float(curve[peak]))
+    if plans:
         amp_rows = []
-        for r in range(1, args.runs + 1, 2):
-            plan = amplify.AmplificationPlan(
-                per_run_error=per_run, runs=r, trials=args.trials, seed=args.seed
-            )
+        for plan in plans:
             est = amplify.simulate_majority(plan)
             amp_rows.append(
                 [
-                    r,
-                    amplify.majority_bound(r, n=args.n),
-                    amplify.majority_error_exact(per_run, r),
+                    plan.runs,
+                    amplify.majority_bound(plan.runs, n=args.n),
+                    amplify.majority_error_exact(plan.per_run_error, plan.runs),
                     est.rate,
                     est.ci_halfwidth,
                 ]
@@ -361,14 +321,8 @@ def cmd_grover(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    if args.n < 3:
-        raise CliError("N must be >= 3", EXIT_VALIDATION)
-    if not (0.0 < args.eps < 1.0):
-        raise CliError("eps must lie in (0, 1)", EXIT_VALIDATION)
     inst = search.SearchInstance(args.n)
     total_time = args.t if args.t is not None else inst.total_time
-    if total_time <= 0:
-        raise CliError("t must be positive", EXIT_VALIDATION)
     split = search.search_split(inst)
     norm_e2 = trotter.commutator_error(split)
     cm = amplify.CostModel(
@@ -453,7 +407,7 @@ def build_parser():
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--t", type=float, default=None, help="total time (default: problem specific)")
     sp.add_argument("--dt-grid", default="0.2,0.1,0.05,0.025")
-    sp.add_argument("--step-cap", type=int, default=10_000_000)
+    sp.add_argument("--step-cap", type=int, default=trotter.STEP_CAP)
     _add_common(sp)
     commands["trotter-scan"] = cmd_trotter_scan
 
@@ -464,7 +418,7 @@ def build_parser():
     sp.add_argument("--cells-y", type=int, default=4)
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--graph", default=None, help="external graph JSON instead of a lattice")
-    sp.add_argument("--report", default=None, help="where to write the validation report")
+    sp.add_argument("--report", default="-", help="where to write the validation report")
     _add_common(sp)
     commands["decompose"] = cmd_decompose
 
@@ -503,19 +457,19 @@ def _config_tokens(path: str, options: dict) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}", EXIT_IO) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     tokens = []
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'", EXIT_VALIDATION)
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip().replace("-", "_"), value.strip()
         if key not in options or key in ("command", "config"):
-            raise CliError(f"unknown config key {key!r}", EXIT_VALIDATION)
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         option = "--" + key.replace("_", "-")
         if not isinstance(options[key], bool):
             tokens.append(f"{option}={value}")
@@ -533,23 +487,17 @@ def main(argv=None) -> int:
             # Config tokens go first, so the command line's values win.
             tokens = _config_tokens(args.config, vars(args))
             args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        return commands[args.command](args)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    except CliError as exc:
-        print(f"hamsearch: {exc}", file=sys.stderr)
-        return exc.code
-
-    try:
-        return commands[args.command](args)
-    except CliError as exc:
-        print(f"hamsearch: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
-        print(f"hamsearch: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, message = EXIT_VALIDATION, str(exc)
+    except AssertionError as exc:
+        code, message = EXIT_CLAIM, f"edge coloring failed: {exc}"
     except OSError as exc:
-        print(f"hamsearch: I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, f"I/O failure: {exc}"
+    print(f"hamsearch: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

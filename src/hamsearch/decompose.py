@@ -428,11 +428,11 @@ def save_graph(path, graph: InteractionGraph) -> None:
 
 def load_graph(path) -> InteractionGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return InteractionGraph(
-            vertex_count=int(doc["vertices"]),
-            edges=tuple((int(u), int(v), float(w)) for u, v, w in doc["edges"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed graph document: {exc}") from exc
+        try:
+            doc = json.load(fh)
+            return InteractionGraph(
+                vertex_count=int(doc["vertices"]),
+                edges=tuple((int(u), int(v), float(w)) for u, v, w in doc["edges"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed graph document {path}: {exc}") from exc

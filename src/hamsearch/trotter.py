@@ -35,6 +35,10 @@ __all__ = [
     "load_term_set",
 ]
 
+# Most steps plan_for_budget will plan; also trotter-scan's default cap.
+STEP_CAP = 10_000_000
+
+
 @dataclass(frozen=True)
 class BlockTerm:
     """A direct sum of 2x2 blocks on disjoint index pairs plus a real diagonal.
@@ -219,13 +223,12 @@ def plan_for_budget(
     terms: HermitianTermSet,
     total_time: float,
     error_budget: float,
-    step_cap: int = 10_000_000,
 ) -> TrotterPlan:
     """Largest step size with  total_time * ||E2|| * dt <= error_budget.
 
     dt is rounded down so the step count is an integer. Commuting term sets
     get a single step. Raises when the required step count exceeds
-    ``step_cap``.
+    ``STEP_CAP``.
     """
     if not (total_time > 0 and error_budget > 0):
         raise ValueError("total_time and error_budget must be positive")
@@ -234,9 +237,9 @@ def plan_for_budget(
         return TrotterPlan(total_time, 1)
     raw_steps = total_time * total_time * norm_e2 / error_budget
     steps = max(1, ceil(raw_steps - 1e-12))
-    if steps > step_cap:
+    if steps > STEP_CAP:
         raise ValueError(
-            f"budget {error_budget:g} needs {steps} steps, above the cap {step_cap}"
+            f"budget {error_budget:g} needs {steps} steps, above the cap {STEP_CAP}"
         )
     return TrotterPlan(total_time, steps)
 

@@ -61,7 +61,10 @@ class TestTrajectory:
         assert np.linalg.norm(np.array(mid[1:4]) - np.array(mid[4:7])) > 0.1
 
     def test_validation_failure(self, tmp_path):
-        assert main(["trajectory", "--samples", "1", "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+        out = tmp_path / "x.csv"
+        for flag, value in (("--samples", "1"), ("--n", "1")):
+            assert main(["trajectory", flag, value, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
 
 
 class TestEquivalence:
@@ -132,8 +135,10 @@ class TestTrotterScan:
         assert footer["norm_e2"] == 0.0
 
     def test_needs_four_grid_points(self, tmp_path):
-        rc = main(["trotter-scan", "--dt-grid", "0.2,0.1,0.05", "--out", str(tmp_path / "x.csv")])
-        assert rc == EXIT_VALIDATION
+        out = tmp_path / "x.csv"
+        for grid in ("0.2,0.1,0.05", "0.1,0.2"):
+            assert main(["trotter-scan", "--dt-grid", grid, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0.1,0.1,0.1,0.1", "0.2,0.1,0.1,0.05"])
     def test_needs_four_distinct_step_counts(self, tmp_path, capsys, grid):
@@ -267,11 +272,14 @@ class TestGrover:
         rc = main(["grover", "--n", "16", "--runs", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_VALIDATION
 
-    def test_rejected_runs_leave_no_output(self, tmp_path):
-        out = tmp_path / "x.csv"
-        rc = main(["grover", "--n", "64", "--runs", "2", "--out", str(out)])
+    @pytest.mark.parametrize("argv", [["--n", "64", "--runs", "2"],
+                                      ["--n", "16", "--runs", "3", "--trials", "10"]],
+                             ids=["even-runs", "too-few-trials"])
+    def test_rejected_runs_leave_no_output(self, tmp_path, argv):
+        # Every amplification plan is checked before the curve is written.
+        rc = main(["grover", *argv, "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_VALIDATION
-        assert not out.exists()
+        assert not list(tmp_path.iterdir())
 
     def test_two_items_meet_the_bound(self, tmp_path, capsys):
         # At N = 2 every step leaves the success probability at 1/2 = 1 - 1/N,
@@ -306,7 +314,10 @@ class TestCost:
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_validation(self, tmp_path):
-        assert main(["cost", "--eps", "2.0", "--out", str(tmp_path / "x.json")]) == EXIT_VALIDATION
+        out = tmp_path / "x.json"
+        for flag, value in (("--eps", "2.0"), ("--eps", "0"), ("--t", "0"), ("--n", "2")):
+            assert main(["cost", flag, value, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
 
 
 class TestPlumbing:
@@ -321,10 +332,36 @@ class TestPlumbing:
         amp_b = (tmp_path / "b.csv.amplification.csv").read_bytes()
         assert amp_a == amp_b
 
-    def test_io_failure_exit_code(self, tmp_path):
-        rc = main(["equivalence", "--n-list", "4", "--samples", "4",
-                   "--out", str(tmp_path / "missing" / "x.csv")])
+    def test_io_failure_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        rc = main(["equivalence", "--n-list", "4", "--samples", "4", "--out", str(out)])
         assert rc == EXIT_IO
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, code", [
+        ("equivalence --n-list 1,4", EXIT_VALIDATION),
+        ("equivalence --n-list 4,x", EXIT_VALIDATION),
+        ("trotter-scan --problem chain --length 1", EXIT_VALIDATION),
+        ("grover --n 1", EXIT_VALIDATION),
+        ("grover --max-steps 0", EXIT_VALIDATION),
+        ("grover --n 64 --target 64", EXIT_VALIDATION),
+        ("decompose --graph {malformed.json}", EXIT_VALIDATION),
+        ("equivalence --config {utf16.cfg}", EXIT_VALIDATION),
+        ("decompose --graph {missing.json}", EXIT_IO),
+        ("equivalence --config {missing.cfg}", EXIT_IO),
+    ])
+    def test_invalid_input_exit_codes(self, tmp_path, capsys, command, code):
+        # Each failure has one exit code and one "hamsearch: ..." line that
+        # names the input file it concerns, and nothing is written.
+        (tmp_path / "malformed.json").write_text('{"vertices": 2, "edges": [[0, 1')
+        (tmp_path / "utf16.cfg").write_bytes("samples = 3\n".encode("utf-16"))
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in command.split()]
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("hamsearch: ") and err.count("\n") == 1
+        assert all(a in err for a in argv if a.startswith(str(tmp_path)))
+        assert not out.exists()
 
     def test_unknown_flag_exits_validation(self, capsys):
         assert main(["equivalence", "--frobnicate"]) == EXIT_VALIDATION

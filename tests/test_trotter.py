@@ -5,6 +5,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsearch.decompose import decompose, graph_laplacian, honeycomb_lattice, laplacian_chain
 from hamsearch.linalg import random_unitary, spectral_norm
@@ -25,6 +27,54 @@ from hamsearch.trotter import (
     trotter_evolve,
 )
 from oracles import laplacian_matrix, search_split_of
+
+
+reals = st.floats(min_value=-4.0, max_value=4.0)
+nonzero = st.complex_numbers(max_magnitude=4.0).filter(lambda z: z != 0)
+
+
+@st.composite
+def _matching_terms(draw, d):
+    # A BlockTerm on a random matching: Hermitian blocks with a nonzero
+    # off-diagonal entry, and a residual diagonal on the uncovered sites.
+    order = draw(st.permutations(range(d)))
+    k = draw(st.integers(min_value=0, max_value=d // 2))
+    blocks = []
+    for _ in range(k):
+        a, c, b = draw(reals), draw(reals), draw(nonzero)
+        blocks.append([[a, b], [b.conjugate(), c]])
+    diagonal = np.zeros(d)
+    diagonal[order[2 * k:]] = [draw(reals) for _ in order[2 * k:]]
+    return BlockTerm(np.reshape(order[:2 * k], (k, 2)), blocks, diagonal)
+
+
+@st.composite
+def _star_terms(draw, d):
+    # A dense Hermitian term whose support is not a matching: one site has
+    # two neighbours, and further random entries may be added.
+    center, left, right = draw(st.permutations(range(d)))[:3]
+    extra = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)).filter(lambda e: e[0] != e[1])
+    h = np.diag([draw(reals) for _ in range(d)]).astype(complex)
+    for r, c in [(center, left), (center, right), *draw(st.lists(extra, max_size=d))]:
+        h[r, c] = draw(nonzero)
+        h[c, r] = h[r, c].conjugate()
+    return h
+
+
+@st.composite
+def _term_sets(draw):
+    d = draw(st.integers(min_value=2, max_value=8))
+    terms = draw(st.lists(_matching_terms(d), min_size=1, max_size=3))
+    if d >= 3 and draw(st.booleans()):
+        terms.append(draw(_star_terms(d)))
+    labels = draw(st.lists(st.text(max_size=6), min_size=len(terms), max_size=len(terms)))
+    return HermitianTermSet(d, tuple(terms), tuple(labels))
+
+
+def _is_matching(h):
+    # Every site has at most one off-diagonal neighbour.
+    rows, _ = np.nonzero(h - np.diag(np.diag(h)))
+    return np.bincount(rows, minlength=len(h)).max() <= 1
 
 
 def _chain_split(length, periodic=True):
@@ -274,7 +324,7 @@ class TestPlanForBudget:
     def test_step_cap_is_enforced(self):
         terms = search_split_of(16)
         with pytest.raises(ValueError, match="cap"):
-            plan_for_budget(terms, 10.0, 1e-12, step_cap=1000)
+            plan_for_budget(terms, 10.0, 1e-12)
 
 
 class TestTelescopingBound:
@@ -348,6 +398,22 @@ class TestJsonInterchange:
             assert np.array_equal(back.dense(k), terms.dense(k))
         save_term_set(tmp_path / "again.json", back)
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_term_sets())
+    def test_round_trip_property(self, tmp_path_factory, terms):
+        # Labels and every densified term come back exactly; a term loads
+        # as a BlockTerm exactly when its support is a matching; and saving
+        # the loaded set reproduces the file byte for byte.
+        path = tmp_path_factory.mktemp("terms") / "terms.json"
+        save_term_set(path, terms)
+        back = load_term_set(path)
+        assert back.labels == terms.labels
+        for k in range(len(terms)):
+            assert np.array_equal(back.dense(k), terms.dense(k))
+            assert isinstance(back.terms[k], BlockTerm) == _is_matching(terms.dense(k))
+        save_term_set(path.with_name("again.json"), back)
+        assert path.with_name("again.json").read_bytes() == path.read_bytes()
 
     def test_rejects_non_hermitian_document(self):
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": [[0, 1, 1.0, 0.0]]}]}
