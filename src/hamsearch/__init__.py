@@ -28,7 +28,6 @@ from .decompose import (
     laplacian_chain,
 )
 from .pauli import (
-    AxisAngle,
     PauliVector,
     bloch_point,
     pauli_decompose,

@@ -217,8 +217,8 @@ class CostModel:
             raise ValueError("need total_time > 0 and error budget in (0, 1)")
         if self.database_size < 3:
             raise ValueError("database size must be >= 3")
-        if self.norm_e2 < 0:
-            raise ValueError("norm_e2 must be nonnegative")
+        if not (self.norm_e2 >= 0 and self.step_cost >= 0 and self.grover_step_cost >= 0):
+            raise ValueError("norm_e2 and the step costs must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -36,17 +37,42 @@ COMMUTING_TOL = 1e-12
 PEAK_ROUNDOFF = 1e-12
 
 
-def _parse_list(text: str, kind: type) -> list:
-    # Comma-separated values of one type, e.g. "4,16,64" with kind=int.
-    return [kind(part) for part in str(text).split(",") if part.strip()]
+def int_list(text: str) -> list:
+    # Argparse types for lists such as "4,16,64"; argparse names them in errors.
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def float_list(text: str) -> list:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
+def _write_outputs(*outputs) -> None:
+    # All or nothing over (path, content) pairs, content being text or a
+    # function that writes the file at the path it is given. Targets that are
+    # not regular files, such as /dev/null, are written first; files go under
+    # temporary names next to their targets and are renamed once all are
+    # written; stdout ('-') comes last.
+    def write(path, content):
+        if callable(content):
+            return content(path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+
+    devices = [k for k, (path, _) in enumerate(outputs)
+               if os.path.exists(path) and not os.path.isfile(path)]
+    for k in devices:
+        write(*outputs[k])
+    staged = [(f"{path}.{os.getpid()}-{k}.tmp", path, content)
+              for k, (path, content) in enumerate(outputs) if path != "-" and k not in devices]
+    try:
+        for tmp, _, content in staged:
+            write(tmp, content)
+        for tmp, path, _ in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp in [tmp for tmp, _, _ in staged if os.path.exists(tmp)]:
+            os.remove(tmp)
+    sys.stdout.writelines(content for path, content in outputs if path == "-")
 
 
 def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None) -> str:
@@ -84,7 +110,7 @@ def cmd_trajectory(args) -> int:
         bloch_point(search.grover_power(inst, q_total * t / total) @ inst.source_state),
     ])
     text = _table_text(args.format, ["t", "x_C", "y_C", "z_C", "x_G", "y_G", "z_G"], rows)
-    _write_text(args.out, text)
+    _write_outputs((args.out, text))
     start = bloch_point(inst.source_state)
     end = bloch_point(inst.target_state)
     for row, ref in ((rows[0], start), (rows[-1], end)):
@@ -104,12 +130,11 @@ def _equivalence_rows(n: int, samples: int) -> np.ndarray:
 
 
 def cmd_equivalence(args) -> int:
-    n_values = _parse_list(args.n_list, int)
-    if not n_values:
+    if not args.n_list:
         raise ValueError("N list is empty")
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
-    rows = np.concatenate([_equivalence_rows(n, args.samples) for n in n_values])
+    rows = np.concatenate([_equivalence_rows(n, args.samples) for n in args.n_list])
     n_worst, t_worst, _, _, worst = rows[np.argmax(rows[:, 4])].tolist()
     text = _table_text(
         args.format,
@@ -117,7 +142,7 @@ def cmd_equivalence(args) -> int:
         rows,
         extra={"max_residual": worst, "limit": RESIDUAL_LIMIT},
     )
-    _write_text(args.out, text)
+    _write_outputs((args.out, text))
     if not worst <= RESIDUAL_LIMIT:
         print(f"equivalence residual {worst:.3e} above {RESIDUAL_LIMIT:.1e} "
               f"at N={n_worst:.0f}, t={t_worst!r}", file=sys.stderr)
@@ -138,14 +163,13 @@ def _scan_problem(args):
 
 
 def cmd_trotter_scan(args) -> int:
-    dt_grid = _parse_list(args.dt_grid, float)
-    if any(dt <= 0 for dt in dt_grid):
+    if any(dt <= 0 for dt in args.dt_grid):
         raise ValueError("dt values must be positive")
     terms, total_time = _scan_problem(args)
-    step_counts = [max(1, round(total_time / dt)) for dt in dt_grid]
-    for dt, steps in zip(dt_grid, step_counts):
-        if steps > args.step_cap:
-            raise ValueError(f"dt={dt:g} needs {steps} steps, above cap {args.step_cap}")
+    step_counts = [max(1, round(total_time / dt)) for dt in args.dt_grid]
+    for dt, steps in zip(args.dt_grid, step_counts):
+        if steps > trotter.STEP_CAP:
+            raise ValueError(f"dt={dt:g} needs {steps} steps, above cap {trotter.STEP_CAP}")
     if len(set(step_counts)) < 4:
         raise ValueError(f"dt grid gives {len(set(step_counts))} distinct step counts; "
                          "the slope fit needs at least 4")
@@ -175,7 +199,7 @@ def cmd_trotter_scan(args) -> int:
     if commuting:
         extra["commuting"] = True
     text = _table_text(args.format, ["dt", "n", "error", "bound"], rows, extra=extra)
-    _write_text(args.out, text)
+    _write_outputs((args.out, text))
     if commuting:
         if max(row[2] for row in rows) <= COMMUTING_TOL:
             return EXIT_OK
@@ -240,8 +264,6 @@ def cmd_decompose(args) -> int:
     graph, values, diagonal, expected_spectrum = _decompose_input(args)
     coloring = decompose.color_edges(graph)
     term_set = decompose.decompose(graph, values, diagonal, coloring)
-    if args.out != "-":
-        trotter.save_term_set(args.out, term_set)
     reconstruction = _reconstruction_residual(term_set, graph, values, diagonal)
     squaring = {
         label: _squaring_residual(term)
@@ -265,7 +287,8 @@ def cmd_decompose(args) -> int:
         report["spectrum_residual"] = spectrum_err
         ok = ok and spectrum_err <= 1e-10
     report["pass"] = bool(ok)
-    _write_text(args.report, json.dumps(report, indent=1, sort_keys=True) + "\n")
+    terms = [(args.out, lambda p: trotter.save_term_set(p, term_set))] if args.out != "-" else []
+    _write_outputs(*terms, (args.report, json.dumps(report, indent=1, sort_keys=True) + "\n"))
     return EXIT_OK if ok else EXIT_CLAIM
 
 
@@ -290,9 +313,7 @@ def cmd_grover(args) -> int:
         "peak_probability": float(curve[peak]),
         "bound": 1.0 - 1.0 / args.n,
     }
-    text = _table_text(args.format, ["step", "probability"], rows, extra=extra)
-    _write_text(args.out, text)
-
+    outputs = [(args.out, _table_text(args.format, ["step", "probability"], rows, extra=extra))]
     if plans:
         amp_rows = []
         for plan in plans:
@@ -310,7 +331,8 @@ def cmd_grover(args) -> int:
         amp_out = args.amplification_out
         if amp_out is None:
             amp_out = "-" if args.out == "-" else args.out + ".amplification.csv"
-        _write_text(amp_out, amp_text)
+        outputs.append((amp_out, amp_text))
+    _write_outputs(*outputs)
 
     # The allowance keeps round-off from failing N = 2, where the peak is
     # exactly 1 - 1/N = 1/2.
@@ -363,7 +385,7 @@ def cmd_cost(args) -> int:
             "queries_per_grover_step": amplify.QUERIES_PER_GROVER_STEP,
         },
     }
-    _write_text(args.out, json.dumps(report, indent=1, sort_keys=True) + "\n")
+    _write_outputs((args.out, json.dumps(report, indent=1, sort_keys=True) + "\n"))
     return EXIT_OK
 
 
@@ -371,15 +393,13 @@ def cmd_cost(args) -> int:
 # Parser and config plumbing
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--config", default=None, help="flat key=value config file")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # reported by main like any invalid input
+        raise ValueError(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamsearch",
         description="Search-evolution experiments: trajectories, equivalence "
         "residuals, product-formula error scans, decompositions, full-space "
@@ -391,13 +411,11 @@ def build_parser():
     sp = subparsers.add_parser("trajectory", help="Bloch trajectories of both routes")
     sp.add_argument("--n", type=int, default=16, help="database size")
     sp.add_argument("--samples", type=int, default=65)
-    _add_common(sp)
     commands["trajectory"] = cmd_trajectory
 
     sp = subparsers.add_parser("equivalence", help="residuals of the route-equivalence identity")
-    sp.add_argument("--n-list", default="4,16,64,256,1024")
+    sp.add_argument("--n-list", type=int_list, default="4,16,64,256,1024")
     sp.add_argument("--samples", type=int, default=20)
-    _add_common(sp)
     commands["equivalence"] = cmd_equivalence
 
     sp = subparsers.add_parser("trotter-scan", help="error vs step size for a term split")
@@ -406,9 +424,7 @@ def build_parser():
     sp.add_argument("--length", type=int, default=8, help="chain sites")
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--t", type=float, default=None, help="total time (default: problem specific)")
-    sp.add_argument("--dt-grid", default="0.2,0.1,0.05,0.025")
-    sp.add_argument("--step-cap", type=int, default=trotter.STEP_CAP)
-    _add_common(sp)
+    sp.add_argument("--dt-grid", type=float_list, default="0.2,0.1,0.05,0.025")
     commands["trotter-scan"] = cmd_trotter_scan
 
     sp = subparsers.add_parser("decompose", help="edge-color a lattice and emit its term set")
@@ -419,7 +435,6 @@ def build_parser():
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--graph", default=None, help="external graph JSON instead of a lattice")
     sp.add_argument("--report", default="-", help="where to write the validation report")
-    _add_common(sp)
     commands["decompose"] = cmd_decompose
 
     sp = subparsers.add_parser("grover", help="full-space success curve and amplification")
@@ -434,7 +449,7 @@ def build_parser():
         help="amplify the measured per-run error instead of the worst case 1/N",
     )
     sp.add_argument("--amplification-out", default=None)
-    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     commands["grover"] = cmd_grover
 
     sp = subparsers.add_parser("cost", help="small-step vs reflection-route complexity")
@@ -443,9 +458,14 @@ def build_parser():
     sp.add_argument("--eps", type=float, default=1e-6)
     sp.add_argument("--step-cost", type=float, default=1.0)
     sp.add_argument("--grover-step-cost", type=float, default=1.0)
-    _add_common(sp)
     commands["cost"] = cmd_cost
 
+    # Every subcommand writes --out; all but decompose and cost write a table.
+    for name, sp in subparsers.choices.items():
+        sp.add_argument("--out", default="-", help="output path ('-' for stdout)")
+        if name not in ("decompose", "cost"):
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--config", default=None, help="flat key=value config file")
     return parser, commands
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "laplacian_chain",
     "honeycomb_lattice",
     "bipartition",
-    "save_graph",
     "load_graph",
 ]
 
@@ -414,16 +413,6 @@ def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False) -> Int
             if y > 0 or periodic:
                 edges.append((a, site(x, (y - 1) % cells_y, 1), 1.0))
     return InteractionGraph(vertex_count=2 * cells_x * cells_y, edges=tuple(edges))
-
-
-def save_graph(path, graph: InteractionGraph) -> None:
-    doc = {
-        "vertices": graph.vertex_count,
-        "edges": [[u, v, w] for u, v, w in graph.edges],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def load_graph(path) -> InteractionGraph:

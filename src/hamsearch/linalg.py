@@ -8,7 +8,6 @@ import numpy as np
 __all__ = [
     "spectral_norm",
     "assert_hermitian",
-    "random_unitary",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -29,10 +28,3 @@ def assert_hermitian(m: np.ndarray, what: str = "matrix") -> None:
     if not dev <= HERMITIAN_TOL:
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e}, tol {HERMITIAN_TOL:.1e})")
 
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary via QR of a complex Ginibre matrix."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

@@ -24,12 +24,10 @@ __all__ = [
     "SIGMA",
     "IDENTITY2",
     "PauliVector",
-    "AxisAngle",
     "pauli_decompose",
     "rotation_unitary",
     "phase_aligned_distance",
     "bloch_point",
-    "bloch_rotation_matrix",
 ]
 
 IDENTITY2 = np.eye(2, dtype=complex)
@@ -74,31 +72,8 @@ class PauliVector:
             m += self.a[k] * SIGMA[k]
         return m
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(
-            abs(self.a0.imag) <= tol and np.max(np.abs(self.a.imag)) <= tol
-        )
-
 
 AXIS_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AxisAngle:
-    """Rotation axis (unit 3-vector) and angle in radians."""
-
-    axis: np.ndarray
-    angle: float
-
-    def __post_init__(self) -> None:
-        ax = np.asarray(self.axis, dtype=float)
-        if ax.shape != (3,):
-            raise ValueError("axis must be a real 3-vector")
-        norm = float(np.linalg.norm(ax))
-        if abs(norm - 1.0) > AXIS_TOL:
-            raise ValueError(f"axis norm {norm!r} deviates from 1 beyond {AXIS_TOL:.0e}")
-        object.__setattr__(self, "axis", _readonly(ax / norm))
-        object.__setattr__(self, "angle", float(self.angle))
 
 
 def pauli_decompose(m: np.ndarray) -> PauliVector:
@@ -119,7 +94,13 @@ def rotation_unitary(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
     The angle may be an array of shape (...); the result then has shape
     (..., 2, 2), one rotation about the same axis per angle.
     """
-    n = AxisAngle(axis, 0.0).axis
+    ax = np.asarray(axis, dtype=float)
+    if ax.shape != (3,):
+        raise ValueError("axis must be a real 3-vector")
+    norm = float(np.linalg.norm(ax))
+    if abs(norm - 1.0) > AXIS_TOL:
+        raise ValueError(f"axis norm {norm!r} deviates from 1 beyond {AXIS_TOL:.0e}")
+    n = ax / norm
     half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
     n_dot_sigma = n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]
     return np.cos(half) * IDENTITY2 - 1j * np.sin(half) * n_dot_sigma
@@ -171,23 +152,3 @@ def bloch_point(state: np.ndarray) -> np.ndarray:
     z = np.square(np.hypot(a.real, a.imag)) - np.square(np.hypot(b.real, b.imag))
     return np.stack([2.0 * cross.real, 2.0 * cross.imag, z], axis=-1)
 
-
-def bloch_rotation_matrix(rotation: AxisAngle) -> np.ndarray:
-    """SO(3) matrix of the Bloch rotation implemented by rotation_unitary.
-
-    Rodrigues form: R v = v cos(t) + (n x v) sin(t) + n (n.v)(1 - cos(t)).
-    """
-    n = rotation.axis
-    t = rotation.angle
-    cross = np.array(
-        [
-            [0.0, -n[2], n[1]],
-            [n[2], 0.0, -n[0]],
-            [-n[1], n[0], 0.0],
-        ]
-    )
-    return (
-        np.cos(t) * np.eye(3)
-        + np.sin(t) * cross
-        + (1.0 - np.cos(t)) * np.outer(n, n)
-    )

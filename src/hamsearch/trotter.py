@@ -28,14 +28,13 @@ __all__ = [
     "commutator_error",
     "plan_for_budget",
     "telescoping_bound_check",
-    "energy_drift",
     "term_set_to_json",
     "term_set_from_json",
     "save_term_set",
     "load_term_set",
 ]
 
-# Most steps plan_for_budget will plan; also trotter-scan's default cap.
+# Most steps plan_for_budget will plan; also trotter-scan's cap.
 STEP_CAP = 10_000_000
 
 
@@ -253,23 +252,6 @@ def telescoping_bound_check(x: np.ndarray, y: np.ndarray, n: int) -> tuple[float
     lhs = spectral_norm(np.linalg.matrix_power(x, int(n)) - np.linalg.matrix_power(y, int(n)))
     rhs = int(n) * spectral_norm(x - y)
     return lhs, rhs
-
-
-def energy_drift(terms: HermitianTermSet, plan: TrotterPlan, state: np.ndarray) -> float:
-    """Diagnostic: max drift of <H> along the stepped evolution of ``state``.
-
-    The product formula preserves unitarity but not the energy; this reports
-    max_k |<psi_k|H|psi_k> - <psi_0|H|psi_0>|.
-    """
-    h = terms.total()
-    step = trotter_step(terms, plan.dt)
-    psi = np.asarray(state, dtype=complex).copy()
-    e0 = float(np.real(psi.conj() @ h @ psi))
-    drift = 0.0
-    for _ in range(plan.steps):
-        psi = step @ psi
-        drift = max(drift, abs(float(np.real(psi.conj() @ h @ psi)) - e0))
-    return drift
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 # Reference constructions shared by several test modules: the dense graph
-# Laplacian and the two-projector search split of a given database size.
+# Laplacian, the two-projector search split of a given database size, Haar
+# random unitaries, the graph JSON writer, and the Rodrigues rotation of the
+# Bloch sphere.
+
+import json
 
 import numpy as np
 
@@ -20,3 +24,41 @@ def laplacian_matrix(graph, diagonal=None):
 
 def search_split_of(n):
     return search_split(SearchInstance(n))
+
+
+def random_unitary(n, rng):
+    # Haar-distributed n x n unitary via QR of a complex Ginibre matrix.
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def save_graph(path, graph):
+    # The graph document that hamsearch.decompose.load_graph reads.
+    doc = {
+        "vertices": graph.vertex_count,
+        "edges": [[u, v, w] for u, v, w in graph.edges],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def bloch_rotation_matrix(axis, angle):
+    # SO(3) matrix of the Bloch rotation that rotation_unitary(axis, angle)
+    # implements, for a unit axis n. Rodrigues form:
+    # R v = v cos(t) + (n x v) sin(t) + n (n.v)(1 - cos(t)).
+    n = np.asarray(axis, dtype=float)
+    cross = np.array(
+        [
+            [0.0, -n[2], n[1]],
+            [n[2], 0.0, -n[0]],
+            [-n[1], n[0], 0.0],
+        ]
+    )
+    return (
+        np.cos(angle) * np.eye(3)
+        + np.sin(angle) * cross
+        + (1.0 - np.cos(angle)) * np.outer(n, n)
+    )

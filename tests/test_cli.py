@@ -1,6 +1,7 @@
 # End-to-end checks of the experiment front end: exit codes, output file
 # formats, determinism, and config/flag precedence.
 
+import argparse
 import json
 import os
 import resource
@@ -14,8 +15,24 @@ import pytest
 import hamsearch
 from hamsearch import cli
 from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from hamsearch.decompose import honeycomb_lattice, save_graph
+from hamsearch.decompose import honeycomb_lattice
 from hamsearch.trotter import load_term_set
+from oracles import save_graph
+
+
+# Invocations that between them take every branch that reads an option.
+OPTION_RUNS = {
+    "trajectory": ["--n 4 --samples 3"],
+    "equivalence": ["--n-list 4 --samples 3"],
+    "trotter-scan": ["--problem search-split --n 4 --t 1",
+                     "--problem chain --length 4 --periodic"],
+    "decompose": ["--lattice ring --length 4",
+                  "--lattice honeycomb --cells-x 2 --cells-y 2 --periodic",
+                  "--graph {graph.json}"],
+    "grover": ["--n 16 --runs 3 --trials 10000 --seed 1 --measured-error "
+               "--amplification-out {amp.csv}"],
+    "cost": ["--n 16 --t 2 --step-cost 2 --grover-step-cost 3"],
+}
 
 
 def _read_rows(path):
@@ -138,6 +155,14 @@ class TestTrotterScan:
         out = tmp_path / "x.csv"
         for grid in ("0.2,0.1,0.05", "0.1,0.2"):
             assert main(["trotter-scan", "--dt-grid", grid, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_step_cap(self, tmp_path, capsys):
+        # 2 pi / 1e-7 steps for N = 16; the cap is checked before any evolution.
+        out = tmp_path / "x.csv"
+        rc = main(["trotter-scan", "--dt-grid", "1e-7,2e-7,4e-7,8e-7", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "above cap 10000000" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0.1,0.1,0.1,0.1", "0.2,0.1,0.1,0.05"])
@@ -315,7 +340,8 @@ class TestCost:
 
     def test_validation(self, tmp_path):
         out = tmp_path / "x.json"
-        for flag, value in (("--eps", "2.0"), ("--eps", "0"), ("--t", "0"), ("--n", "2")):
+        for flag, value in (("--eps", "2.0"), ("--eps", "0"), ("--t", "0"), ("--n", "2"),
+                            ("--step-cost", "-1"), ("--grover-step-cost", "-1")):
             assert main(["cost", flag, value, "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
 
@@ -341,6 +367,7 @@ class TestPlumbing:
     @pytest.mark.parametrize("command, code", [
         ("equivalence --n-list 1,4", EXIT_VALIDATION),
         ("equivalence --n-list 4,x", EXIT_VALIDATION),
+        ("trotter-scan --dt-grid 0.1,0.2,x,0.3", EXIT_VALIDATION),
         ("trotter-scan --problem chain --length 1", EXIT_VALIDATION),
         ("grover --n 1", EXIT_VALIDATION),
         ("grover --max-steps 0", EXIT_VALIDATION),
@@ -349,19 +376,62 @@ class TestPlumbing:
         ("equivalence --config {utf16.cfg}", EXIT_VALIDATION),
         ("decompose --graph {missing.json}", EXIT_IO),
         ("equivalence --config {missing.cfg}", EXIT_IO),
+        ("grover --n 16 --runs 3 --trials 10000 --amplification-out {missing/x}", EXIT_IO),
+        ("decompose --report {missing/x}", EXIT_IO),
     ])
     def test_invalid_input_exit_codes(self, tmp_path, capsys, command, code):
         # Each failure has one exit code and one "hamsearch: ..." line that
-        # names the input file it concerns, and nothing is written.
+        # names the input file it concerns, and nothing is written, not even
+        # the outputs that could have been.
         (tmp_path / "malformed.json").write_text('{"vertices": 2, "edges": [[0, 1')
         (tmp_path / "utf16.cfg").write_bytes("samples = 3\n".encode("utf-16"))
+        inputs = sorted(tmp_path.iterdir())
         argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in command.split()]
         out = tmp_path / "out.txt"
         assert main([*argv, "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert err.startswith("hamsearch: ") and err.count("\n") == 1
         assert all(a in err for a in argv if a.startswith(str(tmp_path)))
-        assert not out.exists()
+        assert sorted(tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("equivalence", "n_list", "4,x"), ("trotter-scan", "dt_grid", "0.1,0.2,x,0.3")])
+    def test_bad_list_names_its_option(self, tmp_path, capsys, command, option, value):
+        # The same message whether the list comes from a flag or a config file.
+        flag = "--" + option.replace("_", "-")
+        kind = "int_list" if option == "n_list" else "float_list"
+        message = f"hamsearch: argument {flag}: invalid {kind} value: '{value}'\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        for argv in ([flag, value], ["--config", str(cfg)]):
+            assert main([command, *argv]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command", list(OPTION_RUNS))
+    def test_every_option_is_read(self, tmp_path, capsys, command):
+        # Every option a subcommand parses, bar the command and the config
+        # file, is read by its handler on at least one of its OPTION_RUNS.
+        save_graph(tmp_path / "graph.json", honeycomb_lattice(2, 2))
+        parser, commands = cli.build_parser()
+        assert set(commands) == set(OPTION_RUNS)
+        reads = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        options, read = set(), set()
+        for run in OPTION_RUNS[command]:
+            argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in run.split()]
+            args = parser.parse_args([command, *argv, "--out", str(tmp_path / "out")],
+                                     namespace=Recorder())
+            options |= set(vars(args)) - {"command", "config"}
+            reads.clear()
+            assert commands[command](args) == EXIT_OK
+            read |= reads
+        capsys.readouterr()
+        assert sorted(options - read) == []
 
     def test_unknown_flag_exits_validation(self, capsys):
         assert main(["equivalence", "--frobnicate"]) == EXIT_VALIDATION

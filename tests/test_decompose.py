@@ -18,10 +18,9 @@ from hamsearch.decompose import (
     honeycomb_lattice,
     laplacian_chain,
     load_graph,
-    save_graph,
 )
 from hamsearch.trotter import BlockTerm, exact_term_exponential
-from oracles import laplacian_matrix
+from oracles import laplacian_matrix, save_graph
 
 
 def _chain(length, periodic):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsearch.linalg import random_unitary
 from hamsearch.pauli import bloch_point, phase_aligned_distance, rotation_unitary
 from hamsearch.search import (
     GROVER_AXIS,
@@ -19,6 +18,7 @@ from hamsearch.search import (
     grover_power,
     phase_rotation,
 )
+from oracles import random_unitary
 
 sizes = st.integers(min_value=2, max_value=2**20)
 fractions = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)

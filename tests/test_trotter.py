@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsearch.decompose import decompose, graph_laplacian, honeycomb_lattice, laplacian_chain
-from hamsearch.linalg import random_unitary, spectral_norm
+from hamsearch.linalg import spectral_norm
 from hamsearch.pauli import phase_aligned_distance
 from hamsearch.search import SearchInstance, evolve_continuous
 from hamsearch.trotter import (
@@ -17,7 +17,6 @@ from hamsearch.trotter import (
     HermitianTermSet,
     TrotterPlan,
     commutator_error,
-    energy_drift,
     exact_term_exponential,
     load_term_set,
     plan_for_budget,
@@ -26,7 +25,7 @@ from hamsearch.trotter import (
     term_set_from_json,
     trotter_evolve,
 )
-from oracles import laplacian_matrix, search_split_of
+from oracles import laplacian_matrix, random_unitary, search_split_of
 
 
 reals = st.floats(min_value=-4.0, max_value=4.0)
@@ -350,23 +349,6 @@ class TestTelescopingBound:
             n = int(rng.integers(1, 65))
             lhs, rhs = telescoping_bound_check(x, y, n)
             assert lhs <= rhs + 1e-9
-
-
-class TestEnergyDrift:
-    def test_zero_for_commuting_terms(self):
-        d1 = np.diag([1.0, 2.0]).astype(complex)
-        d2 = np.diag([0.5, 0.5]).astype(complex)
-        terms = HermitianTermSet(2, (d1, d2), ("a", "b"))
-        psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert energy_drift(terms, TrotterPlan(1.0, 10), psi) < 1e-12
-
-    def test_reports_nonzero_drift_for_coarse_steps(self):
-        inst = SearchInstance(4)
-        terms = search_split_of(4)
-        drift = energy_drift(terms, TrotterPlan(inst.total_time, 4), inst.source_state)
-        assert drift >= 0.0
-        fine = energy_drift(terms, TrotterPlan(inst.total_time, 4000), inst.source_state)
-        assert fine < drift
 
 
 class TestJsonInterchange:
