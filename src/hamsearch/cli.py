@@ -23,7 +23,6 @@ import numpy as np
 
 from . import amplify, decompose, search, statevector, trotter
 from .pauli import bloch_point
-from .linalg import spectral_norm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,7 +50,8 @@ def _write_outputs(*outputs) -> None:
     # function that writes the file at the path it is given. Targets that are
     # not regular files, such as /dev/null, are written first; files go under
     # temporary names next to their targets and are renamed once all are
-    # written; stdout ('-') comes last.
+    # written; stdout ('-') comes last. Two files with one real path are
+    # rejected before anything is written.
     def write(path, content):
         if callable(content):
             return content(path)
@@ -60,10 +60,15 @@ def _write_outputs(*outputs) -> None:
 
     devices = [k for k, (path, _) in enumerate(outputs)
                if os.path.exists(path) and not os.path.isfile(path)]
-    for k in devices:
-        write(*outputs[k])
     staged = [(f"{path}.{os.getpid()}-{k}.tmp", path, content)
               for k, (path, content) in enumerate(outputs) if path != "-" and k not in devices]
+    seen = set()
+    for _, path, _ in staged:
+        if os.path.realpath(path) in seen:
+            raise ValueError(f"two outputs go to the same file {path}")
+        seen.add(os.path.realpath(path))
+    for k in devices:
+        write(*outputs[k])
     try:
         for tmp, _, content in staged:
             write(tmp, content)
@@ -83,14 +88,19 @@ def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None) -
         doc = {"columns": columns, "rows": rows.tolist()}
         if extra:
             doc.update(extra)
-        return json.dumps(doc, indent=1) + "\n"
+        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
     row_format = ",".join(["%.17g"] * len(columns))
     lines = [",".join(columns)]
     lines += [row_format % tuple(row.tolist()) for row in rows]
     if extra:
-        lines.append("# " + json.dumps(extra, sort_keys=True))
+        lines.append("# " + json.dumps(extra, sort_keys=True, allow_nan=False))
     lines.append("")  # the text ends with a newline
     return "\n".join(lines)
+
+
+def _report_text(report: dict) -> str:
+    # A non-finite number fails here: JSON has no Infinity or NaN.
+    return json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +183,11 @@ def cmd_trotter_scan(args) -> int:
     if len(set(step_counts)) < 4:
         raise ValueError(f"dt grid gives {len(set(step_counts))} distinct step counts; "
                          "the slope fit needs at least 4")
-    norm_e2 = trotter.commutator_error(terms)
+    norm_e2, scan = trotter.trotter_scan(terms, total_time, step_counts)
     # A commuting split is exact at every dt, as in trotter.plan_for_budget:
     # its errors are round-off and there is no slope to fit.
     commuting = norm_e2 == 0.0
-    exact = trotter.exact_term_exponential(terms.total(), total_time)
-    rows = []
-    for steps in step_counts:
-        plan = trotter.TrotterPlan(total_time, steps)
-        approx = trotter.trotter_evolve(terms, plan)
-        error = spectral_norm(approx - exact)
-        bound = 2.0 * total_time * norm_e2 * plan.dt
-        rows.append([plan.dt, steps, error, bound])
+    rows = [[dt, steps, error, 2.0 * total_time * norm_e2 * dt] for dt, steps, error in scan]
     slope = None
     if not commuting:
         logs = np.log([row[0] for row in rows])
@@ -288,7 +291,7 @@ def cmd_decompose(args) -> int:
         ok = ok and spectrum_err <= 1e-10
     report["pass"] = bool(ok)
     terms = [(args.out, lambda p: trotter.save_term_set(p, term_set))] if args.out != "-" else []
-    _write_outputs(*terms, (args.report, json.dumps(report, indent=1, sort_keys=True) + "\n"))
+    _write_outputs(*terms, (args.report, _report_text(report)))
     return EXIT_OK if ok else EXIT_CLAIM
 
 
@@ -376,7 +379,7 @@ def cmd_cost(args) -> int:
         "cost": {
             "trotter": tc.cost,
             "grover": gc.cost,
-            "ratio_grover_over_trotter": gc.cost / tc.cost if tc.cost > 0 else float("inf"),
+            "ratio_grover_over_trotter": gc.cost / tc.cost if tc.cost > 0 else None,
         },
         "grover": {"q_steps": gc.q_steps, "runs": gc.runs, "runs_formula": gc.runs_formula},
         "queries": {"trotter": tc.queries, "grover": gc.queries},
@@ -385,7 +388,7 @@ def cmd_cost(args) -> int:
             "queries_per_grover_step": amplify.QUERIES_PER_GROVER_STEP,
         },
     }
-    _write_outputs((args.out, json.dumps(report, indent=1, sort_keys=True) + "\n"))
+    _write_outputs((args.out, _report_text(report)))
     return EXIT_OK
 
 

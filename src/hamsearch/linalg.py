@@ -14,8 +14,8 @@ HERMITIAN_TOL = 1e-12
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of a dense matrix."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+    """Largest singular value of a dense matrix, or of a stack of them."""
+    return float(np.max(np.linalg.norm(np.asarray(m, dtype=complex), 2, axis=(-2, -1))))
 
 
 def assert_hermitian(m: np.ndarray, what: str = "matrix") -> None:

@@ -26,9 +26,10 @@ __all__ = [
     "trotter_step",
     "trotter_evolve",
     "commutator_error",
+    "bloch_sectors",
+    "trotter_scan",
     "plan_for_budget",
     "telescoping_bound_check",
-    "term_set_to_json",
     "term_set_from_json",
     "save_term_set",
     "load_term_set",
@@ -176,27 +177,32 @@ def _block_exponentials(b: np.ndarray, tau: float) -> np.ndarray:
 def exact_term_exponential(h, tau: float) -> np.ndarray:
     """exp(-i H tau) for a Hermitian term, exact up to round-off.
 
-    Dense terms take an eigendecomposition. A ``BlockTerm`` is exponentiated
-    block by block in closed form, which keeps entries outside the blocks
-    exactly zero.
+    A dense term, or an (M, c, c) stack of them, takes an eigendecomposition
+    per matrix. A ``BlockTerm`` is exponentiated block by block in closed
+    form, which keeps entries outside the blocks exactly zero.
     """
     if not isinstance(h, BlockTerm):
         h = np.asarray(h, dtype=complex)
         assert_hermitian(h, what="term")
         w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * w * tau)) @ v.conj().T
+        return (v * np.exp(-1j * w * tau)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     u = np.diag(np.exp(-1j * h.diagonal * tau))
     i, j = h.pairs.T
     u[np.r_[i, i, j, j], np.r_[i, j, i, j]] = _block_exponentials(h.blocks, tau).T.ravel()
     return u
 
 
-def trotter_step(terms: HermitianTermSet, dt: float) -> np.ndarray:
-    """One product step: exp(-i H_1 dt) exp(-i H_2 dt) ... in declared order."""
-    u = np.eye(terms.dimension, dtype=complex)
-    for h in terms.terms:
+def _product_step(parts, dt: float, size: int) -> np.ndarray:
+    # exp(-i H_1 dt) exp(-i H_2 dt) ... over terms or their sector stacks.
+    u = np.eye(size, dtype=complex)
+    for h in parts:
         u = u @ exact_term_exponential(h, dt)
     return u
+
+
+def trotter_step(terms: HermitianTermSet, dt: float) -> np.ndarray:
+    """One product step: exp(-i H_1 dt) exp(-i H_2 dt) ... in declared order."""
+    return _product_step(terms.terms, dt, terms.dimension)
 
 
 def trotter_evolve(terms: HermitianTermSet, plan: TrotterPlan) -> np.ndarray:
@@ -205,17 +211,85 @@ def trotter_evolve(terms: HermitianTermSet, plan: TrotterPlan) -> np.ndarray:
     return np.linalg.matrix_power(step, plan.steps)
 
 
+def bloch_sectors(terms: HermitianTermSet):
+    """Each term as a (d/2, 2, 2) stack of Bloch blocks, or None.
+
+    Applies to block terms on an even dimension d that each equal their
+    shift by two sites: entry (r, c) equals entry (r + 2, c + 2) mod d. In
+    the Fourier basis of the M = d/2 two-site cells,
+    |q, a> = sum_n exp(2 pi i q n / M) |2n + a> / sqrt(M), such a term is the
+    direct sum over q of the 2x2 blocks sum_n H[2n + a, b] exp(-2 pi i q n / M).
+    So are the terms' products, commutators and exponentials, whose
+    spectral norm is the largest of their blocks' norms. The blocks come
+    from each term's records in O(d); None when a term is dense or fails
+    the shift check, and for a single cell (d = 2), the whole space.
+    """
+    d = terms.dimension
+    if d % 2 or d < 4 or not all(isinstance(t, BlockTerm) for t in terms.terms):
+        return None
+    cells = d // 2
+    sectors = []
+    for term in terms.terms:
+        rows, cols, values = term.entries()
+        keep = values != 0
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+        keys = rows * d + cols
+        shifted = (rows + 2) % d * d + (cols + 2) % d
+        here, there = np.argsort(keys), np.argsort(shifted)
+        if not (np.array_equal(keys[here], shifted[there])
+                and np.array_equal(values[here], values[there])):
+            return None
+        # Entry H[2n + a, b] of the column of cell 0 adds its value times
+        # exp(-2 pi i q n / M) to entry (a, b) of every sector q.
+        first = cols < 2
+        n, a = np.divmod(rows[first], 2)
+        phases = np.exp(-2j * np.pi * (np.outer(np.arange(cells), n) % cells) / cells)
+        blocks = (phases * values[first]) @ np.eye(4)[2 * a + cols[first]]
+        sectors.append(blocks.reshape(cells, 2, 2))
+    return sectors
+
+
+def _sector_terms(terms: HermitianTermSet) -> tuple:
+    # (hamiltonians, parts): per term, the (M, c, c) stack of its sector
+    # Hamiltonians, and what exact_term_exponential takes for it. Without
+    # Bloch sectors the whole space is the one sector (M = 1, c = d), and
+    # each term keeps its own exponential (closed form for a block term).
+    sectors = bloch_sectors(terms)
+    if sectors is not None:
+        return sectors, sectors
+    return [terms.dense(k)[None] for k in range(len(terms))], terms.terms
+
+
 def commutator_error(terms: HermitianTermSet) -> float:
     """||E2|| = || (1/2) sum_{i<j} [H_i, H_j] ||, the dt -> 0 limit of the
     error generator; zero for commuting terms."""
     if len(terms) < 2:
         raise ValueError("commutator estimate needs at least two terms")
-    acc = np.zeros((terms.dimension, terms.dimension), dtype=complex)
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            hi, hj = terms.dense(i), terms.dense(j)
+    hamiltonians = _sector_terms(terms)[0]
+    acc = np.zeros_like(hamiltonians[0])
+    for i, hi in enumerate(hamiltonians):
+        for hj in hamiltonians[i + 1:]:
             acc += hi @ hj - hj @ hi
     return 0.5 * spectral_norm(acc)
+
+
+def trotter_scan(terms: HermitianTermSet, total_time: float, step_counts) -> tuple:
+    """(||E2||, rows) with one row (dt, n, error) per step count n: error is
+    || (prod_i exp(-i H_i dt))^n - exp(-i H total_time) || at dt = total_time / n.
+
+    Runs on the Bloch sectors of ``bloch_sectors`` when the terms have them
+    (M = d/2, c = 2), and on the whole space otherwise (M = 1, c = d).
+    """
+    norm_e2 = commutator_error(terms)
+    hamiltonians, parts = _sector_terms(terms)
+    exact = exact_term_exponential(np.sum(hamiltonians, axis=0), total_time)
+    rows = []
+    for steps in step_counts:
+        plan = TrotterPlan(total_time, steps)
+        step = _product_step(parts, plan.dt, exact.shape[-1])
+        error = spectral_norm(np.linalg.matrix_power(step, plan.steps) - exact)
+        rows.append((plan.dt, plan.steps, error))
+    return norm_e2, rows
 
 
 def plan_for_budget(
@@ -269,16 +343,6 @@ def _nonzero_entries(h) -> tuple:
     return rows[order], cols[order], values[order]
 
 
-def term_set_to_json(terms: HermitianTermSet) -> dict:
-    doc_terms = []
-    for label, h in zip(terms.labels, terms.terms):
-        rows, cols, values = _nonzero_entries(h)
-        entries = [list(e) for e in zip(rows.tolist(), cols.tolist(),
-                                        values.real.tolist(), values.imag.tolist())]
-        doc_terms.append({"label": label, "entries": entries})
-    return {"dimension": terms.dimension, "terms": doc_terms}
-
-
 def _term_from_entries(dim: int, entries: dict):
     # A BlockTerm when the off-diagonal support is a matching and the
     # uncovered diagonal is real; a dense matrix otherwise.
@@ -320,10 +384,24 @@ def term_set_from_json(doc: dict) -> HermitianTermSet:
     return HermitianTermSet(dimension=dim, terms=tuple(terms), labels=tuple(labels))
 
 
+# One entry of the document as json.dump(..., indent=1) lays it out.
+_ENTRY = "    [\n     %d,\n     %d,\n     %r,\n     %r\n    ]"
+
+
 def save_term_set(path, terms: HermitianTermSet) -> None:
+    """Write the term-set document, byte for byte as json.dump(doc,
+    indent=1) followed by a newline, one template per entry."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(term_set_to_json(terms), fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "dimension": {terms.dimension},\n "terms": [')
+        for k, (label, h) in enumerate(zip(terms.labels, terms.terms)):
+            rows, cols, values = _nonzero_entries(h)
+            entries = ",\n".join([_ENTRY % e for e in zip(rows.tolist(), cols.tolist(),
+                                                             values.real.tolist(),
+                                                             values.imag.tolist())])
+            body = f"[\n{entries}\n   ]" if entries else "[]"
+            fh.write(f'{"," if k else ""}\n  {{\n   "label": {json.dumps(label)},\n'
+                     f'   "entries": {body}\n  }}')
+        fh.write("\n ]\n}\n")
 
 
 def load_term_set(path) -> HermitianTermSet:

@@ -1,9 +1,11 @@
 # Reference constructions shared by several test modules: the dense graph
 # Laplacian, the two-projector search split of a given database size, Haar
-# random unitaries, the graph JSON writer, and the Rodrigues rotation of the
-# Bloch sphere.
+# random unitaries, the graph JSON writer, the Rodrigues rotation of the
+# Bloch sphere, the product-formula error scan on dense d x d matrices, and
+# the term-set document as json.dump writes it.
 
 import json
+from functools import reduce
 
 import numpy as np
 
@@ -62,3 +64,34 @@ def bloch_rotation_matrix(axis, angle):
         + np.sin(angle) * cross
         + (1.0 - np.cos(angle)) * np.outer(n, n)
     )
+
+
+def dense_trotter_scan(terms, total_time, step_counts):
+    # (||E2||, errors) of the first-order product formula, all on dense
+    # d x d matrices: eigh exponentials, matrix powers and svd norms.
+    hs = [terms.dense(k) for k in range(len(terms))]
+
+    def expm(h, tau):
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(-1j * w * tau)) @ v.conj().T
+
+    commutator = sum(a @ b - b @ a for i, a in enumerate(hs) for b in hs[i + 1:])
+    exact = expm(sum(hs), total_time)
+    errors = []
+    for n in step_counts:
+        step = reduce(np.matmul, [expm(h, total_time / n) for h in hs])
+        errors.append(np.linalg.norm(np.linalg.matrix_power(step, n) - exact, 2))
+    return 0.5 * np.linalg.norm(commutator, 2), errors
+
+
+def term_set_json(terms):
+    # The term-set document, as json.dump(doc, indent=1) and a newline give
+    # it, built from the dense terms: nonzero entries in (row, col) order.
+    doc_terms = []
+    for k, label in enumerate(terms.labels):
+        h = terms.dense(k)
+        rows, cols = np.nonzero(h)
+        entries = [[r, c, v.real, v.imag]
+                   for r, c, v in zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist())]
+        doc_terms.append({"label": label, "entries": entries})
+    return json.dumps({"dimension": terms.dimension, "terms": doc_terms}, indent=1) + "\n"

@@ -151,6 +151,30 @@ class TestTrotterScan:
         assert footer["slope"] is None
         assert footer["norm_e2"] == 0.0
 
+    def test_four_site_ring_commutes(self, tmp_path, capsys):
+        # Its two bond terms commute in both Bloch sectors.
+        out = tmp_path / "scan.csv"
+        rc = main(["trotter-scan", "--problem", "chain", "--length", "4", "--periodic",
+                   "--out", str(out)])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        footer = _footer(out)
+        assert footer["commuting"] is True
+        assert footer["slope"] is None
+        assert footer["norm_e2"] == 0.0
+
+    def test_long_ring_runs_on_sectors(self, tmp_path):
+        # 4096 sites: a dense d x d term would take 256 MiB and each eigh
+        # minutes; the 2048 Bloch sectors are 2x2.
+        out = tmp_path / "scan.csv"
+        rc = main(["trotter-scan", "--problem", "chain", "--length", "4096", "--periodic",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_rows(out)
+        footer = _footer(out)
+        assert footer["norm_e2"] == pytest.approx(1.0, rel=1e-12)
+        assert 0.9 <= footer["slope"] <= 1.1
+        assert all(0.0 < row[2] <= row[3] for row in rows)
+
     def test_needs_four_grid_points(self, tmp_path):
         out = tmp_path / "x.csv"
         for grid in ("0.2,0.1,0.05", "0.1,0.2"):
@@ -345,6 +369,19 @@ class TestCost:
             assert main(["cost", flag, value, "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--step-cost", "0"), ("--t", "1e-200")])
+    def test_zero_trotter_cost_gives_a_null_ratio(self, tmp_path, flag, value):
+        # A zero step cost, or t^2 underflowing to 0, makes the Trotter cost
+        # 0; the report must stay valid JSON, without Infinity or NaN.
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        out = tmp_path / "cost.json"
+        assert main(["cost", flag, value, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["cost"]["trotter"] == 0.0
+        assert doc["cost"]["ratio_grover_over_trotter"] is None
+
 
 class TestPlumbing:
     def test_deterministic_bytes_across_runs(self, tmp_path):
@@ -392,6 +429,22 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("hamsearch: ") and err.count("\n") == 1
         assert all(a in err for a in argv if a.startswith(str(tmp_path)))
+        assert sorted(tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("spelling", ["dotted", "symlink"])
+    def test_two_outputs_to_one_file_are_rejected(self, tmp_path, capsys, spelling):
+        # The second table would silently replace the first.
+        out = tmp_path / "same.csv"
+        other = tmp_path / "sub" / ".." / "same.csv"
+        if spelling == "symlink":
+            other = tmp_path / "link.csv"
+            other.symlink_to(out)
+        (tmp_path / "sub").mkdir()
+        inputs = sorted(tmp_path.iterdir())
+        rc = main(["grover", "--n", "16", "--runs", "3", "--trials", "10000",
+                   "--out", str(out), "--amplification-out", str(other)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"hamsearch: two outputs go to the same file {other}\n"
         assert sorted(tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("command, option, value", [

@@ -1,8 +1,15 @@
 # Byte-identity pins: sha256 digests of CLI outputs. Any change that moves
 # one output byte fails here.
 #
-# - decompose and trotter-scan were recorded from the dense d x d term
-#   implementation that block-sparse term records replaced.
+# - decompose and the search-split trotter-scan were recorded from the
+#   dense d x d term implementation that block-sparse term records replaced.
+# - The periodic chain trotter-scan was re-recorded when the scan moved to
+#   Bloch sectors (one 2x2 block per momentum instead of d x d matrices).
+#   Its error cells moved by at most 2e-14 relative, its bounds and
+#   norm_e2 by one or two roundings: the sector sums and the per-block
+#   eigh/svd round differently from the dense ones. The dense-path outputs
+#   kept every byte: the open chain and odd ring pins were recorded from the
+#   d x d scan that the sector scan replaced.
 # - equivalence and grover were recorded from the per-sample 2x2 layer and
 #   the copying full-space step, before the stacked layer and the in-place
 #   step replaced them.
@@ -51,7 +58,19 @@ DECOMPOSE = {
 SCAN = {
     "chain": (
         ["--problem", "chain", "--length", "16", "--periodic"],
-        "9091e1feb7f3f441371ff314ba0e622d3c600c1605976e1e7796ea56d7629a86",
+        "b65410a35b93aa8aa18ac3314d44e709e5ea672a5b97ba9fa3093b967624c016",
+    ),
+    "open-chain-8": (
+        ["--problem", "chain", "--length", "8"],
+        "10bf97f0caf50d67ae9fb3a09d4216c1d54633db450ad17d46d7000f95d99e2c",
+    ),
+    "open-chain-64": (
+        ["--problem", "chain", "--length", "64"],
+        "23ca7970ebb2ecdce219d715cbf3974bc5303b2da8d38967dbff5d6d7ad8d57e",
+    ),
+    "odd-ring-9": (
+        ["--problem", "chain", "--length", "9", "--periodic"],
+        "44f0a2a153f813aab91bfc216774dbf341dcb82e1fb8a10608fe81208595c17b",
     ),
     "search-split": (
         ["--problem", "search-split"],

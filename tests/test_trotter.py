@@ -8,7 +8,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsearch.decompose import decompose, graph_laplacian, honeycomb_lattice, laplacian_chain
+from hamsearch.decompose import (
+    decompose,
+    decompose_matrix,
+    graph_laplacian,
+    honeycomb_lattice,
+    laplacian_chain,
+)
 from hamsearch.linalg import spectral_norm
 from hamsearch.pauli import phase_aligned_distance
 from hamsearch.search import SearchInstance, evolve_continuous
@@ -16,6 +22,7 @@ from hamsearch.trotter import (
     BlockTerm,
     HermitianTermSet,
     TrotterPlan,
+    bloch_sectors,
     commutator_error,
     exact_term_exponential,
     load_term_set,
@@ -24,8 +31,15 @@ from hamsearch.trotter import (
     telescoping_bound_check,
     term_set_from_json,
     trotter_evolve,
+    trotter_scan,
 )
-from oracles import laplacian_matrix, random_unitary, search_split_of
+from oracles import (
+    dense_trotter_scan,
+    laplacian_matrix,
+    random_unitary,
+    search_split_of,
+    term_set_json,
+)
 
 
 reals = st.floats(min_value=-4.0, max_value=4.0)
@@ -291,6 +305,66 @@ class TestCommutatorError:
             commutator_error(HermitianTermSet(2, (np.eye(2),), ("only",)))
 
 
+def _bloch_basis(cells):
+    # Columns |q, a> = sum_n exp(2 pi i q n / M) |2n + a> / sqrt(M), ordered
+    # (q, a) as the sector stacks are.
+    q, n = np.meshgrid(np.arange(cells), np.arange(cells))
+    return np.kron(np.exp(2j * np.pi * q * n / cells) / np.sqrt(cells), np.eye(2))
+
+
+class TestBlochSectors:
+    @pytest.mark.parametrize("length", [4, 6, 16, 64, 512])
+    def test_sector_scan_matches_dense_oracle(self, length):
+        # The 4-site ring commutes, so its errors are round-off: they get an
+        # absolute floor instead of a relative tolerance.
+        _, terms = _chain_split(length)
+        assert bloch_sectors(terms) is not None
+        steps = (10, 20, 40, 80)
+        norm_e2, rows = trotter_scan(terms, 2.0, steps)
+        oracle_norm, oracle_errors = dense_trotter_scan(terms, 2.0, steps)
+        floor = 1e-13 if length == 4 else 0.0
+        assert norm_e2 == pytest.approx(oracle_norm, rel=1e-12, abs=floor)
+        assert [row[1] for row in rows] == list(steps)
+        for (dt, n, error), oracle in zip(rows, oracle_errors):
+            assert dt == 2.0 / n
+            assert error == pytest.approx(oracle, rel=1e-12, abs=floor)
+
+    def test_blocks_reassemble_each_term(self):
+        # A two-site-periodic chain with complex hoppings and an on-site
+        # potential, so that the split has a diagonal term as well.
+        length = 10
+        h = np.diag(np.tile([3.0, 2.5], length // 2)).astype(complex)
+        for i, hop in enumerate([0.5 - 1.25j, -0.75 + 0.5j] * (length // 2)):
+            h[i, (i + 1) % length] = hop
+            h[(i + 1) % length, i] = np.conj(hop)
+        terms = decompose_matrix(h, laplacian_chain(length, periodic=True))
+        assert terms.labels == ("color0", "color1", "diagonal")
+        sectors = bloch_sectors(terms)
+        f = _bloch_basis(length // 2)
+        for k, blocks in enumerate(sectors):
+            assert blocks.shape == (length // 2, 2, 2)
+            rebuilt = f @ scipy.linalg.block_diag(*blocks) @ f.conj().T
+            assert np.max(np.abs(rebuilt - terms.dense(k))) < 1e-14
+
+    def test_terms_without_the_symmetry_take_the_dense_path(self):
+        # A ring with one heavier bond, the open chains of 2 sites (one
+        # cell) and 8, the odd ring (three colors), a honeycomb torus and the
+        # search split. The scan still agrees with the dense oracle.
+        h, _ = _chain_split(8)
+        h[3, 4] = h[4, 3] = -1.5
+        bent = decompose_matrix(h, laplacian_chain(8, periodic=True))
+        honeycomb = honeycomb_lattice(3, 4, periodic=True)
+        cases = [bent, _chain_split(2, periodic=False)[1], _chain_split(8, periodic=False)[1],
+                 _chain_split(9)[1],
+                 decompose(honeycomb, *graph_laplacian(honeycomb)), search_split_of(16)]
+        for terms in cases:
+            assert bloch_sectors(terms) is None
+        norm_e2, rows = trotter_scan(bent, 2.0, (10, 20))
+        oracle_norm, oracle_errors = dense_trotter_scan(bent, 2.0, (10, 20))
+        assert norm_e2 == pytest.approx(oracle_norm, rel=1e-12)
+        assert [row[2] for row in rows] == pytest.approx(oracle_errors, rel=1e-12)
+
+
 class TestPlanForBudget:
     def test_commuting_terms_take_one_step(self):
         d1 = np.diag([1.0, 2.0]).astype(complex)
@@ -396,6 +470,13 @@ class TestJsonInterchange:
             assert isinstance(back.terms[k], BlockTerm) == _is_matching(terms.dense(k))
         save_term_set(path.with_name("again.json"), back)
         assert path.with_name("again.json").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_term_sets())
+    def test_writer_matches_json_dump(self, tmp_path_factory, terms):
+        path = tmp_path_factory.mktemp("terms") / "terms.json"
+        save_term_set(path, terms)
+        assert path.read_text(encoding="utf-8") == term_set_json(terms)
 
     def test_rejects_non_hermitian_document(self):
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": [[0, 1, 1.0, 0.0]]}]}
