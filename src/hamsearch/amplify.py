@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, log, log2, sqrt
+from math import ceil, comb, isfinite, log, log2, sqrt
 
 import numpy as np
 
@@ -239,7 +239,10 @@ class GroverCost:
 
 def trotter_complexity(cm: CostModel) -> TrotterCost:
     """Small-step route: cost = t^2 (||E2||/eps) C, power-law in 1/eps."""
-    steps = cm.total_time**2 * cm.norm_e2 / cm.error_budget
+    # t * t overflows to inf, where t**2 would raise OverflowError.
+    steps = cm.total_time * cm.total_time * cm.norm_e2 / cm.error_budget
+    if not isfinite(steps):
+        raise ValueError(f"t={cm.total_time:g} makes the step count t^2 ||E2||/eps not finite")
     return TrotterCost(
         cost=steps * cm.step_cost,
         steps=steps,

@@ -176,6 +176,8 @@ def cmd_trotter_scan(args) -> int:
     if any(dt <= 0 for dt in args.dt_grid):
         raise ValueError("dt values must be positive")
     terms, total_time = _scan_problem(args)
+    if not 0 < total_time < np.inf:
+        raise ValueError(f"total time must be positive and finite, got {total_time:g}")
     step_counts = [max(1, round(total_time / dt)) for dt in args.dt_grid]
     for dt, steps in zip(args.dt_grid, step_counts):
         if steps > trotter.STEP_CAP:

@@ -1,10 +1,11 @@
 # Full N-dimensional search simulation from explicit reflections.
 #
-# The step applies -(1 - 2|s><s|)(1 - 2|t><t|) as two rank-1 updates per
-# iteration (sign flip on the target, then inversion about the mean with an
-# overall sign), O(N) per step in place, with no dense operator and no copy
-# of the state. This is the brute-force oracle that validates the 2x2
-# subspace models.
+# The step applies -(1 - 2|s><s|)(1 - 2|t><t|) as a sign flip on the target
+# and an inversion about the mean, in place, on a real state: every
+# amplitude reachable from |s> is real. The mean is summed once, then kept
+# by mean(flip_t(psi)) = mean - 2 psi[t]/N and mean(2 mean - psi) = mean, so
+# a step is one pass over all N amplitudes. This is the brute-force oracle
+# that validates the 2x2 subspace models, not a closed form.
 
 from __future__ import annotations
 
@@ -32,17 +33,19 @@ def uniform_state(n: int) -> np.ndarray:
         raise ValueError("database size must be >= 2")
     if n > MAX_DIMENSION:
         raise ValueError(f"N={n} exceeds the cap {MAX_DIMENSION}")
-    return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    return np.full(n, 1.0 / np.sqrt(n))
 
 
 def _iterates(psi: np.ndarray, target: int, steps: int):
     """Yield psi after 0, 1, ..., steps search steps, stepping it in place."""
     if not (0 <= target < psi.size):
         raise ValueError(f"target index {target} outside [0, {psi.size})")
+    mean = psi.mean()
     yield psi
     for _ in range(steps):
+        mean -= 2.0 * psi[target] / psi.size
         psi[target] = -psi[target]
-        np.subtract(2.0 * psi.mean(), psi, out=psi)
+        np.subtract(2.0 * mean, psi, out=psi)
         yield psi
 
 

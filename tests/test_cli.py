@@ -199,6 +199,17 @@ class TestTrotterScan:
         assert "distinct step counts" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t", ["inf", "nan", "0", "-1"])
+    def test_total_time_must_be_positive_and_finite(self, tmp_path, capsys, t):
+        # round(inf / dt) raised OverflowError, a traceback and exit 1.
+        out = tmp_path / "x.csv"
+        rc = main(["trotter-scan", "--problem", "search-split", "--n", "16", "--t", t,
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"hamsearch: total time must be positive and finite, got {t}\n"
+        assert not out.exists()
+
 
 class TestDecompose:
     def test_ring_term_set_and_report(self, tmp_path, capsys):
@@ -367,6 +378,17 @@ class TestCost:
         for flag, value in (("--eps", "2.0"), ("--eps", "0"), ("--t", "0"), ("--n", "2"),
                             ("--step-cost", "-1"), ("--grover-step-cost", "-1")):
             assert main(["cost", flag, value, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["1e160", "1e200", "inf"])
+    def test_step_count_overflow(self, tmp_path, capsys, t):
+        # t^2 overflows (a float power raised OverflowError, a traceback and
+        # exit 1), or t is infinite and the step count cannot be an integer.
+        out = tmp_path / "x.json"
+        assert main(["cost", "--n", "1024", "--t", t, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("hamsearch: ") and err.count("\n") == 1
+        assert "not finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--step-cost", "0"), ("--t", "1e-200")])

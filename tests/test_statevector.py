@@ -3,6 +3,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsearch.search import SearchInstance, step_params
 from hamsearch.statevector import (
@@ -15,7 +17,25 @@ from hamsearch.statevector import (
 )
 
 
+def closed_form_curve(n, max_steps):
+    """sin^2((2k+1) asin(1/sqrt N)) for k = 0 .. max_steps."""
+    return np.sin((2 * np.arange(max_steps + 1) + 1) * np.arcsin(1.0 / np.sqrt(n))) ** 2
+
+
+@st.composite
+def searches(draw, max_n=4096):
+    """(N, target, steps): any target, up to 2 * expected_peak_step(N) + 2 steps."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    target = draw(st.integers(min_value=0, max_value=n - 1))
+    steps = draw(st.integers(min_value=1, max_value=2 * expected_peak_step(n) + 2))
+    return n, target, steps
+
+
 class TestUniformState:
+    def test_real_amplitudes(self):
+        # Every amplitude the search step reaches from |s> is real.
+        assert uniform_state(16).dtype == np.float64
+
     def test_two_items(self):
         assert np.allclose(uniform_state(2), np.full(2, 1.0 / np.sqrt(2.0)))
 
@@ -90,12 +110,26 @@ class TestSuccessCurve:
         second = first + 1 + int(np.argmax(curve[first + 1 :]))
         assert abs((second - first) - period) <= 1.0
 
-    def test_target_index_is_immaterial(self):
-        rng = np.random.default_rng(41)
-        targets = rng.integers(0, 32, size=4)
-        curves = [success_curve(32, 10, target=int(t)) for t in targets]
-        for other in curves[1:]:
-            assert np.max(np.abs(other - curves[0])) < 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(searches(max_n=256), st.data())
+    def test_target_index_is_immaterial(self, search, data):
+        n, target, steps = search
+        other = data.draw(st.integers(min_value=0, max_value=n - 1))
+        curve = success_curve(n, steps, target=target)
+        assert np.max(np.abs(success_curve(n, steps, target=other) - curve)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(searches())
+    def test_matches_closed_form(self, search):
+        n, target, steps = search
+        curve = success_curve(n, steps, target=target)
+        assert np.max(np.abs(curve - closed_form_curve(n, steps))) < 1e-14
+
+    def test_matches_closed_form_at_two_to_the_twenty(self):
+        n = 2**20
+        steps = 2 * expected_peak_step(n)
+        curve = success_curve(n, steps, target=n // 3)
+        assert np.max(np.abs(curve - closed_form_curve(n, steps))) < 5e-15
 
 
 class TestSubspaceAgreement:
@@ -108,10 +142,11 @@ class TestSubspaceAgreement:
     def test_large_size(self):
         assert subspace_agreement(4096, 50) < 1e-9
 
-    def test_agreement_with_random_target(self):
-        rng = np.random.default_rng(42)
-        target = int(rng.integers(0, 128))
-        assert subspace_agreement(128, 20, target=target) < 1e-10
+    @settings(max_examples=60, deadline=None)
+    @given(searches(max_n=1024))
+    def test_agreement_with_random_target(self, search):
+        n, target, steps = search
+        assert subspace_agreement(n, steps, target=target) < 1e-10
 
     def test_covers_two_full_periods(self):
         n = 64
