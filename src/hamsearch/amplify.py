@@ -88,7 +88,10 @@ def majority_bound(runs: int, n: int) -> float:
         raise ValueError("runs must be an odd integer >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
-    return float(2 ** (runs - 1)) / float(n) ** ceil(runs / 2)
+    try:
+        return float(2 ** (runs - 1)) / float(n) ** ceil(runs / 2)
+    except OverflowError:  # N^ceil(R/2) past the float range: the exact quotient, rounded
+        return 2 ** (runs - 1) / n ** ceil(runs / 2)
 
 
 def majority_error_exact(p: float, runs: int) -> float:
@@ -188,7 +191,10 @@ def register_width(steps: int, term_count: int, error_budget: float) -> int:
         raise ValueError("steps and term_count must be >= 1")
     if not 0.0 < error_budget < 1.0:
         raise ValueError("error budget must lie in (0, 1)")
-    return max(1, ceil(log2(steps * term_count / error_budget)))
+    # The smallest b with n l <= eps 2^b, in integers: a float log2 can round
+    # n l / eps just above a power of two down onto it, or overflow.
+    num, den = float(error_budget).as_integer_ratio()
+    return max(1, ((steps * term_count * den - 1) // num).bit_length())
 
 
 def per_step_cost(dimension: int, bits: int) -> float:
@@ -213,6 +219,9 @@ class CostModel:
     grover_step_cost: float = 1.0
 
     def __post_init__(self) -> None:
+        # Python floats, so that an overflow below is an inf to check, not a numpy warning.
+        for name in ("total_time", "error_budget", "norm_e2", "step_cost", "grover_step_cost"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.total_time > 0 and 0 < self.error_budget < 1):
             raise ValueError("need total_time > 0 and error budget in (0, 1)")
         if self.database_size < 3:
@@ -237,16 +246,22 @@ class GroverCost:
     queries: float
 
 
+def _finite(name: str, value: float) -> float:
+    if not isfinite(value):
+        raise ValueError(f"{name} is not finite")
+    return value
+
+
 def trotter_complexity(cm: CostModel) -> TrotterCost:
     """Small-step route: cost = t^2 (||E2||/eps) C, power-law in 1/eps."""
     # t * t overflows to inf, where t**2 would raise OverflowError.
-    steps = cm.total_time * cm.total_time * cm.norm_e2 / cm.error_budget
-    if not isfinite(steps):
-        raise ValueError(f"t={cm.total_time:g} makes the step count t^2 ||E2||/eps not finite")
+    steps = _finite(f"step count t^2 ||E2||/eps at t={cm.total_time:g}",
+                    cm.total_time * cm.total_time * cm.norm_e2 / cm.error_budget)
     return TrotterCost(
-        cost=steps * cm.step_cost,
+        cost=_finite(f"Trotter cost (step count x step cost {cm.step_cost:g})",
+                     steps * cm.step_cost),
         steps=steps,
-        queries=steps * QUERIES_PER_TROTTER_STEP,
+        queries=_finite("Trotter query count", steps * QUERIES_PER_TROTTER_STEP),
     )
 
 
@@ -260,9 +275,10 @@ def grover_complexity(cm: CostModel) -> GroverCost:
     runs = runs_required(cm.database_size, cm.error_budget)
     q_steps = 0.5 * cm.total_time
     return GroverCost(
-        cost=q_steps * runs * cm.grover_step_cost,
+        cost=_finite(f"Grover cost ((t/2) R x Grover step cost {cm.grover_step_cost:g})",
+                     q_steps * runs * cm.grover_step_cost),
         q_steps=q_steps,
         runs=runs,
         runs_formula=asymptotic_runs(cm.database_size, cm.error_budget),
-        queries=q_steps * runs * QUERIES_PER_GROVER_STEP,
+        queries=_finite("Grover query count", q_steps * runs * QUERIES_PER_GROVER_STEP),
     )

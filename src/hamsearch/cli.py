@@ -3,7 +3,9 @@
 #
 # Exit codes (stable for CI): 0 success, 2 validation failure (ValueError),
 # 3 claim assertion failure (or the edge coloring's AssertionError), 4 I/O
-# failure (OSError). ``main`` maps each exception to its code.
+# failure (OSError). Each handler returns its (path, content) outputs and
+# the reason a claim failed, or None; ``main`` alone writes the outputs,
+# reports on stderr and picks the exit code.
 #
 # Output is deterministic given (arguments, seed): CSV uses '.' decimals
 # and 17 significant digits; no timestamps. Config files are flat
@@ -30,6 +32,8 @@ EXIT_CLAIM = 3
 EXIT_IO = 4
 
 RESIDUAL_LIMIT = 1e-9
+RECONSTRUCTION_LIMIT = 1e-12
+SPECTRUM_LIMIT = 1e-10
 ENDPOINT_TOL = 1e-9
 SLOPE_WINDOW = (0.9, 1.1)
 COMMUTING_TOL = 1e-12
@@ -107,7 +111,7 @@ def _report_text(report: dict) -> str:
 # Subcommands
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args) -> tuple[list, str | None]:
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
     inst = search.SearchInstance(args.n)
@@ -120,14 +124,13 @@ def cmd_trajectory(args) -> int:
         bloch_point(search.grover_power(inst, q_total * t / total) @ inst.source_state),
     ])
     text = _table_text(args.format, ["t", "x_C", "y_C", "z_C", "x_G", "y_G", "z_G"], rows)
-    _write_outputs((args.out, text))
     start = bloch_point(inst.source_state)
     end = bloch_point(inst.target_state)
+    failure = None
     for row, ref in ((rows[0], start), (rows[-1], end)):
         if max(_max_abs(row[1:4] - ref), _max_abs(row[4:7] - ref)) > ENDPOINT_TOL:
-            print("trajectory endpoints deviate from the search states", file=sys.stderr)
-            return EXIT_CLAIM
-    return EXIT_OK
+            failure = "trajectory endpoints deviate from the search states"
+    return [(args.out, text)], failure
 
 
 def _equivalence_rows(n: int, samples: int) -> np.ndarray:
@@ -139,25 +142,20 @@ def _equivalence_rows(n: int, samples: int) -> np.ndarray:
     return np.column_stack([np.full(samples, n), t, params.q_t, params.beta, residual])
 
 
-def cmd_equivalence(args) -> int:
+def cmd_equivalence(args) -> tuple[list, str | None]:
     if not args.n_list:
         raise ValueError("N list is empty")
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
     rows = np.concatenate([_equivalence_rows(n, args.samples) for n in args.n_list])
     n_worst, t_worst, _, _, worst = rows[np.argmax(rows[:, 4])].tolist()
-    text = _table_text(
-        args.format,
-        ["N", "t", "Q_t", "beta", "residual"],
-        rows,
-        extra={"max_residual": worst, "limit": RESIDUAL_LIMIT},
-    )
-    _write_outputs((args.out, text))
+    text = _table_text(args.format, ["N", "t", "Q_t", "beta", "residual"], rows,
+                       extra={"max_residual": worst, "limit": RESIDUAL_LIMIT})
+    failure = None
     if not worst <= RESIDUAL_LIMIT:
-        print(f"equivalence residual {worst:.3e} above {RESIDUAL_LIMIT:.1e} "
-              f"at N={n_worst:.0f}, t={t_worst!r}", file=sys.stderr)
-        return EXIT_CLAIM
-    return EXIT_OK
+        failure = (f"equivalence residual {worst:.3e} above {RESIDUAL_LIMIT:.1e} "
+                   f"at N={n_worst:.0f}, t={t_worst!r}")
+    return [(args.out, text)], failure
 
 
 def _scan_problem(args):
@@ -172,7 +170,7 @@ def _scan_problem(args):
     return terms, total_time
 
 
-def cmd_trotter_scan(args) -> int:
+def cmd_trotter_scan(args) -> tuple[list, str | None]:
     if any(dt <= 0 for dt in args.dt_grid):
         raise ValueError("dt values must be positive")
     terms, total_time = _scan_problem(args)
@@ -181,7 +179,7 @@ def cmd_trotter_scan(args) -> int:
     step_counts = [max(1, round(total_time / dt)) for dt in args.dt_grid]
     for dt, steps in zip(args.dt_grid, step_counts):
         if steps > trotter.STEP_CAP:
-            raise ValueError(f"dt={dt:g} needs {steps} steps, above cap {trotter.STEP_CAP}")
+            raise ValueError(f"dt={dt:g} needs {steps:g} steps, above cap {trotter.STEP_CAP}")
     if len(set(step_counts)) < 4:
         raise ValueError(f"dt grid gives {len(set(step_counts))} distinct step counts; "
                          "the slope fit needs at least 4")
@@ -204,20 +202,15 @@ def cmd_trotter_scan(args) -> int:
     if commuting:
         extra["commuting"] = True
     text = _table_text(args.format, ["dt", "n", "error", "bound"], rows, extra=extra)
-    _write_outputs((args.out, text))
+    failure = None
     if commuting:
-        if max(row[2] for row in rows) <= COMMUTING_TOL:
-            return EXIT_OK
-        print(f"commuting split is off the exact evolution by over {COMMUTING_TOL:.0e}",
-              file=sys.stderr)
-        return EXIT_CLAIM
-    if any(row[2] > row[3] for row in rows):
-        print("measured error above the slack-2 commutator bound", file=sys.stderr)
-        return EXIT_CLAIM
-    if not (SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]):
-        print(f"fitted slope {slope:.3f} outside {SLOPE_WINDOW}", file=sys.stderr)
-        return EXIT_CLAIM
-    return EXIT_OK
+        if not max(row[2] for row in rows) <= COMMUTING_TOL:
+            failure = f"commuting split is off the exact evolution by over {COMMUTING_TOL:.0e}"
+    elif any(row[2] > row[3] for row in rows):
+        failure = "measured error above the slack-2 commutator bound"
+    elif not (SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]):
+        failure = f"fitted slope {slope:.3f} outside {SLOPE_WINDOW}"
+    return [(args.out, text)], failure
 
 
 def _chain(length: int, periodic: bool):
@@ -265,7 +258,7 @@ def _squaring_residual(term) -> float:
     return max(_max_abs(b @ b - 2.0 * b), _max_abs(d * d - 2.0 * d))
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[list, str | None]:
     graph, values, diagonal, expected_spectrum = _decompose_input(args)
     coloring = decompose.color_edges(graph)
     term_set = decompose.decompose(graph, values, diagonal, coloring)
@@ -280,27 +273,27 @@ def cmd_decompose(args) -> int:
         "edges": len(graph.edges),
         "max_degree": graph.max_degree,
         "color_count": coloring.color_count,
-        "bipartite": decompose.bipartition(graph) is not None,
+        "bipartite": coloring.bipartite,
         "terms": list(term_set.labels),
         "reconstruction_residual": reconstruction,
         "projector_squaring_residuals": squaring,
     }
-    ok = reconstruction <= 1e-12
+    failure = None
+    if not reconstruction <= RECONSTRUCTION_LIMIT:
+        failure = f"reconstruction residual {reconstruction:.3e} above {RECONSTRUCTION_LIMIT:.0e}"
     if expected_spectrum is not None:
         observed = np.sort(np.linalg.eigvalsh(term_set.total()))
         spectrum_err = float(np.max(np.abs(observed - expected_spectrum)))
         report["spectrum_residual"] = spectrum_err
-        ok = ok and spectrum_err <= 1e-10
-    report["pass"] = bool(ok)
+        if failure is None and not spectrum_err <= SPECTRUM_LIMIT:
+            failure = f"spectrum residual {spectrum_err:.3e} above {SPECTRUM_LIMIT:.0e}"
+    report["pass"] = failure is None
     terms = [(args.out, lambda p: trotter.save_term_set(p, term_set))] if args.out != "-" else []
-    _write_outputs(*terms, (args.report, _report_text(report)))
-    return EXIT_OK if ok else EXIT_CLAIM
+    return [*terms, (args.report, _report_text(report))], failure
 
 
-def cmd_grover(args) -> int:
+def cmd_grover(args) -> tuple[list, str | None]:
     expected = statevector.expected_peak_step(args.n)
-    # Every amplification plan, the one for --runs first, is built before
-    # the first write, so a bad run or trial count leaves no output.
     plans = []
     if args.runs is not None:
         plan = amplify.AmplificationPlan(1.0 / args.n, args.runs, args.trials, args.seed)
@@ -323,43 +316,30 @@ def cmd_grover(args) -> int:
         amp_rows = []
         for plan in plans:
             est = amplify.simulate_majority(plan)
-            amp_rows.append(
-                [
-                    plan.runs,
-                    amplify.majority_bound(plan.runs, n=args.n),
-                    amplify.majority_error_exact(plan.per_run_error, plan.runs),
-                    est.rate,
-                    est.ci_halfwidth,
-                ]
-            )
+            amp_rows.append([plan.runs, amplify.majority_bound(plan.runs, n=args.n),
+                             amplify.majority_error_exact(plan.per_run_error, plan.runs),
+                             est.rate, est.ci_halfwidth])
         amp_text = _table_text(args.format, ["R", "bound", "exact", "empirical", "ci95"], amp_rows)
         amp_out = args.amplification_out
         if amp_out is None:
             amp_out = "-" if args.out == "-" else args.out + ".amplification.csv"
         outputs.append((amp_out, amp_text))
-    _write_outputs(*outputs)
-
     # The allowance keeps round-off from failing N = 2, where the peak is
     # exactly 1 - 1/N = 1/2.
+    failure = None
     if curve[peak] < 1.0 - 1.0 / args.n - PEAK_ROUNDOFF:
-        print(f"peak probability {curve[peak]:.12f} below 1 - 1/N", file=sys.stderr)
-        return EXIT_CLAIM
-    return EXIT_OK
+        failure = f"peak probability {curve[peak]:.12f} below 1 - 1/N"
+    return outputs, failure
 
 
-def cmd_cost(args) -> int:
+def cmd_cost(args) -> tuple[list, str | None]:
     inst = search.SearchInstance(args.n)
     total_time = args.t if args.t is not None else inst.total_time
     split = search.search_split(inst)
     norm_e2 = trotter.commutator_error(split)
-    cm = amplify.CostModel(
-        total_time=total_time,
-        error_budget=args.eps,
-        database_size=args.n,
-        norm_e2=norm_e2,
-        step_cost=args.step_cost,
-        grover_step_cost=args.grover_step_cost,
-    )
+    cm = amplify.CostModel(total_time=total_time, error_budget=args.eps, database_size=args.n,
+                           norm_e2=norm_e2, step_cost=args.step_cost,
+                           grover_step_cost=args.grover_step_cost)
     tc = amplify.trotter_complexity(cm)
     gc = amplify.grover_complexity(cm)
     steps = max(1, int(np.ceil(tc.steps)))
@@ -390,8 +370,7 @@ def cmd_cost(args) -> int:
             "queries_per_grover_step": amplify.QUERIES_PER_GROVER_STEP,
         },
     }
-    _write_outputs((args.out, _report_text(report)))
-    return EXIT_OK
+    return [(args.out, _report_text(report))], None
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +491,11 @@ def main(argv=None) -> int:
             # Config tokens go first, so the command line's values win.
             tokens = _config_tokens(args.config, vars(args))
             args = parser.parse_args(argv[:1] + tokens + argv[1:])
-        return commands[args.command](args)
+        outputs, failure = commands[args.command](args)
+        _write_outputs(*outputs)
+        if failure is None:
+            return EXIT_OK
+        code, message = EXIT_CLAIM, failure
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     except ValueError as exc:

@@ -100,9 +100,11 @@ class InteractionGraph:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Color index per edge, aligned with graph.edges."""
+    """Color index per edge, aligned with graph.edges, and whether the
+    coloring pass found the graph bipartite."""
 
     colors: tuple
+    bipartite: bool
 
     def __post_init__(self) -> None:
         colors = tuple(int(c) for c in self.colors)
@@ -285,12 +287,10 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
 def color_edges(graph: InteractionGraph) -> EdgeColoring:
     """Proper edge coloring: max-degree colors on bipartite graphs,
     at most max-degree + 1 (Misra-Gries) otherwise."""
-    if bipartition(graph) is not None:
-        colors = _color_bipartite(graph)
-    else:
-        colors = _color_misra_gries(graph)
+    bipartite = bipartition(graph) is not None
+    colors = _color_bipartite(graph) if bipartite else _color_misra_gries(graph)
     _verify_proper(graph, colors)
-    return EdgeColoring(colors=tuple(colors))
+    return EdgeColoring(colors=tuple(colors), bipartite=bipartite)
 
 
 def graph_laplacian(graph: InteractionGraph):

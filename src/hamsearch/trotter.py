@@ -61,7 +61,7 @@ class BlockTerm:
             raise ValueError("block term needs (k, 2) pairs, (k, 2, 2) blocks and a (d,) diagonal")
         if sites.size and not (0 <= sites.min() and sites.max() < len(diagonal)):
             raise ValueError(f"block index outside dimension {len(diagonal)}")
-        if np.unique(sites).size != sites.size:
+        if np.any(np.bincount(sites, minlength=len(diagonal)) > 1):
             raise ValueError("block pairs must be disjoint")
         if np.any(diagonal[sites] != 0.0):
             raise ValueError("diagonal must vanish on sites covered by a block")

@@ -1,10 +1,16 @@
 # Majority-vote amplification (bound, exact tail, Monte Carlo) and the
 # cost accounting for both evolution routes.
 
+from fractions import Fraction
+from math import ceil
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamsearch.amplify import (
+    MAX_RUNS,
     AmplificationPlan,
     CostModel,
     asymptotic_runs,
@@ -35,10 +41,28 @@ class TestMajorityBound:
         assert want == pytest.approx(0.011230468750, abs=1e-12)
         assert majority_error_exact(p, 3) == pytest.approx(want, abs=1e-15)
 
-    def test_exact_tail_below_bound_on_power_grid(self):
-        for n in (4, 16, 64, 256, 1024, 4096):
-            for runs in range(1, 16, 2):
-                assert majority_error_exact(1.0 / n, runs) <= majority_bound(runs, n=n)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=3, max_value=4096), st.integers(min_value=0, max_value=49))
+    def test_exact_tail_below_bound(self, n, half):
+        runs = 2 * half + 1
+        assert majority_error_exact(1.0 / n, runs) <= majority_bound(runs, n=n)
+
+    def test_keeps_the_float_power_bytes(self):
+        # Wherever the float power N^ceil(R/2) is finite, the bound is the
+        # float quotient it always was, bit for bit.
+        for n in range(3, 4097):
+            for runs in range(1, 100, 2):
+                try:
+                    old = float(2 ** (runs - 1)) / float(n) ** ceil(runs / 2)
+                except OverflowError:
+                    continue
+                assert majority_bound(runs, n=n).hex() == old.hex()
+
+    @pytest.mark.parametrize("runs, n", [(221, 1024), (249, 1024), (199, 4096), (MAX_RUNS, 4096)])
+    def test_past_the_float_power(self, runs, n):
+        # N^ceil(R/2) overflows a float (a float power raised OverflowError);
+        # the bound is the correctly rounded quotient, 0.0 below the subnormals.
+        assert majority_bound(runs, n=n) == float(Fraction(2 ** (runs - 1), n ** ceil(runs / 2)))
 
     def test_rejects_even_runs(self):
         with pytest.raises(ValueError):
@@ -154,13 +178,21 @@ class TestRegisterWidth:
     def test_arithmetic_example(self):
         assert register_width(1000, 2, 1e-6) == 31
 
-    def test_doubling_steps_adds_one_bit(self):
-        rng = np.random.default_rng(51)
-        for _ in range(50):
-            steps = int(rng.integers(1, 10_000))
-            terms = int(rng.integers(1, 6))
-            eps = float(rng.uniform(1e-9, 0.5))
-            assert register_width(2 * steps, terms, eps) == register_width(steps, terms, eps) + 1
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=9_999), st.integers(min_value=1, max_value=5),
+           st.floats(min_value=1e-9, max_value=0.5))
+    @example(2, 2, 0.49999999999999994)  # float log2(16.000000000000004) rounds to 4.0
+    def test_doubling_steps_adds_one_bit(self, steps, terms, eps):
+        assert register_width(2 * steps, terms, eps) == register_width(steps, terms, eps) + 1
+
+    @pytest.mark.parametrize("steps, eps", [(10**300, 1e-300), (4 * 10**307, 1e-9)],
+                             ids=["quotient-inf", "int-too-large"])
+    def test_past_the_float_range(self, steps, eps):
+        # n l / eps is past the float range (the float quotient was inf, or
+        # its int-to-float conversion raised); b is still the smallest with
+        # n l / eps <= 2^b.
+        bits = register_width(steps, 2, eps)
+        assert 2 ** (bits - 1) < Fraction(2 * steps) / Fraction(eps) <= 2**bits
 
     def test_per_step_cost_scales_with_bits_cubed(self):
         assert per_step_cost(1024, 10) == pytest.approx(10.0 * 1000.0)

@@ -8,12 +8,13 @@ import resource
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hamsearch
-from hamsearch import cli
+from hamsearch import cli, decompose, trotter
 from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from hamsearch.decompose import honeycomb_lattice
 from hamsearch.trotter import load_term_set
@@ -32,6 +33,39 @@ OPTION_RUNS = {
     "grover": ["--n 16 --runs 3 --trials 10000 --seed 1 --measured-error "
                "--amplification-out {amp.csv}"],
     "cost": ["--n 16 --t 2 --step-cost 2 --grover-step-cost 3"],
+}
+
+
+def _scaled_scan_errors(monkeypatch):
+    # Every measured error times 1e3: the slope stays, the bound breaks.
+    scan = trotter.trotter_scan
+
+    def scaled(*args):
+        norm_e2, rows = scan(*args)
+        return norm_e2, [(dt, steps, 1e3 * error) for dt, steps, error in rows]
+
+    monkeypatch.setattr(trotter, "trotter_scan", scaled)
+
+
+# One invocation per claim branch, the settings that make it fail and the
+# words its stderr line must hold.
+CLAIM_FAILURES = {
+    "trajectory-endpoints": ("trajectory --n 4 --samples 3", {"ENDPOINT_TOL": -1.0},
+                             "trajectory endpoints deviate"),
+    "equivalence-residual": ("equivalence --n-list 4 --samples 3", {"RESIDUAL_LIMIT": -1.0},
+                             "above -1.0e+00 at N=4"),
+    "scan-commuting": ("trotter-scan --problem chain --length 2", {"COMMUTING_TOL": -1.0},
+                       "commuting split is off"),
+    "scan-bound": ("trotter-scan --problem search-split --n 16", _scaled_scan_errors,
+                   "above the slack-2 commutator bound"),
+    "scan-slope": ("trotter-scan --problem search-split --n 16", {"SLOPE_WINDOW": (5.0, 6.0)},
+                   "fitted slope"),
+    "decompose-reconstruction": ("decompose --lattice chain --length 5 --report {report.json}",
+                                 {"RECONSTRUCTION_LIMIT": -1.0},
+                                 "reconstruction residual 0.000e+00 above -1e+00"),
+    "decompose-spectrum": ("decompose --lattice ring --length 8 --report {report.json}",
+                           {"SPECTRUM_LIMIT": -1.0}, "spectrum residual"),
+    "grover-peak": ("grover --n 1024 --max-steps 3", {}, "peak probability"),
 }
 
 
@@ -189,6 +223,16 @@ class TestTrotterScan:
         assert "above cap 10000000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_cap_message_stays_short(self, tmp_path, capsys):
+        # The exact count round(1e300 / 0.2) had 301 digits.
+        out = tmp_path / "x.csv"
+        rc = main(["trotter-scan", "--problem", "search-split", "--n", "16", "--t", "1e300",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "hamsearch: dt=0.2 needs 5e+300 steps, above cap 10000000\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0.1,0.1,0.1,0.1", "0.2,0.1,0.1,0.05"])
     def test_needs_four_distinct_step_counts(self, tmp_path, capsys, grid):
         out = tmp_path / "x.csv"
@@ -290,6 +334,20 @@ class TestDecompose:
         peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
         assert peak_mib < 200.0
 
+    @pytest.mark.parametrize("lattice, bipartite", [("ring", True), ("chain", True),
+                                                    ("graph", False)])
+    def test_one_bipartition_per_run(self, tmp_path, capsys, monkeypatch, lattice, bipartite):
+        # The report's "bipartite" comes from the coloring pass.
+        calls = []
+        find = decompose.bipartition
+        monkeypatch.setattr(decompose, "bipartition", lambda g: calls.append(g) or find(g))
+        gpath = tmp_path / "graph.json"
+        save_graph(gpath, decompose.InteractionGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))))
+        source = ["--graph", str(gpath)] if lattice == "graph" else ["--lattice", lattice]
+        assert main(["decompose", *source, "--out", str(tmp_path / "t.json")]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["bipartite"] is bipartite
+        assert len(calls) == 1
+
     def test_rejects_degenerate_ring(self, tmp_path):
         rc = main(["decompose", "--lattice", "ring", "--length", "2", "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_VALIDATION
@@ -341,6 +399,16 @@ class TestGrover:
         assert rc == EXIT_VALIDATION
         assert not list(tmp_path.iterdir())
 
+    def test_bound_past_the_float_power(self, tmp_path, capsys):
+        # 1024^111 overflows a float: the power raised OverflowError, a
+        # traceback and exit 1. The bound is 2^220 / 2^1110 = 2^-890.
+        out = tmp_path / "x.csv"
+        rc = main(["grover", "--n", "1024", "--runs", "221", "--trials", "10000",
+                   "--out", str(out)])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        _, rows = _read_rows(tmp_path / "x.csv.amplification.csv")
+        assert rows[-1][:2] == [221.0, 2.0**-890]
+
     def test_two_items_meet_the_bound(self, tmp_path, capsys):
         # At N = 2 every step leaves the success probability at 1/2 = 1 - 1/N,
         # so only round-off separates the peak from the bound.
@@ -391,6 +459,29 @@ class TestCost:
         assert "not finite" in err
         assert not out.exists()
 
+    def test_runs_past_the_float_power(self, tmp_path, capsys):
+        # eps = 1e-300 needs R = 249 <= MAX_RUNS runs; the bound's float power
+        # 1024^125 overflowed on the way (a traceback and exit 1), and so did
+        # the register width's n l / eps.
+        out = tmp_path / "cost.json"
+        assert main(["cost", "--n", "1024", "--eps", "1e-300", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert doc["grover"]["runs"] == 249
+        assert 2 ** (doc["b"] - 1) < Fraction(doc["n"] * 2) / Fraction(1e-300) <= 2 ** doc["b"]
+
+    @pytest.mark.parametrize("flag, cost", [("--step-cost", "Trotter cost"),
+                                            ("--grover-step-cost", "Grover cost")])
+    def test_cost_must_be_finite(self, tmp_path, capsys, flag, cost):
+        # The product overflowed with a numpy RuntimeWarning, and the JSON
+        # writer's message named neither the option nor the cost.
+        out = tmp_path / "x.json"
+        assert main(["cost", "--n", "1024", flag, "1e308", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"hamsearch: {cost} (") and err.count("\n") == 1
+        assert "step cost 1e+308) is not finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--step-cost", "0"), ("--t", "1e-200")])
     def test_zero_trotter_cost_gives_a_null_ratio(self, tmp_path, flag, value):
         # A zero step cost, or t^2 underflowing to 0, makes the Trotter cost
@@ -403,6 +494,28 @@ class TestCost:
         doc = json.loads(out.read_text(), parse_constant=reject)
         assert doc["cost"]["trotter"] == 0.0
         assert doc["cost"]["ratio_grover_over_trotter"] is None
+
+
+class TestClaimFailures:
+    @pytest.mark.parametrize("name", list(CLAIM_FAILURES))
+    def test_writes_outputs_and_names_the_claim(self, tmp_path, capsys, monkeypatch, name):
+        # A failed claim still writes every output, exits 3 and says which
+        # claim failed on one prefixed stderr line.
+        command, setting, words = CLAIM_FAILURES[name]
+        if callable(setting):
+            setting(monkeypatch)
+        else:
+            for constant, value in setting.items():
+                monkeypatch.setattr(cli, constant, value)
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in command.split()]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_CLAIM
+        err = capsys.readouterr().err
+        assert err.startswith("hamsearch: ") and err.count("\n") == 1
+        assert words in err
+        assert out.stat().st_size > 0
+        if command.startswith("decompose"):
+            assert json.loads((tmp_path / "report.json").read_text())["pass"] is False
 
 
 class TestPlumbing:
@@ -503,7 +616,8 @@ class TestPlumbing:
                                      namespace=Recorder())
             options |= set(vars(args)) - {"command", "config"}
             reads.clear()
-            assert commands[command](args) == EXIT_OK
+            _, failure = commands[command](args)
+            assert failure is None
             read |= reads
         capsys.readouterr()
         assert sorted(options - read) == []

@@ -146,6 +146,7 @@ class TestColorEdges:
         coloring = color_edges(g)
         _assert_proper(g, coloring)
         assert coloring.color_count <= g.max_degree + 1
+        assert coloring.bipartite is (bipartition(g) is not None)
         if bipartition(g) is not None:
             assert coloring.color_count == g.max_degree
 
@@ -390,4 +391,4 @@ class TestGraphJson:
 class TestEdgeColoringType:
     def test_rejects_negative_colors(self):
         with pytest.raises(ValueError):
-            EdgeColoring(colors=(-1,))
+            EdgeColoring(colors=(-1,), bipartite=False)
