@@ -9,12 +9,19 @@
 #
 # Randomness contract: Monte Carlo uses numpy's Philox counter-based
 # generator keyed on (seed, shard); the same seed reproduces the same
-# stream on any platform, and shard tallies merge by summation.
+# stream on any platform, and shard tallies merge by summation. The count
+# is the one numpy's Generator.binomial(R, p) would give on that stream.
+# Up to R p = 30 numpy draws a binomial by inversion, which reads one Philox
+# word per trial and fails the majority iff the word is at or above a
+# cutoff; the cutoff is found once per plan by replaying numpy's inversion
+# loop, and each trial is then one word compared with it. Above R p = 30
+# numpy switches to BTPE, and the draw still goes through Generator.binomial.
+# tests/test_amplify.py pins the count to numpy's own sampler.
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, isfinite, log, log2, sqrt
+from math import ceil, comb, exp, isfinite, log, log1p, log2, sqrt
 
 import numpy as np
 
@@ -39,6 +46,10 @@ __all__ = [
 
 Z_95 = 1.959963984540054
 SHARD_SIZE = 1 << 18
+# numpy's next_double is (word >> 11) 2^-53: a grid of 2^53 values in [0, 1).
+DOUBLE_GRID = 1 << 53
+# numpy draws binomial(R, p <= 1/2) by inversion up to R p = 30, by BTPE above.
+INVERSION_LIMIT = 30.0
 MAX_RUNS = 399
 # Binary-query accounting: two queries per small-step term pair, one per
 # reflection step.
@@ -118,26 +129,89 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _inversion_cutoffs(runs: int, p: float) -> tuple[int, int]:
+    """Grid cutoffs of numpy's binomial inversion for R p <= 30, p <= 1/2.
+
+    A trial draws U = m 2^-53 and walks X up the pmf: while U > px, X += 1,
+    U -= px and px steps to the next pmf term, in the float operations of
+    numpy's random_binomial_inversion. Each step is monotone in m, so the
+    draws that reach X = k are the grid points from some m on. Returns
+    (fail, restart): the first m that reaches ceil(R/2) and the first that
+    passes numpy's bound, where numpy draws again. DOUBLE_GRID means never.
+    """
+    q = 1.0 - p
+    qn = exp(runs * log1p(-p))
+    mean = runs * p
+    bound = int(min(runs, mean + 10.0 * sqrt(mean * q + 1)))
+
+    def reaches(m: int, k: int) -> bool:
+        u, px = m / DOUBLE_GRID, qn
+        for x in range(1, k + 1):
+            if not u > px:
+                return False
+            u -= px
+            px = ((runs - x + 1) * p * px) / (x * q)
+        return True
+
+    def first_reaching(k: int) -> int:
+        lo, hi = 0, DOUBLE_GRID
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reaches(mid, k):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    threshold = ceil(runs / 2)
+    # A walk past the bound is drawn again, so X never reaches a threshold above it.
+    fail = first_reaching(threshold) if threshold <= bound else DOUBLE_GRID
+    return fail, first_reaching(bound + 1)
+
+
+def _count_inversion_failures(bitgen: np.random.Philox, count: int,
+                              fail: int, restart: int) -> int:
+    """Failures among ``count`` inversion trials: words at or above the fail
+    cutoff, with words past the restart cutoff dropped and drawn again from
+    the same stream, as numpy does."""
+    fail_word = np.uint64(fail << 11)
+    restart_word = np.uint64(restart << 11) if restart < DOUBLE_GRID else None
+    failures = 0
+    while count:
+        raw = bitgen.random_raw(count)
+        failures += int(np.count_nonzero(raw >= fail_word))
+        count = int(np.count_nonzero(raw >= restart_word)) if restart_word is not None else 0
+        failures -= count
+    return failures
+
+
 def simulate_majority(plan: AmplificationPlan) -> MajorityEstimate:
     """Monte Carlo estimate of the majority failure rate.
 
     Trials are processed in shards of SHARD_SIZE; shard ``i`` draws from
     Philox(key=(seed, i)), so the result is independent of how shards are
-    scheduled and reproducible from the seed alone.
+    scheduled and reproducible from the seed alone. Each shard's count is
+    the one Generator.binomial(R, p) gives on its stream. Up to R p = 30 a
+    trial is one Philox word compared with a cutoff replayed from numpy's
+    binomial inversion, and a plan whose cutoff no word can reach (p = 0, or
+    R >= 7 at p = 2^-19) draws nothing; above R p = 30 (numpy's BTPE) the
+    shard goes through Generator.binomial.
     """
-    threshold = ceil(plan.runs / 2)
+    runs, p = plan.runs, plan.per_run_error
+    inversion = runs * p <= INVERSION_LIMIT
+    if inversion:
+        fail, restart = _inversion_cutoffs(runs, p)
     failures = 0
-    done = 0
-    shard = 0
-    while done < plan.trials:
+    for shard, done in enumerate(range(0, plan.trials, SHARD_SIZE)):
+        if inversion and fail == DOUBLE_GRID:
+            break  # no word fails; a shard's stream is its own, so skipping shifts none
         count = min(SHARD_SIZE, plan.trials - done)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([plan.seed, shard], dtype=np.uint64))
-        )
-        wrong = rng.binomial(plan.runs, plan.per_run_error, size=count)
-        failures += int(np.count_nonzero(wrong >= threshold))
-        done += count
-        shard += 1
+        bitgen = np.random.Philox(key=np.array([plan.seed, shard], dtype=np.uint64))
+        if inversion:
+            failures += _count_inversion_failures(bitgen, count, fail, restart)
+        else:
+            wrong = np.random.Generator(bitgen).binomial(runs, p, size=count)
+            failures += int(np.count_nonzero(wrong >= ceil(runs / 2)))
     low, high = wilson_interval(failures, plan.trials)
     return MajorityEstimate(
         rate=failures / plan.trials,

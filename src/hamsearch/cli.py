@@ -303,7 +303,8 @@ def cmd_grover(args) -> tuple[list, str | None]:
     rows = [[k, p] for k, p in enumerate(curve)]
     peak = statevector.peak_step(curve)
     if args.measured_error:
-        per_run = max(0.0, 1.0 - float(curve[peak]))
+        # Clipped into [0, 1/2]: at N = 2 the peak reads 1/2 less one rounding.
+        per_run = min(0.5, max(0.0, 1.0 - float(curve[peak])))
         plans = [replace(plan, per_run_error=per_run) for plan in plans]
     extra = {
         "peak_step": peak,
@@ -361,7 +362,9 @@ def cmd_cost(args) -> tuple[list, str | None]:
         "cost": {
             "trotter": tc.cost,
             "grover": gc.cost,
-            "ratio_grover_over_trotter": gc.cost / tc.cost if tc.cost > 0 else None,
+            "ratio_grover_over_trotter": amplify._finite(
+                f"cost ratio Grover/Trotter at step cost {cm.step_cost:g}", gc.cost / tc.cost)
+            if tc.cost > 0 else None,
         },
         "grover": {"q_steps": gc.q_steps, "runs": gc.runs, "runs_formula": gc.runs_formula},
         "queries": {"trotter": tc.queries, "grover": gc.queries},

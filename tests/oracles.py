@@ -1,14 +1,19 @@
 # Reference constructions shared by several test modules: the dense graph
 # Laplacian, the two-projector search split of a given database size, Haar
 # random unitaries, the graph JSON writer, the Rodrigues rotation of the
-# Bloch sphere, the product-formula error scan on dense d x d matrices, and
-# the term-set document as json.dump writes it.
+# Bloch sphere, the product-formula error scan on dense d x d matrices, the
+# term-set document as json.dump writes it, and the majority Monte Carlo and
+# single binomial draws as numpy's Generator.binomial makes them.
 
+import ctypes
 import json
+import threading
 from functools import reduce
+from math import ceil
 
 import numpy as np
 
+from hamsearch.amplify import SHARD_SIZE
 from hamsearch.search import SearchInstance, search_split
 
 
@@ -95,3 +100,60 @@ def term_set_json(terms):
                    for r, c, v in zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist())]
         doc_terms.append({"label": label, "entries": entries})
     return json.dumps({"dimension": terms.dimension, "terms": doc_terms}, indent=1) + "\n"
+
+
+def binomial_majority_failures(plan):
+    # Majority failures of an AmplificationPlan, one Generator.binomial(R, p)
+    # draw per trial from shard i's Philox(key=(seed, i)) stream.
+    failures = 0
+    for shard, done in enumerate(range(0, plan.trials, SHARD_SIZE)):
+        count = min(SHARD_SIZE, plan.trials - done)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([plan.seed, shard], dtype=np.uint64)))
+        wrong = rng.binomial(plan.runs, plan.per_run_error, size=count)
+        failures += int(np.count_nonzero(wrong >= ceil(plan.runs / 2)))
+    return failures
+
+
+_NEXT_U64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT_U32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _BitgenT(ctypes.Structure):
+    # numpy's bitgen_t: the state pointer and the four draw functions.
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", _NEXT_U64),
+                ("next_uint32", _NEXT_U32), ("next_double", _NEXT_DOUBLE),
+                ("next_raw", _NEXT_U64)]
+
+
+class ScriptedDoubles:
+    # A bit generator for np.random.Generator whose next_double returns the
+    # given values in turn; `used` counts the values drawn. Generator needs
+    # only a "BitGenerator" capsule around a bitgen_t and a lock.
+    def __init__(self, values):
+        self.values, self.used = list(values), 0
+
+        def next_double(_):
+            self.used += 1
+            return self.values[self.used - 1]
+
+        def unscripted(_):
+            raise AssertionError("only next_double is scripted")
+
+        self._fns = (_NEXT_U64(unscripted), _NEXT_U32(unscripted),
+                     _NEXT_DOUBLE(next_double), _NEXT_U64(unscripted))
+        self._bitgen = _BitgenT(None, *self._fns)
+        new = ctypes.pythonapi.PyCapsule_New
+        new.restype = ctypes.py_object
+        new.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p]
+        self.capsule = new(ctypes.addressof(self._bitgen), b"BitGenerator", None)
+        self.lock = threading.Lock()
+
+
+def binomial_draw(runs, p, u):
+    # (X, draws): numpy's Generator.binomial(runs, p) when next_double gives
+    # u and then 0.0, which ends any redraw at X = 0.
+    bitgen = ScriptedDoubles([u, 0.0])
+    x = int(np.random.Generator(bitgen).binomial(runs, p))
+    return x, bitgen.used

@@ -6,10 +6,12 @@ from math import ceil
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hamsearch import amplify
 from hamsearch.amplify import (
+    DOUBLE_GRID,
     MAX_RUNS,
     AmplificationPlan,
     CostModel,
@@ -25,6 +27,13 @@ from hamsearch.amplify import (
     trotter_complexity,
     wilson_interval,
 )
+from oracles import binomial_draw, binomial_majority_failures
+
+# 61 p is exactly 30 at P_AT_30, the last p numpy draws by inversion at
+# R = 61; from the next float up it draws by BTPE.
+P_AT_30 = 30 / 61
+P_PAST_30 = float(np.nextafter(P_AT_30, 1.0))
+odd_runs = st.integers(min_value=0, max_value=99).map(lambda h: 2 * h + 1)
 
 
 class TestMajorityBound:
@@ -113,6 +122,74 @@ class TestSimulateMajority:
             AmplificationPlan(0.6, 3, 10_000)
         with pytest.raises(ValueError):
             AmplificationPlan(0.1, 2, 10_000)
+
+    def test_pinned_plans_straddle_the_btpe_switch(self):
+        assert 61 * P_AT_30 == 30.0 < 61 * P_PAST_30
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=0.5), odd_runs,
+           st.integers(min_value=10_000, max_value=600_000),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @example(0.0, 5, 10_000, 0)
+    @example(0.5, 9, 10_000, 0)
+    @example(1 / 16, 3, 600_000, 2)
+    @example(P_AT_30, 61, 100_000, 3)  # inversion
+    @example(P_PAST_30, 61, 100_000, 3)  # BTPE
+    @example(2**-19, 21, 10_000, 4)  # ceil(R/2) above numpy's bound: never fails
+    @example(2**-19, 41, 10_000, 4)
+    @example(2**-19, 1, 4_000_000, 5)  # the benchmark's table
+    @example(2**-19, 3, 4_000_000, 5)
+    @example(2**-19, 5, 4_000_000, 5)
+    @example(2**-19, 7, 4_000_000, 5)
+    @example(2**-19, 9, 4_000_000, 5)
+    def test_counts_what_binomial_draws(self, p, runs, trials, seed):
+        # The stream contract: the failure count is the one numpy's
+        # Generator.binomial gives on the same Philox streams.
+        plan = AmplificationPlan(p, runs, trials, seed)
+        assert simulate_majority(plan).failures == binomial_majority_failures(plan)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True), odd_runs)
+    @example(2**-19, 1)
+    @example(1 / 16, 3)
+    @example(0.5, 9)
+    @example(P_AT_30, 61)
+    @example(0.01, 119)  # redraws from 2^53 - 928 on
+    def test_cutoffs_are_the_inversion_boundaries(self, p, runs):
+        # numpy's own sampler, given U = m 2^-53 at the cutoffs and one grid
+        # step below them, fails the majority from `fail` on and draws
+        # again from `restart` on. A random stream would miss a cutoff off
+        # by a few grid steps; these draws do not.
+        assume(runs * p <= amplify.INVERSION_LIMIT)
+        fail, restart = amplify._inversion_cutoffs(runs, p)
+        assert fail <= restart or fail == DOUBLE_GRID  # redraws come out of the failures
+        for m in {0, fail - 1, fail, restart - 1, restart, DOUBLE_GRID - 1}:
+            if not 0 <= m < DOUBLE_GRID:
+                continue
+            x, draws = binomial_draw(runs, p, m / DOUBLE_GRID)
+            assert draws == (2 if m >= restart else 1), m
+            if draws == 1:
+                assert (x >= ceil(runs / 2)) == (m >= fail), m
+
+    def test_unreachable_cutoff_draws_nothing(self, monkeypatch):
+        # At p = 2^-19 no double reaches 4 failures out of 7: no Philox is
+        # made and no word drawn. At R = 5 every trial reads one word.
+        made, draws = [], []
+
+        class CountingPhilox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+            def random_raw(self, size=None, output=True):
+                draws.append(size)
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        assert simulate_majority(AmplificationPlan(2**-19, 7, 600_000, seed=1)).failures == 0
+        assert made == draws == []
+        simulate_majority(AmplificationPlan(2**-19, 5, 600_000, seed=1))
+        assert len(made) == 3 and sum(draws) == 600_000
 
 
 class TestWilsonInterval:

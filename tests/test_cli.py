@@ -418,6 +418,17 @@ class TestGrover:
         assert footer["peak_probability"] == pytest.approx(0.5, abs=1e-12)
         assert footer["bound"] == 0.5
 
+    def test_two_items_measured_error_is_a_valid_rate(self, tmp_path, capsys):
+        # The N = 2 peak reads 1/2 less one rounding, so 1 - peak lies just
+        # above 1/2; the measured per-run error is clipped back to 1/2.
+        out = tmp_path / "x.csv"
+        rc = main(["grover", "--n", "2", "--runs", "3", "--trials", "10000",
+                   "--measured-error", "--out", str(out)])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        header, rows = _read_rows(tmp_path / "x.csv.amplification.csv")
+        assert header == ["R", "bound", "exact", "empirical", "ci95"]
+        assert [row[:3] for row in rows] == [[1.0, 0.5, 0.5], [3.0, 1.0, 0.5]]
+
 
 class TestCost:
     def test_report_contents(self, tmp_path):
@@ -482,6 +493,16 @@ class TestCost:
         assert "step cost 1e+308) is not finite" in err
         assert not out.exists()
 
+    def test_ratio_must_be_finite(self, tmp_path, capsys):
+        # A subnormal step cost leaves the Trotter cost tiny but nonzero, and
+        # the ratio overflowed into the JSON writer's message.
+        out = tmp_path / "x.json"
+        assert main(["cost", "--n", "1024", "--step-cost", "5e-324",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "hamsearch: cost ratio Grover/Trotter at step cost 4.94066e-324 is not finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--step-cost", "0"), ("--t", "1e-200")])
     def test_zero_trotter_cost_gives_a_null_ratio(self, tmp_path, flag, value):
         # A zero step cost, or t^2 underflowing to 0, makes the Trotter cost
@@ -544,6 +565,7 @@ class TestPlumbing:
         ("grover --n 1", EXIT_VALIDATION),
         ("grover --max-steps 0", EXIT_VALIDATION),
         ("grover --n 64 --target 64", EXIT_VALIDATION),
+        ("cost --n 1024 --step-cost 5e-324", EXIT_VALIDATION),
         ("decompose --graph {malformed.json}", EXIT_VALIDATION),
         ("equivalence --config {utf16.cfg}", EXIT_VALIDATION),
         ("decompose --graph {missing.json}", EXIT_IO),
