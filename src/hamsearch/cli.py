@@ -40,12 +40,27 @@ COMMUTING_TOL = 1e-12
 PEAK_ROUNDOFF = 1e-12
 
 
+def _first_repeat(values: list) -> int | None:
+    # Index of the first value equal to an earlier one: a repeated output row.
+    seen = set()
+    for k, value in enumerate(values):
+        if value in seen:
+            return k
+        seen.add(value)
+    return None
+
+
 def int_list(text: str) -> list:
     # Argparse types for lists such as "4,16,64"; argparse names them in errors.
-    return [int(part) for part in text.split(",") if part.strip()]
+    values = [int(part) for part in text.split(",") if part.strip()]
+    k = _first_repeat(values)
+    if k is not None:
+        raise argparse.ArgumentTypeError(f"repeated value {values[k]}")
+    return values
 
 
 def float_list(text: str) -> list:
+    # A dt grid's repeats are its repeated step counts, checked by the scan.
     return [float(part) for part in text.split(",") if part.strip()]
 
 
@@ -183,6 +198,10 @@ def cmd_trotter_scan(args) -> tuple[list, str | None]:
     if len(set(step_counts)) < 4:
         raise ValueError(f"dt grid gives {len(set(step_counts))} distinct step counts; "
                          "the slope fit needs at least 4")
+    k = _first_repeat(step_counts)
+    if k is not None:
+        raise ValueError(f"dt={args.dt_grid[k]:g} repeats the step count {step_counts[k]} of an "
+                         "earlier dt; the grid needs distinct step counts")
     norm_e2, scan = trotter.trotter_scan(terms, total_time, step_counts)
     # A commuting split is exact at every dt, as in trotter.plan_for_budget:
     # its errors are round-off and there is no slope to fit.

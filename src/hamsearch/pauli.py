@@ -1,8 +1,11 @@
 # Two-level (2x2) operator layer: Pauli decomposition, axis-angle rotations,
 # Bloch-sphere geometry, and the phase-aligned distance between unitaries.
+# Operators are plain (..., 2, 2) complex arrays.
 #
 # Conventions:
-# - Basis {I, s1, s2, s3} with the standard Pauli matrices.
+# - Basis {I, s1, s2, s3} with the standard Pauli matrices; pauli_decompose
+#   gives the coefficients (a0, a1, a2, a3) of M = a0*I + a.sigma as a (4,)
+#   complex array, real exactly when M is Hermitian.
 # - rotation_unitary(n, theta) = exp(-i (theta/2) n.sigma); on the Bloch
 #   sphere this is a right-handed rotation by theta about the unit axis n.
 # - Distances between unitaries use the spectral norm, minimized over a
@@ -16,14 +19,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SIGMA",
     "IDENTITY2",
-    "PauliVector",
     "pauli_decompose",
     "rotation_unitary",
     "phase_aligned_distance",
@@ -36,56 +36,20 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class PauliVector:
-    """Coefficients (a0, a1, a2, a3) of a 2x2 operator over {I, s1, s2, s3}.
-
-    Coefficients are complex in general; they are all real exactly when the
-    operator is Hermitian.
-    """
-
-    a0: complex
-    a: np.ndarray  # shape (3,), complex
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.a, dtype=complex)
-        if vec.shape != (3,):
-            raise ValueError("Pauli coefficient vector must have shape (3,)")
-        object.__setattr__(self, "a0", complex(self.a0))
-        object.__setattr__(self, "a", _readonly(vec))
-
-    def coefficients(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a0, self.a[0], self.a[1], self.a[2])
-
-    def matrix(self) -> np.ndarray:
-        """Reconstruct a0*I + a.sigma."""
-        m = self.a0 * IDENTITY2.copy()
-        for k in range(3):
-            m += self.a[k] * SIGMA[k]
-        return m
-
-
 AXIS_TOL = 1e-10
 
 
-def pauli_decompose(m: np.ndarray) -> PauliVector:
-    """Invert M = a0*I + a.sigma:  a0 = tr(M)/2, a_k = tr(s_k M)/2."""
+def pauli_decompose(m: np.ndarray) -> np.ndarray:
+    """Coefficients (a0, a1, a2, a3) of M = a0*I + a.sigma, as a (4,) complex array.
+
+    a0 = tr(M)/2 and a_k = tr(s_k M)/2; all four are real exactly when M is
+    Hermitian.
+    """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("pauli_decompose expects a 2x2 matrix")
-    a0 = 0.5 * (m[0, 0] + m[1, 1])
-    a1 = 0.5 * (m[0, 1] + m[1, 0])
-    a2 = 0.5j * (m[0, 1] - m[1, 0])
-    a3 = 0.5 * (m[0, 0] - m[1, 1])
-    return PauliVector(a0, np.array([a1, a2, a3]))
+    return 0.5 * np.array([m[0, 0] + m[1, 1], m[0, 1] + m[1, 0],
+                           1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
 
 
 def rotation_unitary(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:

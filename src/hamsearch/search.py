@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (
-    IDENTITY2,
-    SIGMA,
-    PauliVector,
-    phase_aligned_distance,
-    rotation_unitary,
-)
+from .pauli import phase_aligned_distance, rotation_unitary
 from .trotter import HermitianTermSet
 
 __all__ = [
@@ -32,11 +26,8 @@ __all__ = [
     "EquivalenceParams",
     "GROVER_AXIS",
     "continuous_axis",
-    "hamiltonian_continuous",
     "search_split",
     "evolve_continuous",
-    "grover_step",
-    "grover_hamiltonian",
     "step_params",
     "grover_power",
     "equivalence_params",
@@ -112,12 +103,6 @@ def continuous_axis(inst: SearchInstance) -> np.ndarray:
     return np.array([np.sqrt(1.0 - s * s), 0.0, s])
 
 
-def hamiltonian_continuous(inst: SearchInstance) -> PauliVector:
-    """H = |s><s| + |t><t| = I + (sqrt(N-1)/N) s1 + (1/N) s3."""
-    n = inst.n
-    return PauliVector(1.0, np.array([np.sqrt(n - 1.0) / n, 0.0, 1.0 / n]))
-
-
 def search_split(inst: SearchInstance) -> HermitianTermSet:
     """H = |s><s| + |t><t| split into its two projectors."""
     s, t = inst.source_state, inst.target_state
@@ -136,18 +121,6 @@ def evolve_continuous(inst: SearchInstance, t: float | np.ndarray) -> np.ndarray
         raise ValueError(f"evolution time must be nonnegative (t={float(np.min(t))!r})")
     angle = 2.0 * t / np.sqrt(inst.n)
     return rotation_unitary(continuous_axis(inst), angle)
-
-
-def grover_step(inst: SearchInstance) -> np.ndarray:
-    """U = -(1 - 2|s><s|)(1 - 2|t><t|) = (1 - 2/N) I + 2i (sqrt(N-1)/N) s2."""
-    n = inst.n
-    return (1.0 - 2.0 / n) * IDENTITY2 + 2j * (np.sqrt(n - 1.0) / n) * SIGMA[1]
-
-
-def grover_hamiltonian(inst: SearchInstance) -> PauliVector:
-    """Generator of the Grover step: i[|t><t|, |s><s|] = -(sqrt(N-1)/N) s2."""
-    n = inst.n
-    return PauliVector(0.0, np.array([0.0, -np.sqrt(n - 1.0) / n, 0.0]))
 
 
 def step_params(inst: SearchInstance) -> GroverStepParams:

@@ -37,6 +37,9 @@ __all__ = [
 
 # Most steps plan_for_budget will plan; also trotter-scan's cap.
 STEP_CAP = 10_000_000
+# Largest d of a dense d x d block term (256 MiB): the open-chain and odd-ring
+# scans and the ring spectrum stop here with a ValueError, not a MemoryError.
+MAX_DENSE_DIMENSION = 4096
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,10 @@ class BlockTerm:
         return rows, cols, values
 
     def dense(self) -> np.ndarray:
-        h = np.zeros((self.dimension,) * 2, dtype=complex)
+        d = self.dimension
+        if d > MAX_DENSE_DIMENSION:
+            raise ValueError(f"dense term of d={d} exceeds the cap {MAX_DENSE_DIMENSION}")
+        h = np.zeros((d, d), dtype=complex)
         rows, cols, values = self.entries()
         h[rows, cols] = values
         return h

@@ -1,9 +1,10 @@
-# Reference constructions shared by several test modules: the dense graph
-# Laplacian, the two-projector search split of a given database size, Haar
-# random unitaries, the graph JSON writer, the Rodrigues rotation of the
-# Bloch sphere, the product-formula error scan on dense d x d matrices, the
-# term-set document as json.dump writes it, and the majority Monte Carlo and
-# single binomial draws as numpy's Generator.binomial makes them.
+# Reference constructions shared by several test modules: the hypothesis
+# strategy for numpy seeds, the dense graph Laplacian, the two-projector
+# search split of a given database size, Haar random unitaries, the graph
+# JSON writer, the Rodrigues rotation of the Bloch sphere, the
+# product-formula error scan on dense d x d matrices, the term-set document
+# as json.dump writes it, and the majority Monte Carlo and single binomial
+# draws as numpy's Generator.binomial makes them.
 
 import ctypes
 import json
@@ -12,9 +13,14 @@ from functools import reduce
 from math import ceil
 
 import numpy as np
+from hypothesis import strategies as st
 
 from hamsearch.amplify import SHARD_SIZE
 from hamsearch.search import SearchInstance, search_split
+
+# Seeds for np.random.default_rng, so that a property test draws its arrays
+# from numpy while hypothesis picks, shrinks and replays the seed.
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def laplacian_matrix(graph, diagonal=None):

@@ -2,11 +2,13 @@
 # formats, determinism, and config/flag precedence.
 
 import argparse
+import importlib.util
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -560,7 +562,11 @@ class TestPlumbing:
     @pytest.mark.parametrize("command, code", [
         ("equivalence --n-list 1,4", EXIT_VALIDATION),
         ("equivalence --n-list 4,x", EXIT_VALIDATION),
+        ("equivalence --n-list 4,4", EXIT_VALIDATION),
         ("trotter-scan --dt-grid 0.1,0.2,x,0.3", EXIT_VALIDATION),
+        ("trotter-scan --dt-grid 0.2,0.2,0.1,0.05,0.025", EXIT_VALIDATION),
+        ("trotter-scan --problem chain --length 4097", EXIT_VALIDATION),
+        ("decompose --lattice ring --length 4098", EXIT_VALIDATION),
         ("trotter-scan --problem chain --length 1", EXIT_VALIDATION),
         ("grover --n 1", EXIT_VALIDATION),
         ("grover --max-steps 0", EXIT_VALIDATION),
@@ -616,6 +622,64 @@ class TestPlumbing:
         for argv in ([flag, value], ["--config", str(cfg)]):
             assert main([command, *argv]) == EXIT_VALIDATION
             assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("equivalence", "n_list", "16,4,16", "argument --n-list: repeated value 16"),
+        ("trotter-scan", "dt_grid", "0.2,0.2,0.1,0.05,0.025",
+         "dt=0.2 repeats the step count 31 of an earlier dt; the grid needs distinct step counts"),
+        ("trotter-scan", "dt_grid", "0.2,0.1,0.0999,0.05,0.025",
+         "dt=0.0999 repeats the step count 63 of an earlier dt; the grid needs distinct step "
+         "counts")], ids=["n-list", "dt-grid", "dt-grid-rounding"])
+    def test_repeated_grid_value_is_named(self, tmp_path, capsys, command, option, value,
+                                          message):
+        # A repeated value would repeat output rows; for a dt grid that is a
+        # repeated step count. A flag and a config line fail alike.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        for argv in (["--" + option.replace("_", "-"), value], ["--config", str(cfg)]):
+            assert main([command, *argv]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"hamsearch: {message}\n"
+
+    @pytest.mark.parametrize("argv, d", [
+        ("decompose --lattice ring --length 4098", 4098),
+        ("trotter-scan --problem chain --length 4097", 4097),
+        ("trotter-scan --problem chain --length 4099 --periodic", 4099)])
+    def test_dense_cap_stops_before_allocating(self, capsys, argv, d):
+        # Each of these needs a dense d x d term (256 MiB and up); the cap
+        # is checked before any of it is allocated.
+        tracemalloc.start()
+        try:
+            rc = main(argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_VALIDATION
+        cap = trotter.MAX_DENSE_DIMENSION
+        assert capsys.readouterr().err == f"hamsearch: dense term of d={d} exceeds the cap {cap}\n"
+        assert peak < 16 * 2**20
+
+    def test_traced_names_resolve_after_the_cli_import(self):
+        # The benchmark's traced mode imports hamsearch.cli alone and then
+        # wraps each name of perfbench/tracing.py's TRACED found in
+        # sys.modules["hamsearch.<module>"]; every one must be there.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        names = [f"{module}.{fn}" for module, fns in tracing.TRACED.items() for fn in fns]
+        probe = ("import sys, hamsearch.cli\n"
+                 "for name in sys.argv[1:]:\n"
+                 "    module, fn = name.split('.')\n"
+                 "    module = sys.modules.get('hamsearch.' + module)\n"
+                 "    if not callable(getattr(module, fn, None)):\n"
+                 "        print(name)\n")
+        src = os.path.dirname(os.path.dirname(hamsearch.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", probe, *names], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("command", list(OPTION_RUNS))
     def test_every_option_is_read(self, tmp_path, capsys, command):

@@ -5,6 +5,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsearch.pauli import (
     IDENTITY2,
@@ -14,11 +16,26 @@ from hamsearch.pauli import (
     phase_aligned_distance,
     rotation_unitary,
 )
-from oracles import bloch_rotation_matrix, random_unitary
+from oracles import bloch_rotation_matrix, random_unitary, seeds
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def _from_coefficients(c: np.ndarray) -> np.ndarray:
+    """a0*I + a.sigma from the coefficients (a0, a1, a2, a3)."""
+    return c[0] * IDENTITY2 + sum(c[k + 1] * SIGMA[k] for k in range(3))
+
+
+def _unit_vector(rng) -> np.ndarray:
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def _random_state(rng) -> np.ndarray:
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return psi / np.linalg.norm(psi)
 
 
 def _expm_eigh(h: np.ndarray) -> np.ndarray:
@@ -50,40 +67,42 @@ def _phase_distance_search(u: np.ndarray, v: np.ndarray) -> float:
 
 class TestPauliDecompose:
     def test_identity(self):
-        pv = pauli_decompose(IDENTITY2)
-        assert pv.coefficients() == (1.0, 0.0, 0.0, 0.0)
+        coefficients = pauli_decompose(IDENTITY2)
+        assert coefficients.dtype == complex
+        assert np.array_equal(coefficients, (1.0, 0.0, 0.0, 0.0))
 
     def test_search_hamiltonian_at_n4(self):
         m = np.array([[1.25, np.sqrt(3.0) / 4.0], [np.sqrt(3.0) / 4.0, 0.75]])
-        pv = pauli_decompose(m)
+        coefficients = pauli_decompose(m)
         want = (1.0, np.sqrt(3.0) / 4.0, 0.0, 0.25)
-        assert np.allclose(pv.coefficients(), want, atol=1e-15)
-        assert np.max(np.abs(np.imag(pv.coefficients()))) <= 1e-12
+        assert np.allclose(coefficients, want, atol=1e-15)
+        assert np.max(np.abs(coefficients.imag)) <= 1e-12
 
     def test_grover_step_at_n4(self):
         # (1 - 2/N) I + 2i (sqrt(N-1)/N) s2 at N = 4: the s2 coefficient is
         # imaginary because the operator is unitary, not Hermitian.
         u = 0.5 * IDENTITY2 + 1j * (np.sqrt(3.0) / 2.0) * SIGMA[1]
-        pv = pauli_decompose(u)
-        assert pv.a0 == pytest.approx(0.5)
-        assert pv.a[1] == pytest.approx(1j * np.sqrt(3.0) / 2.0)
-        assert abs(pv.a[0]) < 1e-15 and abs(pv.a[2]) < 1e-15
-        assert np.max(np.abs(np.imag(pv.coefficients()))) > 1e-12
+        coefficients = pauli_decompose(u)
+        assert coefficients[0] == pytest.approx(0.5)
+        assert coefficients[2] == pytest.approx(1j * np.sqrt(3.0) / 2.0)
+        assert abs(coefficients[1]) < 1e-15 and abs(coefficients[3]) < 1e-15
+        assert np.max(np.abs(coefficients.imag)) > 1e-12
 
-    def test_roundtrip_random_matrices(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            back = pauli_decompose(m).matrix()
-            assert np.max(np.abs(back - m)) < 1e-14
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_roundtrip_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        back = _from_coefficients(pauli_decompose(m))
+        assert np.max(np.abs(back - m)) < 1e-14
 
-    def test_hermitian_gives_real_coefficients(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            h = m + m.conj().T
-            pv = pauli_decompose(h)
-            assert np.max(np.abs(np.imag(pv.coefficients()))) <= 1e-13
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_hermitian_gives_real_coefficients(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = m + m.conj().T
+        assert np.max(np.abs(pauli_decompose(h).imag)) <= 1e-13
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -114,15 +133,13 @@ class TestRotationUnitary:
         generator = 0.5 * angle * (axis[0] * SIGMA[0] + axis[2] * SIGMA[2])
         assert np.max(np.abs(rotation_unitary(axis, angle) - _expm_eigh(generator))) < 1e-13
 
-    def test_unitary_and_inverse(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = rng.uniform(-8.0, 8.0)
-            u = rotation_unitary(axis, angle)
-            assert np.max(np.abs(u.conj().T @ u - IDENTITY2)) < 1e-12
-            assert np.max(np.abs(u @ rotation_unitary(axis, -angle) - IDENTITY2)) < 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.floats(min_value=-8.0, max_value=8.0))
+    def test_unitary_and_inverse(self, seed, angle):
+        axis = _unit_vector(np.random.default_rng(seed))
+        u = rotation_unitary(axis, angle)
+        assert np.max(np.abs(u.conj().T @ u - IDENTITY2)) < 1e-12
+        assert np.max(np.abs(u @ rotation_unitary(axis, -angle) - IDENTITY2)) < 1e-12
 
 
 class TestPhaseAlignedDistance:
@@ -138,34 +155,39 @@ class TestPhaseAlignedDistance:
         assert d == pytest.approx(np.sqrt(2.0), abs=1e-12)
         assert d == pytest.approx(_phase_distance_search(IDENTITY2, SIGMA[0]), abs=1e-9)
 
-    def test_agrees_with_search_oracle(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            u = random_unitary(2, rng)
-            v = random_unitary(2, rng)
-            assert phase_aligned_distance(u, v) == pytest.approx(
-                _phase_distance_search(u, v), abs=1e-7
-            )
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_agrees_with_search_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(2, rng)
+        v = random_unitary(2, rng)
+        assert phase_aligned_distance(u, v) == pytest.approx(
+            _phase_distance_search(u, v), abs=1e-7
+        )
 
-    def test_pseudometric_properties(self):
-        rng = np.random.default_rng(15)
-        for _ in range(200):
-            u, v, w = (random_unitary(2, rng) for _ in range(3))
-            duv = phase_aligned_distance(u, v)
-            assert duv == pytest.approx(phase_aligned_distance(v, u), abs=1e-12)
-            assert duv <= phase_aligned_distance(u, w) + phase_aligned_distance(w, v) + 1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_pseudometric_properties(self, seed):
+        rng = np.random.default_rng(seed)
+        u, v, w = (random_unitary(2, rng) for _ in range(3))
+        duv = phase_aligned_distance(u, v)
+        assert duv == pytest.approx(phase_aligned_distance(v, u), abs=1e-12)
+        assert duv <= phase_aligned_distance(u, w) + phase_aligned_distance(w, v) + 1e-9
 
-    def test_invariant_under_global_phase(self):
-        rng = np.random.default_rng(16)
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.floats(min_value=-np.pi, max_value=np.pi))
+    def test_invariant_under_global_phase(self, seed, phi):
+        rng = np.random.default_rng(seed)
         u = random_unitary(2, rng)
         v = random_unitary(2, rng)
         d = phase_aligned_distance(u, v)
-        assert phase_aligned_distance(np.exp(0.71j) * u, v) == pytest.approx(d, abs=1e-12)
+        assert phase_aligned_distance(np.exp(1j * phi) * u, v) == pytest.approx(d, abs=1e-12)
 
-    def test_works_beyond_two_dimensions(self):
-        rng = np.random.default_rng(17)
-        u = random_unitary(5, rng)
-        assert phase_aligned_distance(u, np.exp(2.1j) * u) < 1e-13
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.floats(min_value=-np.pi, max_value=np.pi))
+    def test_works_beyond_two_dimensions(self, seed, phi):
+        u = random_unitary(5, np.random.default_rng(seed))
+        assert phase_aligned_distance(u, np.exp(1j * phi) * u) < 1e-13
 
 
 class TestBlochPoint:
@@ -182,21 +204,18 @@ class TestBlochPoint:
         with pytest.raises(ValueError):
             bloch_point([1.0, 1.0])
 
-    def test_unit_norm_for_pure_states(self):
-        rng = np.random.default_rng(18)
-        for _ in range(200):
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi /= np.linalg.norm(psi)
-            assert abs(np.linalg.norm(bloch_point(psi)) - 1.0) < 1e-10
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_unit_norm_for_pure_states(self, seed):
+        psi = _random_state(np.random.default_rng(seed))
+        assert abs(np.linalg.norm(bloch_point(psi)) - 1.0) < 1e-10
 
-    def test_rotation_acts_by_rodrigues_formula(self):
-        rng = np.random.default_rng(19)
-        for _ in range(300):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = rng.uniform(-6.0, 6.0)
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi /= np.linalg.norm(psi)
-            rotated = bloch_point(rotation_unitary(axis, angle) @ psi)
-            expected = bloch_rotation_matrix(axis, angle) @ bloch_point(psi)
-            assert np.max(np.abs(rotated - expected)) < 1e-10
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.floats(min_value=-6.0, max_value=6.0))
+    def test_rotation_acts_by_rodrigues_formula(self, seed, angle):
+        rng = np.random.default_rng(seed)
+        axis = _unit_vector(rng)
+        psi = _random_state(rng)
+        rotated = bloch_point(rotation_unitary(axis, angle) @ psi)
+        expected = bloch_rotation_matrix(axis, angle) @ bloch_point(psi)
+        assert np.max(np.abs(rotated - expected)) < 1e-10

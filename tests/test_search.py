@@ -1,11 +1,16 @@
 # Both search evolutions and the identities linking them. Oracles: direct
 # reflection products, dense eigensolves, eigendecomposition matrix powers,
-# and fine-step product-formula state integration.
+# and fine-step product-formula state integration. H is the shipped
+# search_split's sum, U is grover_power(inst, 1), and both are checked
+# against the projectors |s><s| and |t><t| and the closed forms
+# H = I + (sqrt(N-1)/N) s1 + (1/N) s3 and U = -(1 - 2|s><s|)(1 - 2|t><t|).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamsearch.pauli import bloch_point, phase_aligned_distance, rotation_unitary
+from hamsearch.pauli import bloch_point, pauli_decompose, phase_aligned_distance, rotation_unitary
 from hamsearch.search import (
     GROVER_AXIS,
     SearchInstance,
@@ -14,10 +19,7 @@ from hamsearch.search import (
     equivalence_params,
     equivalence_residual,
     evolve_continuous,
-    grover_hamiltonian,
     grover_power,
-    grover_step,
-    hamiltonian_continuous,
     search_split,
     step_params,
 )
@@ -28,6 +30,15 @@ def _projectors(inst):
     s = inst.source_state
     t = inst.target_state
     return np.outer(s, s.conj()), np.outer(t, t.conj())
+
+
+def _reflection_product(inst):
+    ps, pt = _projectors(inst)
+    return -(np.eye(2) - 2.0 * ps) @ (np.eye(2) - 2.0 * pt)
+
+
+def _hamiltonian(inst):
+    return search_split(inst).total()
 
 
 class TestSearchInstance:
@@ -50,14 +61,15 @@ class TestSearchInstance:
 
 class TestContinuousHamiltonian:
     def test_coefficients_at_n4(self):
-        pv = hamiltonian_continuous(SearchInstance(4))
-        assert np.allclose(pv.coefficients(), (1.0, np.sqrt(3.0) / 4.0, 0.0, 0.25))
+        coefficients = pauli_decompose(_hamiltonian(SearchInstance(4)))
+        assert np.allclose(coefficients, (1.0, np.sqrt(3.0) / 4.0, 0.0, 0.25))
 
     def test_equals_projector_sum(self):
+        # The sum of the split against the closed-form Pauli coefficients.
         for n in (2, 3, 16, 100):
-            inst = SearchInstance(n)
-            ps, pt = _projectors(inst)
-            assert np.max(np.abs(hamiltonian_continuous(inst).matrix() - (ps + pt))) < 1e-15
+            coefficients = pauli_decompose(_hamiltonian(SearchInstance(n)))
+            want = (1.0, np.sqrt(n - 1.0) / n, 0.0, 1.0 / n)
+            assert np.max(np.abs(coefficients - want)) < 1e-15
 
     def test_search_split_is_the_projector_pair(self):
         for n in (2, 3, 16, 100):
@@ -66,22 +78,34 @@ class TestContinuousHamiltonian:
             assert split.labels == ("source-projector", "target-projector")
             for term, projector in zip(split.terms, _projectors(inst)):
                 assert np.array_equal(term, projector)
-            assert np.max(np.abs(split.total() - hamiltonian_continuous(inst).matrix())) < 1e-15
+            assert np.max(np.abs(split.total() - sum(_projectors(inst)))) < 1e-15
 
     def test_large_n_coefficients_vanish(self):
-        pv = hamiltonian_continuous(SearchInstance(10**12))
-        assert abs(pv.a[0]) < 1.1e-6
-        assert abs(pv.a[2]) < 1.1e-12
+        coefficients = pauli_decompose(_hamiltonian(SearchInstance(10**12)))
+        assert abs(coefficients[1]) < 1.1e-6
+        assert abs(coefficients[3]) < 1.1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=2**20))
+    def test_axis_is_the_coefficient_direction(self, n):
+        # a3 = 1/N is a difference of O(1) entries, so its round-off of about
+        # eps turns the direction by up to eps sqrt(N).
+        inst = SearchInstance(n)
+        vector = pauli_decompose(_hamiltonian(inst))[1:]
+        assert np.array_equal(vector.imag, np.zeros(3))
+        direction = vector.real / np.linalg.norm(vector.real)
+        error = np.max(np.abs(direction - continuous_axis(inst)))
+        assert error <= np.finfo(float).eps * np.sqrt(n)
 
     def test_eigenvalues_at_n16(self):
         # 1 +- |v| with |v| = 1/sqrt(N); oracle: dense eigensolver.
-        h = hamiltonian_continuous(SearchInstance(16)).matrix()
+        h = _hamiltonian(SearchInstance(16))
         values = np.sort(np.linalg.eigvalsh(h))
         assert np.allclose(values, [0.75, 1.25], atol=1e-14)
 
     def test_eigenvectors_bisect_source_and_target(self):
         inst = SearchInstance(16)
-        h = hamiltonian_continuous(inst).matrix()
+        h = _hamiltonian(inst)
         for sign in (+1.0, -1.0):
             vec = inst.source_state + sign * inst.target_state
             vec /= np.linalg.norm(vec)
@@ -125,52 +149,53 @@ class TestEvolveContinuous:
 
 class TestGroverStep:
     def test_matrix_at_n4(self):
-        u = grover_step(SearchInstance(4))
+        u = grover_power(SearchInstance(4), 1)
         want = np.array([[0.5, np.sqrt(3.0) / 2.0], [-np.sqrt(3.0) / 2.0, 0.5]])
         assert np.max(np.abs(u - want)) < 1e-15
 
     def test_equals_reflection_product(self):
         for n in (2, 3, 4, 16, 97):
             inst = SearchInstance(n)
-            ps, pt = _projectors(inst)
-            product = -(np.eye(2) - 2.0 * ps) @ (np.eye(2) - 2.0 * pt)
-            assert np.max(np.abs(grover_step(inst) - product)) < 1e-14
+            assert np.max(np.abs(grover_power(inst, 1) - _reflection_product(inst))) < 1e-14
 
     def test_maps_source_to_target_at_n4(self):
         inst = SearchInstance(4)
-        out = grover_step(inst) @ inst.source_state
+        out = grover_power(inst, 1) @ inst.source_state
         assert np.max(np.abs(out - inst.target_state)) < 1e-15
 
     def test_rotation_angle_at_n2(self):
         # 4 arcsin(1/sqrt(2)) = pi about the step axis.
-        inst = SearchInstance(2)
-        assert phase_aligned_distance(grover_step(inst), rotation_unitary(GROVER_AXIS, np.pi)) < 1e-12
+        u = _reflection_product(SearchInstance(2))
+        assert phase_aligned_distance(u, rotation_unitary(GROVER_AXIS, np.pi)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 16, 1024])
     def test_is_axis_angle_rotation(self, n):
         inst = SearchInstance(n)
         u = rotation_unitary(GROVER_AXIS, 4.0 * np.arcsin(inst.overlap))
-        assert phase_aligned_distance(grover_step(inst), u) < 1e-12
+        assert phase_aligned_distance(_reflection_product(inst), u) < 1e-12
 
 
 class TestGroverHamiltonian:
+    # The step generator i[|t><t|, |s><s|] = -(sqrt(N-1)/N) s2.
+    @staticmethod
+    def _generator(inst):
+        ps, pt = _projectors(inst)
+        return 1j * (pt @ ps - ps @ pt)
+
     def test_coefficient_values(self):
-        assert grover_hamiltonian(SearchInstance(4)).a[1] == pytest.approx(-np.sqrt(3.0) / 4.0)
-        assert grover_hamiltonian(SearchInstance(2)).a[1] == pytest.approx(-0.5)
+        for n, want in ((4, -np.sqrt(3.0) / 4.0), (2, -0.5)):
+            assert pauli_decompose(self._generator(SearchInstance(n)))[2] == pytest.approx(want)
 
     def test_commutator_identity_at_n16(self):
-        inst = SearchInstance(16)
-        ps, pt = _projectors(inst)
-        commutator = 1j * (pt @ ps - ps @ pt)
-        assert np.max(np.abs(grover_hamiltonian(inst).matrix() - commutator)) < 1e-14
+        coefficients = pauli_decompose(self._generator(SearchInstance(16)))
+        assert np.max(np.abs(coefficients - (0.0, 0.0, -np.sqrt(15.0) / 16.0, 0.0))) < 1e-14
 
     def test_generates_the_step(self):
         inst = SearchInstance(9)
         tau = step_params(inst).tau
-        h = grover_hamiltonian(inst).matrix()
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(self._generator(inst))
         u = (v * np.exp(-1j * w * tau)) @ v.conj().T
-        assert np.max(np.abs(u - grover_step(inst))) < 1e-13
+        assert np.max(np.abs(u - grover_power(inst, 1))) < 1e-13
 
     def test_axes_are_orthogonal(self):
         for n in (2, 3, 4, 50, 4096):
@@ -208,18 +233,19 @@ class TestGroverPower:
     def test_unit_power_is_the_step(self):
         for n in (2, 4, 100):
             inst = SearchInstance(n)
-            assert phase_aligned_distance(grover_power(inst, 1.0), grover_step(inst)) < 1e-14
+            u = _reflection_product(inst)
+            assert phase_aligned_distance(grover_power(inst, 1.0), u) < 1e-14
 
     def test_integer_powers_match_matrix_powers(self):
         inst = SearchInstance(16)
-        u = grover_step(inst)
+        u = _reflection_product(inst)
         for k in range(8):
             assert phase_aligned_distance(grover_power(inst, float(k)), np.linalg.matrix_power(u, k)) < 1e-11
 
     def test_fractional_power_matches_eigendecomposition(self):
         # Oracle: principal fractional power from the eigendecomposition.
         inst = SearchInstance(16)
-        u = grover_step(inst)
+        u = _reflection_product(inst)
         w, v = np.linalg.eig(u)
         oracle = (v * np.exp(2.5 * np.log(w))) @ np.linalg.inv(v)
         assert phase_aligned_distance(grover_power(inst, 2.5), oracle) < 1e-11

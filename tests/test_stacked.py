@@ -18,12 +18,11 @@ from hamsearch.search import (
     grover_power,
     phase_rotation,
 )
-from oracles import random_unitary
+from oracles import random_unitary, seeds
 
 sizes = st.integers(min_value=2, max_value=2**20)
 fractions = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
 angles = st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1, max_size=12)
-seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _assert_bitwise_per_element(stacked, singles):

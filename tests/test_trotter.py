@@ -17,8 +17,9 @@ from hamsearch.decompose import (
 )
 from hamsearch.linalg import spectral_norm
 from hamsearch.pauli import phase_aligned_distance
-from hamsearch.search import SearchInstance, evolve_continuous
+from hamsearch.search import SearchInstance, evolve_continuous, grover_power
 from hamsearch.trotter import (
+    MAX_DENSE_DIMENSION,
     BlockTerm,
     HermitianTermSet,
     TrotterPlan,
@@ -38,6 +39,7 @@ from oracles import (
     laplacian_matrix,
     random_unitary,
     search_split_of,
+    seeds,
     term_set_json,
 )
 
@@ -136,6 +138,14 @@ class TestTermSetValidation:
         expected = np.array([[3.0, 0, -2j], [0, -4.0, 0], [2j, 0, 1.0]])
         assert np.array_equal(term.dense(), expected)
 
+    def test_dense_block_term_is_capped(self):
+        # Above the cap the term stays block-sparse; only densifying fails.
+        d = MAX_DENSE_DIMENSION + 1
+        term = BlockTerm([[0, 1]], [[[0.0, 1.0], [1.0, 0.0]]], np.zeros(d))
+        for densify in (term.dense, HermitianTermSet(d, (term,), ("a",)).total):
+            with pytest.raises(ValueError, match=f"d={d} exceeds the cap {MAX_DENSE_DIMENSION}"):
+                densify()
+
 
 class TestPlan:
     def test_step_size_times_steps_is_total_time(self):
@@ -167,8 +177,10 @@ class TestExactTermExponential:
         oracle = scipy.linalg.expm(-0.3j * terms.dense(0))
         assert np.max(np.abs(mine - oracle)) < 1e-10
 
-    def test_unitarity(self):
-        rng = np.random.default_rng(21)
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_unitarity(self, seed):
+        rng = np.random.default_rng(seed)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         h = m + m.conj().T
         u = exact_term_exponential(h, 1.7)
@@ -189,10 +201,12 @@ class TestExactTermExponential:
             assert np.max(np.abs(u[mask])) < 1e-14
             assert np.max(np.abs(u - scipy.linalg.expm(-0.7j * terms.dense(k)))) < 1e-12
 
-    def test_block_path_matches_eigh_on_general_blocks(self):
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_block_path_matches_eigh_on_general_blocks(self, seed):
         # Complex off-diagonals, unequal diagonals, a pure-phase block
         # (r = 0) and a bare diagonal site.
-        rng = np.random.default_rng(24)
+        rng = np.random.default_rng(seed)
         b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
         b = b + b.conj().transpose(0, 2, 1)
         b[2] = 0.7 * np.eye(2)
@@ -406,23 +420,20 @@ class TestTelescopingBound:
         assert telescoping_bound_check(u, u, 10) == (0.0, 0.0)
 
     def test_perturbed_rotation(self):
-        from hamsearch.search import grover_step
-
-        x = grover_step(SearchInstance(16))
+        x = grover_power(SearchInstance(16), 1)
         y = x @ scipy.linalg.expm(-1e-3j * np.diag([1.0, -1.0]))
         lhs, rhs = telescoping_bound_check(x, y, 100)
         assert lhs <= rhs
         assert lhs > 0.0
 
-    def test_random_unitary_pairs(self):
-        rng = np.random.default_rng(23)
-        for _ in range(500):
-            dim = int(rng.integers(2, 6))
-            x = random_unitary(dim, rng)
-            y = random_unitary(dim, rng)
-            n = int(rng.integers(1, 65))
-            lhs, rhs = telescoping_bound_check(x, y, n)
-            assert lhs <= rhs + 1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=64))
+    def test_random_unitary_pairs(self, seed, dim, n):
+        rng = np.random.default_rng(seed)
+        x = random_unitary(dim, rng)
+        y = random_unitary(dim, rng)
+        lhs, rhs = telescoping_bound_check(x, y, n)
+        assert lhs <= rhs + 1e-9
 
 
 class TestJsonInterchange:
