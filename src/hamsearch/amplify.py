@@ -69,12 +69,11 @@ class AmplificationPlan:
     def __post_init__(self) -> None:
         if not 0.0 <= self.per_run_error <= 0.5:
             raise ValueError("per-run error must lie in [0, 1/2]")
-        if self.runs < 1 or self.runs % 2 == 0:
-            raise ValueError("runs must be an odd integer >= 1")
+        _majority_threshold(self.runs)
         if self.trials < 10_000:
             raise ValueError("need at least 1e4 trials for a meaningful estimate")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -92,28 +91,32 @@ class MajorityEstimate:
         return 0.5 * (self.ci_high - self.ci_low)
 
 
+def _majority_threshold(runs: int) -> int:
+    """ceil(R/2), the failures among R runs that lose the majority vote."""
+    if runs < 1 or runs % 2 == 0:
+        raise ValueError("runs must be an odd integer >= 1")
+    return (runs + 1) // 2
+
+
 def majority_bound(runs: int, n: int) -> float:
     """Closed-form bound 2^{R-1} / N^{ceil(R/2)} on the majority-vote failure
     probability after ``runs`` repetitions with per-run error 1/N."""
-    if runs < 1 or runs % 2 == 0:
-        raise ValueError("runs must be an odd integer >= 1")
+    threshold = _majority_threshold(runs)
     if n < 2:
         raise ValueError("n must be >= 2")
     try:
-        return float(2 ** (runs - 1)) / float(n) ** ceil(runs / 2)
+        return float(2 ** (runs - 1)) / float(n) ** threshold
     except OverflowError:  # N^ceil(R/2) past the float range: the exact quotient, rounded
-        return 2 ** (runs - 1) / n ** ceil(runs / 2)
+        return 2 ** (runs - 1) / n ** threshold
 
 
 def majority_error_exact(p: float, runs: int) -> float:
     """Exact binomial tail P(failures >= ceil(R/2)) for failure rate p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if runs < 1 or runs % 2 == 0:
-        raise ValueError("runs must be an odd integer >= 1")
-    k_min = ceil(runs / 2)
+    threshold = _majority_threshold(runs)
     return float(
-        sum(comb(runs, k) * p**k * (1.0 - p) ** (runs - k) for k in range(k_min, runs + 1))
+        sum(comb(runs, k) * p**k * (1.0 - p) ** (runs - k) for k in range(threshold, runs + 1))
     )
 
 
@@ -163,7 +166,7 @@ def _inversion_cutoffs(runs: int, p: float) -> tuple[int, int]:
                 lo = mid + 1
         return lo
 
-    threshold = ceil(runs / 2)
+    threshold = _majority_threshold(runs)
     # A walk past the bound is drawn again, so X never reaches a threshold above it.
     fail = first_reaching(threshold) if threshold <= bound else DOUBLE_GRID
     return fail, first_reaching(bound + 1)
@@ -211,7 +214,7 @@ def simulate_majority(plan: AmplificationPlan) -> MajorityEstimate:
             failures += _count_inversion_failures(bitgen, count, fail, restart)
         else:
             wrong = np.random.Generator(bitgen).binomial(runs, p, size=count)
-            failures += int(np.count_nonzero(wrong >= ceil(runs / 2)))
+            failures += int(np.count_nonzero(wrong >= _majority_threshold(runs)))
     low, high = wilson_interval(failures, plan.trials)
     return MajorityEstimate(
         rate=failures / plan.trials,
@@ -234,8 +237,12 @@ def runs_required(n: int, error_budget: float) -> int:
     if not 0.0 < error_budget < 1.0:
         raise ValueError("error budget must lie in (0, 1)")
     if n < 3:
-        # 2^{R-1}/N^{ceil(R/2)} does not shrink with R for N <= 2.
         raise ValueError("majority amplification needs n >= 3")
+    # Two more runs scale the bound by 4/N, so for N <= 4 it never falls
+    # below its one-run value 1/N.
+    if n <= 4 and majority_bound(1, n) > error_budget:
+        raise ValueError(f"no run count meets the budget {error_budget:g} at n={n}: "
+                         f"the majority bound stays at or above 1/{n}")
     runs = 1
     while majority_bound(runs, n) > error_budget:
         runs += 2

@@ -130,13 +130,12 @@ def cmd_trajectory(args) -> tuple[list, str | None]:
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
     inst = search.SearchInstance(args.n)
-    q_total = search.step_params(inst).q_total
     total = inst.total_time
     t = np.linspace(0.0, total, args.samples)
     rows = np.column_stack([
         t,
         bloch_point(search.evolve_continuous(inst, t) @ inst.source_state),
-        bloch_point(search.grover_power(inst, q_total * t / total) @ inst.source_state),
+        bloch_point(search.grover_power(inst, inst.q_total * t / total) @ inst.source_state),
     ])
     text = _table_text(args.format, ["t", "x_C", "y_C", "z_C", "x_G", "y_G", "z_G"], rows)
     start = bloch_point(inst.source_state)
@@ -179,15 +178,15 @@ def _scan_problem(args):
         terms = search.search_split(inst)
         total_time = args.t if args.t is not None else inst.total_time
     else:
-        graph, values, diagonal = _chain(args.length, args.periodic)
-        terms = decompose.decompose(graph, values, diagonal)
+        terms = decompose.decompose(*decompose.laplacian_chain(args.length, args.periodic))
         total_time = args.t if args.t is not None else 2.0
     return terms, total_time
 
 
 def cmd_trotter_scan(args) -> tuple[list, str | None]:
-    if any(dt <= 0 for dt in args.dt_grid):
-        raise ValueError("dt values must be positive")
+    for dt in args.dt_grid:
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt values must be positive and finite, got {dt:g}")
     terms, total_time = _scan_problem(args)
     if not 0 < total_time < np.inf:
         raise ValueError(f"total time must be positive and finite, got {total_time:g}")
@@ -232,24 +231,20 @@ def cmd_trotter_scan(args) -> tuple[list, str | None]:
     return [(args.out, text)], failure
 
 
-def _chain(length: int, periodic: bool):
-    # (graph, edge values, diagonal) of the chain Laplacian: diagonal 2.
-    graph = decompose.laplacian_chain(length, periodic=periodic)
-    return graph, decompose.graph_laplacian(graph)[0], np.full(length, 2.0)
-
-
 def _decompose_input(args):
-    # (graph, edge values, diagonal, expected spectrum or None)
+    # (graph, edge values, diagonal, expected spectrum or None); a ring is a
+    # periodic chain.
     if args.graph is not None:
         graph = decompose.load_graph(args.graph)
         return (graph, *decompose.graph_laplacian(graph), None)
-    if args.lattice == "chain":
-        return (*_chain(args.length, False), None)
-    if args.lattice == "ring":
-        spectrum = np.sort(4.0 * np.sin(np.pi * np.arange(args.length) / args.length) ** 2)
-        return (*_chain(args.length, True), spectrum)
-    graph = decompose.honeycomb_lattice(args.cells_x, args.cells_y, periodic=args.periodic)
-    return (graph, *decompose.graph_laplacian(graph), None)
+    if args.lattice == "honeycomb":
+        graph = decompose.honeycomb_lattice(args.cells_x, args.cells_y, periodic=args.periodic)
+        return (graph, *decompose.graph_laplacian(graph), None)
+    if args.lattice == "chain" and not args.periodic:
+        return (*decompose.laplacian_chain(args.length), None)
+    ring = decompose.laplacian_chain(args.length, periodic=True)
+    spectrum = np.sort(4.0 * np.sin(np.pi * np.arange(args.length) / args.length) ** 2)
+    return (*ring, spectrum)
 
 
 def _max_abs(x) -> float:

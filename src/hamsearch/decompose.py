@@ -229,15 +229,11 @@ def _color_bipartite(graph: InteractionGraph) -> list:
 def _color_misra_gries(graph: InteractionGraph) -> list:
     state = _ColorState(graph, graph.max_degree + 1)
     adj = graph.neighbors()
-    edge_of = {}
-    for e, (u, v, _) in enumerate(graph.edges):
-        edge_of[(u, v)] = e
-        edge_of[(v, u)] = e
 
     for k, (u, v, _) in enumerate(graph.edges):
-        # Maximal fan of u anchored at v: the color of each added edge is
-        # free at the previous fan vertex.
-        fan = [v]
+        # Maximal fan of u anchored at v, as (vertex, edge) pairs: the color
+        # of each added edge is free at the previous fan vertex.
+        fan = [(v, k)]
         in_fan = {v}
         grown = True
         while grown:
@@ -245,13 +241,13 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
             for y, e in adj[u]:
                 if y in in_fan or state.colors[e] == -1:
                     continue
-                if state.is_free(fan[-1], state.colors[e]):
-                    fan.append(y)
+                if state.is_free(fan[-1][0], state.colors[e]):
+                    fan.append((y, e))
                     in_fan.add(y)
                     grown = True
                     break
         c = state.smallest_free(u)
-        d = state.smallest_free(fan[-1])
+        d = state.smallest_free(fan[-1][0])
         if not state.is_free(u, d):
             # Swap colors along the maximal cd-path from u; afterwards d is
             # free at u (the path cannot loop back, c being free at u).
@@ -260,13 +256,13 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
         # First fan vertex where d is free and the prefix is still a fan
         # under the current (possibly path-swapped) colors.
         w_index = None
-        for idx, y in enumerate(fan):
+        for idx, (y, _) in enumerate(fan):
             if not state.is_free(y, d):
                 continue
             ok = True
             for i in range(1, idx + 1):
-                col = state.colors[edge_of[(u, fan[i])]]
-                if col == -1 or not state.is_free(fan[i - 1], col):
+                col = state.colors[fan[i][1]]
+                if col == -1 or not state.is_free(fan[i - 1][0], col):
                     ok = False
                     break
             if ok:
@@ -275,12 +271,13 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
         if w_index is None:
             raise AssertionError("no rotatable fan prefix; coloring invariant broken")
         # Rotate the prefix: each fan edge inherits the next one's color.
-        shifted = [state.colors[edge_of[(u, fan[i + 1])]] for i in range(w_index)]
-        for i in range(w_index):
-            state.assign(edge_of[(u, fan[i + 1])], -1)
-        for i in range(w_index):
-            state.assign(edge_of[(u, fan[i])], shifted[i])
-        state.assign(edge_of[(u, fan[w_index])], d)
+        edges = [e for _, e in fan]
+        shifted = [state.colors[e] for e in edges[1:w_index + 1]]
+        for e in edges[1:w_index + 1]:
+            state.assign(e, -1)
+        for e, col in zip(edges, shifted):
+            state.assign(e, col)
+        state.assign(edges[w_index], d)
     return state.colors
 
 
@@ -318,7 +315,8 @@ def decompose(
     ``graph.edges``, and its real ``diagonal``. Each edge contributes
     [[|h|, h], [conj(h), |h|]] to its color's term; the residual diagonal,
     if any, becomes one extra term labeled "diagonal" (so does the zero
-    diagonal of a graph without edges). The terms sum to the matrix exactly.
+    diagonal of a graph without edges). The terms sum to the matrix: exactly
+    off the diagonal, and to round-off on it.
     """
     n = graph.vertex_count
     values = np.asarray(values, dtype=complex)
@@ -370,12 +368,12 @@ def decompose_matrix(h: np.ndarray, graph: InteractionGraph | None = None) -> He
     return decompose(graph, h[us, vs], np.real(np.diag(h)))
 
 
-def laplacian_chain(length: int, periodic: bool = False) -> InteractionGraph:
-    """Graph of the 1D lattice Laplacian (diagonal 2, off-diagonal -1).
+def laplacian_chain(length: int, periodic: bool = False):
+    """The 1D lattice Laplacian as the ``(graph, values, diagonal)`` that
+    ``decompose`` takes: ``graph_laplacian``'s values and 2 on every site.
 
-    Its matrix has ``graph_laplacian``'s edge values and diagonal 2 on every
-    site; periodic rings have eigenvalues 4 sin^2(pi j / L). A periodic
-    2-site chain would need a double edge and is rejected.
+    Periodic rings have eigenvalues 4 sin^2(pi j / L). A periodic 2-site
+    chain would need a double edge and is rejected.
     """
     if length < 2:
         raise ValueError("chain needs at least 2 sites")
@@ -384,7 +382,8 @@ def laplacian_chain(length: int, periodic: bool = False) -> InteractionGraph:
     edges = [(i, i + 1, 1.0) for i in range(length - 1)]
     if periodic:
         edges.append((0, length - 1, 1.0))
-    return InteractionGraph(vertex_count=length, edges=tuple(edges))
+    graph = InteractionGraph(vertex_count=length, edges=tuple(edges))
+    return graph, graph_laplacian(graph)[0], np.full(length, 2.0)
 
 
 def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False) -> InteractionGraph:

@@ -22,13 +22,11 @@ from .trotter import HermitianTermSet
 
 __all__ = [
     "SearchInstance",
-    "GroverStepParams",
     "EquivalenceParams",
     "GROVER_AXIS",
     "continuous_axis",
     "search_split",
     "evolve_continuous",
-    "step_params",
     "grover_power",
     "equivalence_params",
     "equivalence_residual",
@@ -44,7 +42,7 @@ GROVER_AXIS = np.array([0.0, -1.0, 0.0])
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """Database size N plus the derived 2D-subspace angles."""
+    """Database size N plus its derived 2D-subspace angles, times and step counts."""
 
     n: int
 
@@ -69,6 +67,17 @@ class SearchInstance:
         return 0.5 * np.pi * np.sqrt(self.n)
 
     @property
+    def q_total(self) -> float:
+        """Q_T = arccos(1/sqrt(N)) / alpha ~ (pi/4) sqrt(N), the Grover step
+        count of the search before integer rounding."""
+        return np.arccos(self.overlap) / self.half_step_angle
+
+    @property
+    def tau(self) -> float:
+        """tau = (2N/sqrt(N-1)) arcsin(1/sqrt(N)), the evolution time per Grover step."""
+        return 2.0 * self.n / np.sqrt(self.n - 1.0) * np.arcsin(self.overlap)
+
+    @property
     def target_state(self) -> np.ndarray:
         return np.array([1.0, 0.0], dtype=complex)
 
@@ -76,14 +85,6 @@ class SearchInstance:
     def source_state(self) -> np.ndarray:
         s = self.overlap
         return np.array([s, np.sqrt(1.0 - s * s)], dtype=complex)
-
-
-@dataclass(frozen=True)
-class GroverStepParams:
-    """Evolution time per Grover step and the (real-valued) step count."""
-
-    tau: float
-    q_total: float
 
 
 @dataclass(frozen=True)
@@ -121,19 +122,6 @@ def evolve_continuous(inst: SearchInstance, t: float | np.ndarray) -> np.ndarray
         raise ValueError(f"evolution time must be nonnegative (t={float(np.min(t))!r})")
     angle = 2.0 * t / np.sqrt(inst.n)
     return rotation_unitary(continuous_axis(inst), angle)
-
-
-def step_params(inst: SearchInstance) -> GroverStepParams:
-    """Per-step time tau and the total step count before integer rounding.
-
-    tau = (2N/sqrt(N-1)) arcsin(1/sqrt(N));
-    Q_T = arccos(1/sqrt(N)) / (2 arcsin(1/sqrt(N)))  ~  (pi/4) sqrt(N).
-    """
-    n = inst.n
-    s = inst.overlap
-    tau = 2.0 * n / np.sqrt(n - 1.0) * np.arcsin(s)
-    q_total = np.arccos(s) / (2.0 * np.arcsin(s))
-    return GroverStepParams(tau=float(tau), q_total=float(q_total))
 
 
 def grover_power(inst: SearchInstance, q: float | np.ndarray) -> np.ndarray:
@@ -199,8 +187,7 @@ def equivalence_residual(inst: SearchInstance, t: float | np.ndarray) -> float |
 
 def endpoint_residual(inst: SearchInstance) -> float:
     """Distance for the t = T special case: U_cont(T) = i (1 - 2|t><t|) U^{Q_T}."""
-    q_total = step_params(inst).q_total
     lhs = evolve_continuous(inst, inst.total_time)
     reflect_target = np.diag([-1.0, 1.0]).astype(complex)
-    rhs = 1j * reflect_target @ grover_power(inst, q_total)
+    rhs = 1j * reflect_target @ grover_power(inst, inst.q_total)
     return phase_aligned_distance(lhs, rhs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .search import SearchInstance, grover_power, step_params
+from .search import SearchInstance, grover_power
 
 __all__ = [
     "MAX_DIMENSION",
@@ -96,5 +96,4 @@ def subspace_agreement(n: int, steps: int, target: int = 0) -> float:
 
 def expected_peak_step(n: int) -> int:
     """Closed-form optimal step count: nearest integer to Q_T."""
-    q_total = step_params(SearchInstance(n)).q_total
-    return int(np.floor(q_total + 0.5))
+    return int(np.floor(SearchInstance(n).q_total + 0.5))

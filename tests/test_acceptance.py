@@ -25,39 +25,23 @@ from hamsearch.decompose import (
     honeycomb_lattice,
     laplacian_chain,
 )
-from hamsearch.linalg import spectral_norm
 from hamsearch.search import (
     SearchInstance,
     endpoint_residual,
     equivalence_residual,
     evolve_continuous,
-    step_params,
 )
-from hamsearch.statevector import peak_step, subspace_agreement, success_curve
-from hamsearch.trotter import (
-    TrotterPlan,
-    commutator_error,
-    exact_term_exponential,
-    trotter_evolve,
+from hamsearch.statevector import (
+    expected_peak_step,
+    peak_step,
+    subspace_agreement,
+    success_curve,
 )
+from hamsearch.trotter import commutator_error, trotter_scan
 from oracles import laplacian_matrix, search_split_of
 
 EQUIVALENCE_SIZES = (4, 16, 64, 256, 1024)
 CURVE_SIZES = (4, 16, 64, 1024, 4096)
-
-
-def _scan(terms, total_time, dt_grid):
-    norm_e2 = commutator_error(terms)
-    exact = exact_term_exponential(terms.total(), total_time)
-    dts, errors, bounds = [], [], []
-    for dt in dt_grid:
-        plan = TrotterPlan(total_time, max(1, round(total_time / dt)))
-        err = spectral_norm(trotter_evolve(terms, plan) - exact)
-        dts.append(plan.dt)
-        errors.append(err)
-        bounds.append(2.0 * total_time * norm_e2 * plan.dt)
-    slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
-    return slope, errors, bounds
 
 
 def test_criterion_01_equivalence_identity():
@@ -92,8 +76,7 @@ def test_criterion_03_continuous_search_time():
 def test_criterion_04_discrete_step_count():
     start = time.perf_counter()
     for n in CURVE_SIZES:
-        q_total = step_params(SearchInstance(n)).q_total
-        predicted = int(np.floor(q_total + 0.5))
+        predicted = expected_peak_step(n)
         curve = success_curve(n, max(1, 2 * predicted))
         assert peak_step(curve) == predicted
         assert curve[predicted] >= 1.0 - 1.0 / n
@@ -108,9 +91,8 @@ def test_criterion_05_step_count_asymptotics():
     # asymptotically), so the criterion is pinned to the rounded count.
     worst = 0.0
     for n in (64, 256, 1024, 4096):
-        q_total = step_params(SearchInstance(n)).q_total
         asymptote = np.pi / 4.0 * np.sqrt(n)
-        worst = max(worst, abs(np.floor(q_total + 0.5) - asymptote) / asymptote)
+        worst = max(worst, abs(expected_peak_step(n) - asymptote) / asymptote)
     assert worst < 0.05
     print(f"ACCEPTANCE 05 PASS - step count within {100 * worst:.2f}% of (pi/4) sqrt(N)")
 
@@ -119,15 +101,16 @@ def test_criterion_06_first_order_scaling():
     grid = (0.2, 0.1, 0.05, 0.025)
     problems = [
         ("projector split", search_split_of(16), SearchInstance(16).total_time),
-        ("even/odd chain", None, 2.0),
+        ("even/odd chain", decompose(*laplacian_chain(8, periodic=True)), 2.0),
     ]
-    g = laplacian_chain(8, periodic=True)
-    problems[1] = ("even/odd chain", decompose(g, graph_laplacian(g)[0], np.full(8, 2.0)), 2.0)
     slopes = []
     for name, terms, total in problems:
-        slope, errors, bounds = _scan(terms, total, grid)
+        # The scan the CLI runs, on the step counts of the dt grid.
+        norm_e2, rows = trotter_scan(terms, total, [max(1, round(total / dt)) for dt in grid])
+        dts, _, errors = np.array(rows).T
+        slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
         assert 0.9 <= slope <= 1.1, name
-        assert all(e <= b for e, b in zip(errors, bounds)), name
+        assert np.all(errors <= 2.0 * total * norm_e2 * dts), name
         slopes.append(slope)
     print(f"ACCEPTANCE 06 PASS - first-order slopes {slopes[0]:.3f}, {slopes[1]:.3f}; bound holds")
 
@@ -144,11 +127,11 @@ def test_criterion_07_commutator_estimator():
 def test_criterion_08_decomposition_identities():
     # Chain and ring: two colors, projector squaring, binary term spectrum.
     for periodic in (False, True):
-        g = laplacian_chain(8, periodic=periodic)
+        g, values, diagonal = laplacian_chain(8, periodic=periodic)
         h = laplacian_matrix(g, 2.0)
         coloring = color_edges(g)
         assert coloring.color_count == 2
-        terms = decompose(g, graph_laplacian(g)[0], np.full(8, 2.0), coloring)
+        terms = decompose(g, values, diagonal, coloring)
         for k, label in enumerate(terms.labels):
             if not label.startswith("color"):
                 continue
@@ -159,7 +142,7 @@ def test_criterion_08_decomposition_identities():
         assert np.max(np.abs(terms.total() - h)) < 1e-12
     # Ring spectrum law across sizes.
     for length in (4, 8, 16, 64):
-        h = laplacian_matrix(laplacian_chain(length, periodic=True), 2.0)
+        h = laplacian_matrix(laplacian_chain(length, periodic=True)[0], 2.0)
         observed = np.sort(np.linalg.eigvalsh(h))
         expected = np.sort(4.0 * np.sin(np.pi * np.arange(length) / length) ** 2)
         assert np.max(np.abs(observed - expected)) < 1e-10
@@ -213,7 +196,7 @@ def test_criterion_10_efficiency_separation():
 def test_criterion_11_subspace_agreement():
     worst = 0.0
     for n in (64, 4096):
-        steps = 2 * int(np.floor(step_params(SearchInstance(n)).q_total + 0.5))
+        steps = 2 * expected_peak_step(n)
         worst = max(worst, subspace_agreement(n, steps))
     assert worst < 1e-9
     print(f"ACCEPTANCE 11 PASS - full-space vs 2D deviation {worst:.2e} < 1e-9")

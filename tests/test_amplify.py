@@ -27,7 +27,7 @@ from hamsearch.amplify import (
     trotter_complexity,
     wilson_interval,
 )
-from oracles import binomial_draw, binomial_majority_failures
+from oracles import binomial_draw, binomial_majority_failures, search_split_of
 
 # 61 p is exactly 30 at P_AT_30, the last p numpy draws by inversion at
 # R = 61; from the next float up it draws by BTPE.
@@ -122,6 +122,11 @@ class TestSimulateMajority:
             AmplificationPlan(0.6, 3, 10_000)
         with pytest.raises(ValueError):
             AmplificationPlan(0.1, 2, 10_000)
+        # The seed keys Philox as a uint64 word; 2^64 raised OverflowError there.
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+                AmplificationPlan(0.1, 3, 10_000, seed=seed)
+        AmplificationPlan(0.1, 3, 10_000, seed=2**64 - 1)
 
     def test_pinned_plans_straddle_the_btpe_switch(self):
         assert 61 * P_AT_30 == 30.0 < 61 * P_PAST_30
@@ -227,6 +232,15 @@ class TestRunsRequired:
     def test_native_error_needs_single_run(self):
         assert runs_required(16, 1.0 / 16.0) == 1
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_small_n_meets_only_the_one_run_budget(self, n):
+        # Two more runs scale the bound by 4/N, so for N <= 4 no run count
+        # goes below 1/N; the search used to run up to MAX_RUNS.
+        assert runs_required(n, 1.0 / n) == 1
+        assert runs_required(n, 0.5) == 1
+        with pytest.raises(ValueError, match=f"no run count meets the budget 0.2 at n={n}"):
+            runs_required(n, 0.2)
+
     def test_n1024_nano_budget(self):
         # Direct search: R=5 gives 16/1024^3 = 1.49e-8 > 1e-9; R=7 passes.
         assert runs_required(1024, 1e-9) == 7
@@ -298,11 +312,10 @@ class TestComplexities:
 
     def test_implied_steps_match_budget_planner(self):
         from hamsearch.search import SearchInstance
-        from hamsearch.trotter import HermitianTermSet, commutator_error, plan_for_budget
+        from hamsearch.trotter import commutator_error, plan_for_budget
 
         inst = SearchInstance(16)
-        s, t = inst.source_state, inst.target_state
-        terms = HermitianTermSet(2, (np.outer(s, s.conj()), np.outer(t, t.conj())), ("s", "t"))
+        terms = search_split_of(16)
         eps = 1e-3
         cm = self._model(
             total_time=inst.total_time,

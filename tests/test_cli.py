@@ -245,6 +245,19 @@ class TestTrotterScan:
         assert "distinct step counts" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, dt", [("nan,0.1,0.05,0.025", "nan"),
+                                          ("inf,0.1,0.05,0.025,0.0125", "inf"),
+                                          ("0.2,0.1,0,0.025", "0")])
+    def test_dt_must_be_positive_and_finite(self, tmp_path, capsys, grid, dt):
+        # nan failed converting to an integer, with a message naming neither
+        # the option nor the value; inf gave one step of size T and a slope
+        # claim failure (exit 3).
+        out = tmp_path / "x.csv"
+        assert main(["trotter-scan", "--dt-grid", grid, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"hamsearch: dt values must be positive and finite, got {dt}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("t", ["inf", "nan", "0", "-1"])
     def test_total_time_must_be_positive_and_finite(self, tmp_path, capsys, t):
         # round(inf / dt) raised OverflowError, a traceback and exit 1.
@@ -349,6 +362,19 @@ class TestDecompose:
         assert main(["decompose", *source, "--out", str(tmp_path / "t.json")]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["bipartite"] is bipartite
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("length", [8, 9])
+    def test_periodic_chain_is_the_ring(self, tmp_path, length):
+        # --periodic closes a chain, as in trotter-scan: the same term file
+        # and report, spectrum check included, byte for byte.
+        files = {}
+        for name, lattice in (("chain", ["chain", "--periodic"]), ("ring", ["ring"])):
+            out, report = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+            assert main(["decompose", "--lattice", *lattice, "--length", str(length),
+                         "--out", str(out), "--report", str(report)]) == EXIT_OK
+            files[name] = (out.read_bytes(), report.read_bytes())
+        assert files["chain"] == files["ring"]
+        assert b"spectrum_residual" in files["chain"][1]
 
     def test_rejects_degenerate_ring(self, tmp_path):
         rc = main(["decompose", "--lattice", "ring", "--length", "2", "--out", str(tmp_path / "x.json")])
@@ -472,6 +498,17 @@ class TestCost:
         assert "not finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, eps", [(3, "0.3"), (4, "0.2")])
+    def test_small_n_budget_below_one_over_n(self, tmp_path, capsys, n, eps):
+        # For N <= 4 the majority bound never falls below 1/N; the run
+        # search went up to MAX_RUNS and blamed the run cap.
+        out = tmp_path / "x.json"
+        assert main(["cost", "--n", str(n), "--eps", eps, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"hamsearch: no run count meets the budget {eps} at n={n}: "
+            f"the majority bound stays at or above 1/{n}\n")
+        assert not out.exists()
+
     def test_runs_past_the_float_power(self, tmp_path, capsys):
         # eps = 1e-300 needs R = 249 <= MAX_RUNS runs; the bound's float power
         # 1024^125 overflowed on the way (a traceback and exit 1), and so did
@@ -571,6 +608,7 @@ class TestPlumbing:
         ("grover --n 1", EXIT_VALIDATION),
         ("grover --max-steps 0", EXIT_VALIDATION),
         ("grover --n 64 --target 64", EXIT_VALIDATION),
+        ("grover --n 16 --runs 1 --trials 10000 --seed 18446744073709551616", EXIT_VALIDATION),
         ("cost --n 1024 --step-cost 5e-324", EXIT_VALIDATION),
         ("decompose --graph {malformed.json}", EXIT_VALIDATION),
         ("equivalence --config {utf16.cfg}", EXIT_VALIDATION),

@@ -20,12 +20,12 @@ from hamsearch.decompose import (
     load_graph,
 )
 from hamsearch.trotter import BlockTerm, exact_term_exponential
-from oracles import laplacian_matrix, save_graph
+from oracles import laplacian_matrix, save_graph, seeds
 
 
 def _chain(length, periodic):
-    g = laplacian_chain(length, periodic=periodic)
-    return laplacian_matrix(g, 2.0), g, decompose(g, graph_laplacian(g)[0], np.full(length, 2.0))
+    g, values, diagonal = laplacian_chain(length, periodic=periodic)
+    return laplacian_matrix(g, 2.0), g, decompose(g, values, diagonal)
 
 
 def _path_graph(n):
@@ -150,9 +150,10 @@ class TestColorEdges:
         if bipartition(g) is not None:
             assert coloring.color_count == g.max_degree
 
-    def test_deterministic(self):
-        rng = np.random.default_rng(32)
-        g = _random_bounded_graph(rng, 30, 5)
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_deterministic(self, seed):
+        g = _random_bounded_graph(np.random.default_rng(seed), 30, 5)
         assert color_edges(g).colors == color_edges(g).colors
 
     def test_empty_edge_set(self):
@@ -226,13 +227,15 @@ class TestDecompose:
         assert diagonal.tolist() == [0.1 + 0.2, 0.1 + 0.3, 0.2 + 0.3]
 
     def test_rejects_misaligned_values(self):
-        g = laplacian_chain(4)
+        g, _, _ = laplacian_chain(4)
         with pytest.raises(ValueError, match="one value per edge"):
             decompose(g, np.ones(2), np.zeros(4))
 
-    def test_complex_weights_give_scaled_projector_blocks(self):
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_complex_weights_give_scaled_projector_blocks(self, seed):
         # Each edge block is 2|h| times a projector even for complex h.
-        rng = np.random.default_rng(34)
+        rng = np.random.default_rng(seed)
         n = 6
         ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
         h = np.zeros((n, n), dtype=complex)
@@ -242,7 +245,9 @@ class TestDecompose:
             h[u, u] += abs(h[u, v])
             h[v, v] += abs(h[u, v])
         terms = decompose_matrix(h)
-        assert np.max(np.abs(terms.total() - h)) == 0.0
+        # The diagonal residual d - |h1| - |h2| and the sum of the terms
+        # each round: a few ulps of the largest entry.
+        assert np.max(np.abs(terms.total() - h)) <= 4 * np.finfo(float).eps * np.max(np.abs(h))
         for k, term in enumerate(terms.terms):
             for u, v in term.pairs:
                 block = terms.dense(k)[np.ix_([u, v], [u, v])]
@@ -296,6 +301,15 @@ class TestLaplacianChain:
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):
             laplacian_chain(1)
+
+    @pytest.mark.parametrize("length, periodic", [(2, False), (5, False), (8, True), (9, True)])
+    def test_returns_the_laplacian(self, length, periodic):
+        # Edge values -1 and a diagonal of 2 on every site, the open ends too.
+        g, values, diagonal = laplacian_chain(length, periodic=periodic)
+        assert len(g.edges) == length - 1 + periodic
+        assert values.tolist() == [-1.0] * len(g.edges)
+        assert diagonal.tolist() == [2.0] * length
+        assert np.array_equal(decompose(g, values, diagonal).total(), laplacian_matrix(g, 2.0))
 
     @pytest.mark.parametrize("length", [4, 8, 16, 64])
     def test_ring_spectrum_law(self, length):

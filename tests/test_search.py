@@ -21,8 +21,8 @@ from hamsearch.search import (
     evolve_continuous,
     grover_power,
     search_split,
-    step_params,
 )
+from hamsearch.statevector import expected_peak_step
 from hamsearch.trotter import HermitianTermSet, TrotterPlan, trotter_step
 
 
@@ -192,7 +192,7 @@ class TestGroverHamiltonian:
 
     def test_generates_the_step(self):
         inst = SearchInstance(9)
-        tau = step_params(inst).tau
+        tau = inst.tau
         w, v = np.linalg.eigh(self._generator(inst))
         u = (v * np.exp(-1j * w * tau)) @ v.conj().T
         assert np.max(np.abs(u - grover_power(inst, 1))) < 1e-13
@@ -204,26 +204,26 @@ class TestGroverHamiltonian:
 
 class TestStepParams:
     def test_exact_small_cases(self):
-        assert step_params(SearchInstance(4)).q_total == pytest.approx(1.0, abs=1e-14)
-        assert step_params(SearchInstance(2)).q_total == pytest.approx(0.5, abs=1e-14)
+        assert SearchInstance(4).q_total == pytest.approx(1.0, abs=1e-14)
+        assert SearchInstance(2).q_total == pytest.approx(0.5, abs=1e-14)
 
     def test_asymptotic_step_count(self):
         # Q_T = (pi/4) sqrt(N) - 1/2 + O(1/sqrt(N)), so the half-step shift
         # tracks the asymptote tightly and the rounded step count is the
         # quantity within the quoted percentages.
-        q = step_params(SearchInstance(1024)).q_total
+        q = SearchInstance(1024).q_total
         assert np.floor(q + 0.5) == pytest.approx(np.pi / 4.0 * 32.0, rel=0.02)
         for n in (64, 256, 1024, 4096):
-            q = step_params(SearchInstance(n)).q_total
+            q = SearchInstance(n).q_total
             asymptote = np.pi / 4.0 * np.sqrt(n)
             assert np.floor(q + 0.5) == pytest.approx(asymptote, rel=0.05)
             assert q + 0.5 == pytest.approx(asymptote, rel=0.005)
 
     def test_tau_positive_and_finite_at_edges(self):
         for n in (2, 3):
-            params = step_params(SearchInstance(n))
-            assert np.isfinite(params.tau) and params.tau > 0
-            assert np.isfinite(params.q_total) and params.q_total > 0
+            inst = SearchInstance(n)
+            assert np.isfinite(inst.tau) and inst.tau > 0
+            assert np.isfinite(inst.q_total) and inst.q_total > 0
 
 
 class TestGroverPower:
@@ -263,7 +263,7 @@ class TestEquivalence:
         for n in (3, 4, 16, 64, 1024):
             inst = SearchInstance(n)
             q_t = equivalence_params(inst, inst.total_time).q_t
-            assert q_t == pytest.approx(step_params(inst).q_total, abs=1e-12)
+            assert q_t == pytest.approx(inst.q_total, abs=1e-12)
 
     def test_fractional_steps_approximate_half_time(self):
         # Q_t ~ t/2 away from the endpoints for large N.
@@ -306,21 +306,20 @@ class TestTrajectories:
     def test_routes_separate_away_from_endpoints(self):
         for n in (4, 16, 64):
             inst = SearchInstance(n)
-            q_total = step_params(inst).q_total
             total = inst.total_time
             largest = 0.0
             for t in np.linspace(0.0, total, 41):
                 pc = bloch_point(evolve_continuous(inst, t) @ inst.source_state)
-                pg = bloch_point(grover_power(inst, q_total * t / total) @ inst.source_state)
+                pg = bloch_point(grover_power(inst, inst.q_total * t / total) @ inst.source_state)
                 largest = max(largest, float(np.linalg.norm(pc - pg)))
             assert largest > 0.1
 
     def test_routes_meet_at_both_endpoints(self):
         inst = SearchInstance(16)
-        q_total = step_params(inst).q_total
         for t, ref in ((0.0, inst.source_state), (inst.total_time, inst.target_state)):
             pc = bloch_point(evolve_continuous(inst, t) @ inst.source_state)
-            pg = bloch_point(grover_power(inst, q_total * t / inst.total_time) @ inst.source_state)
+            pg = bloch_point(grover_power(inst, inst.q_total * t / inst.total_time)
+                             @ inst.source_state)
             assert np.linalg.norm(pc - bloch_point(ref)) < 1e-9
             assert np.linalg.norm(pg - bloch_point(ref)) < 1e-9
 
@@ -328,6 +327,5 @@ class TestTrajectories:
         # floor(Q_T + 1/2) whole steps succeed with probability >= 1 - 1/N.
         for n in range(2, 4097):
             inst = SearchInstance(n)
-            k = np.floor(step_params(inst).q_total + 0.5)
-            final = grover_power(inst, float(k)) @ inst.source_state
+            final = grover_power(inst, float(expected_peak_step(n))) @ inst.source_state
             assert abs(final[0]) ** 2 >= 1.0 - 1.0 / n - 1e-12

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsearch.search import SearchInstance, step_params
 from hamsearch.statevector import (
     expected_peak_step,
     grover_iterate,
@@ -150,5 +149,5 @@ class TestSubspaceAgreement:
 
     def test_covers_two_full_periods(self):
         n = 64
-        steps = 2 * int(np.floor(step_params(SearchInstance(n)).q_total + 0.5))
+        steps = 2 * expected_peak_step(n)
         assert subspace_agreement(n, steps) < 1e-9

@@ -93,9 +93,8 @@ def _is_matching(h):
 
 
 def _chain_split(length, periodic=True):
-    graph = laplacian_chain(length, periodic=periodic)
-    values, _ = graph_laplacian(graph)
-    return laplacian_matrix(graph, 2.0), decompose(graph, values, np.full(length, 2.0))
+    g, values, diagonal = laplacian_chain(length, periodic=periodic)
+    return laplacian_matrix(g, 2.0), decompose(g, values, diagonal)
 
 
 class TestTermSetValidation:
@@ -351,7 +350,7 @@ class TestBlochSectors:
         for i, hop in enumerate([0.5 - 1.25j, -0.75 + 0.5j] * (length // 2)):
             h[i, (i + 1) % length] = hop
             h[(i + 1) % length, i] = np.conj(hop)
-        terms = decompose_matrix(h, laplacian_chain(length, periodic=True))
+        terms = decompose_matrix(h, laplacian_chain(length, periodic=True)[0])
         assert terms.labels == ("color0", "color1", "diagonal")
         sectors = bloch_sectors(terms)
         f = _bloch_basis(length // 2)
@@ -366,7 +365,7 @@ class TestBlochSectors:
         # search split. The scan still agrees with the dense oracle.
         h, _ = _chain_split(8)
         h[3, 4] = h[4, 3] = -1.5
-        bent = decompose_matrix(h, laplacian_chain(8, periodic=True))
+        bent = decompose_matrix(h, laplacian_chain(8, periodic=True)[0])
         honeycomb = honeycomb_lattice(3, 4, periodic=True)
         cases = [bent, _chain_split(2, periodic=False)[1], _chain_split(8, periodic=False)[1],
                  _chain_split(9)[1],
