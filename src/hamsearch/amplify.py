@@ -14,8 +14,9 @@
 # Up to R p = 30 numpy draws a binomial by inversion, which reads one Philox
 # word per trial and fails the majority iff the word is at or above a
 # cutoff; the cutoff is found once per plan by replaying numpy's inversion
-# loop, and each trial is then one word compared with it. Above R p = 30
-# numpy switches to BTPE, and the draw still goes through Generator.binomial.
+# loop, and each trial is then one word compared with it; a shard's words
+# are drawn once and every R of a sweep reads them. Above R p = 30 numpy
+# switches to BTPE, and the draw still goes through Generator.binomial.
 # tests/test_amplify.py pins the count to numpy's own sampler.
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "majority_bound",
     "majority_error_exact",
     "simulate_majority",
+    "simulate_majorities",
     "wilson_interval",
     "averaging_error",
     "runs_required",
@@ -172,57 +174,63 @@ def _inversion_cutoffs(runs: int, p: float) -> tuple[int, int]:
     return fail, first_reaching(bound + 1)
 
 
-def _count_inversion_failures(bitgen: np.random.Philox, count: int,
+def _count_inversion_failures(raw: np.ndarray, bitgen: np.random.Philox,
                               fail: int, restart: int) -> int:
-    """Failures among ``count`` inversion trials: words at or above the fail
-    cutoff, with words past the restart cutoff dropped and drawn again from
-    the same stream, as numpy does."""
+    """Failures among the inversion trials of words ``raw``: words at or above
+    the fail cutoff, with words past the restart cutoff dropped and drawn
+    again from ``bitgen``, the stream after ``raw``, as numpy does."""
     fail_word = np.uint64(fail << 11)
     restart_word = np.uint64(restart << 11) if restart < DOUBLE_GRID else None
     failures = 0
-    while count:
-        raw = bitgen.random_raw(count)
+    while raw.size:
         failures += int(np.count_nonzero(raw >= fail_word))
         count = int(np.count_nonzero(raw >= restart_word)) if restart_word is not None else 0
         failures -= count
+        raw = bitgen.random_raw(count)
     return failures
 
 
-def simulate_majority(plan: AmplificationPlan) -> MajorityEstimate:
-    """Monte Carlo estimate of the majority failure rate.
+def simulate_majorities(plans: list[AmplificationPlan]) -> list[MajorityEstimate]:
+    """Monte Carlo majority failure rates of plans that differ only in R.
 
-    Trials are processed in shards of SHARD_SIZE; shard ``i`` draws from
-    Philox(key=(seed, i)), so the result is independent of how shards are
-    scheduled and reproducible from the seed alone. Each shard's count is
-    the one Generator.binomial(R, p) gives on its stream. Up to R p = 30 a
-    trial is one Philox word compared with a cutoff replayed from numpy's
-    binomial inversion, and a plan whose cutoff no word can reach (p = 0, or
-    R >= 7 at p = 2^-19) draws nothing; above R p = 30 (numpy's BTPE) the
-    shard goes through Generator.binomial.
+    Shard ``i`` of SHARD_SIZE trials draws from Philox(key=(seed, i)), so the
+    result is reproducible from the seed alone, and each count is the one
+    Generator.binomial(R, p) gives on the shard's stream. Up to R p = 30 the
+    shard's words are drawn once, each R compares them with its cutoff from
+    numpy's binomial inversion, and an R that draws again restarts from the
+    stream's state after them; a cutoff no word reaches (p = 0, or R >= 7 at
+    p = 2^-19) reads nothing. Above R p = 30 (BTPE) Generator.binomial draws.
     """
-    runs, p = plan.runs, plan.per_run_error
-    inversion = runs * p <= INVERSION_LIMIT
-    if inversion:
-        fail, restart = _inversion_cutoffs(runs, p)
-    failures = 0
-    for shard, done in enumerate(range(0, plan.trials, SHARD_SIZE)):
-        if inversion and fail == DOUBLE_GRID:
-            break  # no word fails; a shard's stream is its own, so skipping shifts none
-        count = min(SHARD_SIZE, plan.trials - done)
-        bitgen = np.random.Philox(key=np.array([plan.seed, shard], dtype=np.uint64))
-        if inversion:
-            failures += _count_inversion_failures(bitgen, count, fail, restart)
-        else:
-            wrong = np.random.Generator(bitgen).binomial(runs, p, size=count)
-            failures += int(np.count_nonzero(wrong >= _majority_threshold(runs)))
-    low, high = wilson_interval(failures, plan.trials)
-    return MajorityEstimate(
-        rate=failures / plan.trials,
-        ci_low=low,
-        ci_high=high,
-        failures=failures,
-        trials=plan.trials,
-    )
+    shared = {(plan.per_run_error, plan.trials, plan.seed) for plan in plans}
+    if len(shared) != 1:
+        raise ValueError("need one or more plans that share per_run_error, trials and seed")
+    ((p, trials, seed),) = shared
+    btpe = [k for k, plan in enumerate(plans) if plan.runs * p > INVERSION_LIMIT]
+    cutoffs = {k: _inversion_cutoffs(plan.runs, p) for k, plan in enumerate(plans) if k not in btpe}
+    cutoffs = {k: cut for k, cut in cutoffs.items() if cut[0] < DOUBLE_GRID}
+    failures = [0] * len(plans)
+    for shard, done in enumerate(range(0, trials if btpe or cutoffs else 0, SHARD_SIZE)):
+        count = min(SHARD_SIZE, trials - done)
+        key = np.array([seed, shard], dtype=np.uint64)
+        for k in btpe:
+            wrong = np.random.Generator(np.random.Philox(key=key)).binomial(
+                plans[k].runs, p, size=count)
+            failures[k] += int(np.count_nonzero(wrong >= _majority_threshold(plans[k].runs)))
+        if cutoffs:
+            bitgen = np.random.Philox(key=key)
+            raw = bitgen.random_raw(count)
+            after = bitgen.state
+            for k, (fail, restart) in cutoffs.items():
+                bitgen.state = after
+                failures[k] += _count_inversion_failures(raw, bitgen, fail, restart)
+            del raw  # freed before the next shard's words are drawn
+    return [MajorityEstimate(f / trials, *wilson_interval(f, trials), f, trials)
+            for f in failures]
+
+
+def simulate_majority(plan: AmplificationPlan) -> MajorityEstimate:
+    """simulate_majorities for one plan."""
+    return simulate_majorities([plan])[0]
 
 
 def averaging_error(n: int, runs: int) -> float:

@@ -172,12 +172,25 @@ def cmd_equivalence(args) -> tuple[list, str | None]:
     return [(args.out, text)], failure
 
 
+def _read_branch(args, branch: str, defaults: dict, unread=()) -> None:
+    # Options that one branch reads and another does not are None (a flag
+    # False) unless given: fill in those ``branch`` reads, reject the rest.
+    for name in unread:
+        if (value := getattr(args, name)) is not None and value is not False:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {branch}")
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _scan_problem(args):
     if args.problem == "search-split":
+        _read_branch(args, "--problem search-split", {"n": 16}, ("length", "periodic"))
         inst = search.SearchInstance(args.n)
         terms = search.search_split(inst)
         total_time = args.t if args.t is not None else inst.total_time
     else:
+        _read_branch(args, "--problem chain", {"length": 8}, ("n",))
         terms = decompose.decompose(*decompose.laplacian_chain(args.length, args.periodic))
         total_time = args.t if args.t is not None else 2.0
     return terms, total_time
@@ -233,14 +246,18 @@ def cmd_trotter_scan(args) -> tuple[list, str | None]:
 
 def _decompose_input(args):
     # (graph, edge values, diagonal, expected spectrum or None); a ring is a
-    # periodic chain.
+    # periodic chain, so --periodic is allowed on it and changes nothing.
     if args.graph is not None:
+        _read_branch(args, "--graph", {}, ("lattice", "length", "cells_x", "cells_y", "periodic"))
         graph = decompose.load_graph(args.graph)
         return (graph, *decompose.graph_laplacian(graph), None)
-    if args.lattice == "honeycomb":
+    lattice = args.lattice or "ring"
+    if lattice == "honeycomb":
+        _read_branch(args, "--lattice honeycomb", {"cells_x": 3, "cells_y": 4}, ("length",))
         graph = decompose.honeycomb_lattice(args.cells_x, args.cells_y, periodic=args.periodic)
         return (graph, *decompose.graph_laplacian(graph), None)
-    if args.lattice == "chain" and not args.periodic:
+    _read_branch(args, f"--lattice {lattice}", {"length": 8}, ("cells_x", "cells_y"))
+    if lattice == "chain" and not args.periodic:
         return (*decompose.laplacian_chain(args.length), None)
     ring = decompose.laplacian_chain(args.length, periodic=True)
     spectrum = np.sort(4.0 * np.sin(np.pi * np.arange(args.length) / args.length) ** 2)
@@ -328,12 +345,10 @@ def cmd_grover(args) -> tuple[list, str | None]:
     }
     outputs = [(args.out, _table_text(args.format, ["step", "probability"], rows, extra=extra))]
     if plans:
-        amp_rows = []
-        for plan in plans:
-            est = amplify.simulate_majority(plan)
-            amp_rows.append([plan.runs, amplify.majority_bound(plan.runs, n=args.n),
-                             amplify.majority_error_exact(plan.per_run_error, plan.runs),
-                             est.rate, est.ci_halfwidth])
+        amp_rows = [[plan.runs, amplify.majority_bound(plan.runs, n=args.n),
+                     amplify.majority_error_exact(plan.per_run_error, plan.runs),
+                     est.rate, est.ci_halfwidth]
+                    for plan, est in zip(plans, amplify.simulate_majorities(plans))]
         amp_text = _table_text(args.format, ["R", "bound", "exact", "empirical", "ci95"], amp_rows)
         amp_out = args.amplification_out
         if amp_out is None:
@@ -421,18 +436,18 @@ def build_parser():
 
     sp = subparsers.add_parser("trotter-scan", help="error vs step size for a term split")
     sp.add_argument("--problem", choices=("search-split", "chain"), default="search-split")
-    sp.add_argument("--n", type=int, default=16, help="database size (search-split)")
-    sp.add_argument("--length", type=int, default=8, help="chain sites")
+    sp.add_argument("--n", type=int, default=None, help="database size (search-split)")
+    sp.add_argument("--length", type=int, default=None, help="chain sites")
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--t", type=float, default=None, help="total time (default: problem specific)")
     sp.add_argument("--dt-grid", type=float_list, default="0.2,0.1,0.05,0.025")
     commands["trotter-scan"] = cmd_trotter_scan
 
     sp = subparsers.add_parser("decompose", help="edge-color a lattice and emit its term set")
-    sp.add_argument("--lattice", choices=("chain", "ring", "honeycomb"), default="ring")
-    sp.add_argument("--length", type=int, default=8)
-    sp.add_argument("--cells-x", type=int, default=3)
-    sp.add_argument("--cells-y", type=int, default=4)
+    sp.add_argument("--lattice", choices=("chain", "ring", "honeycomb"), default=None)
+    sp.add_argument("--length", type=int, default=None)
+    sp.add_argument("--cells-x", type=int, default=None)
+    sp.add_argument("--cells-y", type=int, default=None)
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--graph", default=None, help="external graph JSON instead of a lattice")
     sp.add_argument("--report", default="-", help="where to write the validation report")

@@ -1,11 +1,11 @@
 # Full N-dimensional search simulation from explicit reflections.
 #
 # The step applies -(1 - 2|s><s|)(1 - 2|t><t|) as a sign flip on the target
-# and an inversion about the mean, in place, on a real state: every
-# amplitude reachable from |s> is real. The mean is summed once, then kept
-# by mean(flip_t(psi)) = mean - 2 psi[t]/N and mean(2 mean - psi) = mean, so
-# a step is one pass over all N amplitudes. This is the brute-force oracle
-# that validates the 2x2 subspace models, not a closed form.
+# and an inversion about the mean read from the state: grover_iterate and
+# subspace_agreement are the brute-force N-dimensional oracle that validates
+# the 2x2 subspace models. success_curve, which the CLI plots, runs on two
+# scalars: a step keeps mean(flip_t(psi)) = mean - 2 psi[t]/N and
+# mean(2 mean - psi) = mean, so psi[t] and the mean summed once carry it.
 
 from __future__ import annotations
 
@@ -36,16 +36,18 @@ def uniform_state(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n))
 
 
+def _check_target(n: int, target: int) -> None:
+    if not (0 <= target < n):
+        raise ValueError(f"target index {target} outside [0, {n})")
+
+
 def _iterates(psi: np.ndarray, target: int, steps: int):
     """Yield psi after 0, 1, ..., steps search steps, stepping it in place."""
-    if not (0 <= target < psi.size):
-        raise ValueError(f"target index {target} outside [0, {psi.size})")
-    mean = psi.mean()
+    _check_target(psi.size, target)
     yield psi
     for _ in range(steps):
-        mean -= 2.0 * psi[target] / psi.size
         psi[target] = -psi[target]
-        np.subtract(2.0 * mean, psi, out=psi)
+        np.subtract(2.0 * psi.mean(), psi, out=psi)
         yield psi
 
 
@@ -64,7 +66,14 @@ def success_curve(n: int, max_steps: int, target: int = 0) -> np.ndarray:
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     psi = uniform_state(n)
-    return np.array([abs(p[target]) ** 2 for p in _iterates(psi, target, max_steps)])
+    _check_target(psi.size, target)
+    mean, a = float(psi.mean()), float(psi[target])
+    curve = [abs(a) ** 2]  # libm pow, which can sit one rounding off np.square
+    for _ in range(max_steps):
+        mean -= 2.0 * a / psi.size  # the target's sign flip, seen by the mean
+        a = 2.0 * mean + a  # 2 mean - (-a): the flipped amplitude, inverted
+        curve.append(abs(a) ** 2)
+    return np.array(curve)
 
 
 def peak_step(curve: np.ndarray) -> int:

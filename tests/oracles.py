@@ -3,8 +3,9 @@
 # search split of a given database size, Haar random unitaries, the graph
 # JSON writer, the Rodrigues rotation of the Bloch sphere, the
 # product-formula error scan on dense d x d matrices, the term-set document
-# as json.dump writes it, and the majority Monte Carlo and single binomial
-# draws as numpy's Generator.binomial makes them.
+# as json.dump writes it, the majority Monte Carlo and single binomial
+# draws as numpy's Generator.binomial makes them, and the success curve of
+# the full-space step with a carried mean.
 
 import ctypes
 import json
@@ -163,3 +164,18 @@ def binomial_draw(runs, p, u):
     bitgen = ScriptedDoubles([u, 0.0])
     x = int(np.random.Generator(bitgen).binomial(runs, p))
     return x, bitgen.used
+
+
+def carried_mean_curve(n, max_steps, target):
+    # |<t|psi_k>|^2 of the full N-dimensional step on a real state, one pass
+    # over all amplitudes per step, the mean summed once and then carried by
+    # mean(flip_t(psi)) = mean - 2 psi[t]/N and mean(2 mean - psi) = mean.
+    psi = np.full(n, 1.0 / np.sqrt(n))
+    mean = psi.mean()
+    curve = [abs(psi[target]) ** 2]
+    for _ in range(max_steps):
+        mean -= 2.0 * psi[target] / psi.size
+        psi[target] = -psi[target]
+        np.subtract(2.0 * mean, psi, out=psi)
+        curve.append(abs(psi[target]) ** 2)
+    return np.array(curve)

@@ -1,6 +1,7 @@
 # Majority-vote amplification (bound, exact tail, Monte Carlo) and the
 # cost accounting for both evolution routes.
 
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -23,6 +24,7 @@ from hamsearch.amplify import (
     per_step_cost,
     register_width,
     runs_required,
+    simulate_majorities,
     simulate_majority,
     trotter_complexity,
     wilson_interval,
@@ -175,6 +177,59 @@ class TestSimulateMajority:
             assert draws == (2 if m >= restart else 1), m
             if draws == 1:
                 assert (x >= ceil(runs / 2)) == (m >= fail), m
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=0.5),
+           st.integers(min_value=0, max_value=10).map(lambda h: 2 * h + 1),
+           st.integers(min_value=10_000, max_value=300_000),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @example(2**-19, 9, 4_000_000, 5)  # the benchmark's table: R >= 7 reads nothing
+    @example(1 / 16, 5, 600_001, 2)  # three shards, the last one trial long
+    @example(0.01, 119, 30_000, 1)  # restart cutoff below DOUBLE_GRID
+    @example(P_AT_30, 61, 100_000, 3)  # inversion up to the last R
+    @example(P_PAST_30, 63, 100_000, 3)  # R = 61 and 63 by BTPE, the rest by inversion
+    def test_sweep_counts_what_binomial_draws(self, p, runs, trials, seed):
+        # One shard loop for R = 1, 3, ..., runs: each R's count is still the
+        # one Generator.binomial gives on the same Philox streams.
+        plans = [AmplificationPlan(p, r, trials, seed) for r in range(1, runs + 1, 2)]
+        estimates = simulate_majorities(plans)
+        assert [est.failures for est in estimates] == [
+            binomial_majority_failures(plan) for plan in plans]
+        assert estimates[-1] == simulate_majority(plans[-1])
+
+    def test_restart_cutoffs_redraw_from_the_words_after_the_shard(self, monkeypatch):
+        # numpy draws again only past about ten standard deviations (at
+        # p = 0.01, R = 119, from 928 grid steps below 2^53 on), so random
+        # streams leave the redraw path untested; here the cutoffs are moved
+        # down so that a quarter and a half of the words draw again. Each
+        # R's redraws read the stream after the shard's words, as a plan
+        # run alone on its own Philox does.
+        cutoffs = {3: (1 << 52, 3 << 51), 5: (1 << 51, 1 << 52)}
+        monkeypatch.setattr(amplify, "_inversion_cutoffs", lambda runs, p: cutoffs[runs])
+        plans = [AmplificationPlan(0.1, runs, 300_000, seed=9) for runs in (3, 5)]
+
+        def alone(fail, restart):
+            failures = 0
+            for shard, done in enumerate(range(0, 300_000, amplify.SHARD_SIZE)):
+                bitgen = np.random.Philox(key=np.array([9, shard], dtype=np.uint64))
+                count = min(amplify.SHARD_SIZE, 300_000 - done)
+                while count:
+                    words = bitgen.random_raw(count) >> np.uint64(11)
+                    count = int(np.count_nonzero(words >= restart))
+                    failures += int(np.count_nonzero(words >= fail)) - count
+            return failures
+
+        got = [est.failures for est in simulate_majorities(plans)]
+        assert got == [alone(*cutoffs[3]), alone(*cutoffs[5])]
+
+    @pytest.mark.parametrize("field, value", [("per_run_error", 0.2), ("trials", 20_000),
+                                              ("seed", 1)])
+    def test_sweep_plans_share_all_but_the_runs(self, field, value):
+        plan = AmplificationPlan(0.1, 3, 10_000, seed=0)
+        with pytest.raises(ValueError, match="share per_run_error, trials and seed"):
+            simulate_majorities([plan, replace(plan, runs=5, **{field: value})])
+        with pytest.raises(ValueError, match="one or more plans"):
+            simulate_majorities([])
 
     def test_unreachable_cutoff_draws_nothing(self, monkeypatch):
         # At p = 2^-19 no double reaches 4 failures out of 7: no Philox is

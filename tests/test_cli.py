@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hamsearch
-from hamsearch import cli, decompose, trotter
+from hamsearch import cli, decompose, statevector, trotter
 from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from hamsearch.decompose import honeycomb_lattice
 from hamsearch.trotter import load_term_set
@@ -437,6 +437,25 @@ class TestGrover:
         _, rows = _read_rows(tmp_path / "x.csv.amplification.csv")
         assert rows[-1][:2] == [221.0, 2.0**-890]
 
+    def test_curve_at_the_cap_runs_on_two_scalars(self, tmp_path, monkeypatch):
+        # At N = 2^22 the curve needs no N-dimensional step: with the
+        # vector loop taken away, its 3217 points still lie within 5e-15 of
+        # the closed form sin^2((2k+1) asin(1/sqrt N)).
+        def no_vector_loop(*args):
+            raise AssertionError("the curve ran the N-dimensional step")
+
+        monkeypatch.setattr(statevector, "_iterates", no_vector_loop)
+        n = statevector.MAX_DIMENSION
+        out = tmp_path / "curve.csv"
+        rc = main(["grover", "--n", str(n), "--runs", "3", "--trials", "10000",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_rows(out)
+        steps = np.array([row[0] for row in rows])
+        closed_form = np.sin((2 * steps + 1) * np.arcsin(1.0 / np.sqrt(n))) ** 2
+        assert len(rows) == 2 * statevector.expected_peak_step(n) + 1 == 3217
+        assert np.max(np.abs(np.array([row[1] for row in rows]) - closed_form)) < 5e-15
+
     def test_two_items_meet_the_bound(self, tmp_path, capsys):
         # At N = 2 every step leaves the success probability at 1/2 = 1 - 1/N,
         # so only round-off separates the peak from the bound.
@@ -745,6 +764,46 @@ class TestPlumbing:
             read |= reads
         capsys.readouterr()
         assert sorted(options - read) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("decompose --graph {graph.json} --lattice chain --periodic --length 5", "--lattice"),
+        ("decompose --graph {graph.json} --periodic", "--periodic"),
+        ("decompose --graph {graph.json} --cells-y 2", "--cells-y"),
+        ("decompose --lattice honeycomb --length 5", "--length"),
+        ("decompose --lattice chain --cells-x 2", "--cells-x"),
+        ("decompose --cells-y 2", "--cells-y"),
+        ("trotter-scan --problem search-split --periodic --length 9", "--length"),
+        ("trotter-scan --periodic", "--periodic"),
+        ("trotter-scan --problem chain --n 32", "--n")])
+    def test_option_of_another_branch_is_rejected(self, tmp_path, capsys, argv, flag):
+        # An option that the chosen input or problem does not read exits 2,
+        # named on stderr, before anything is written.
+        save_graph(tmp_path / "graph.json", honeycomb_lattice(2, 2))
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv.split()]
+        out, report = tmp_path / "out", tmp_path / "report"
+        extra = ["--report", str(report)] if argv[0] == "decompose" else []
+        assert main([*argv, "--out", str(out), *extra]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"hamsearch: {flag} does not apply to ") and err.count("\n") == 1
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("short, full", [
+        ("decompose", "decompose --lattice ring --length 8"),
+        ("decompose --lattice chain", "decompose --lattice chain --length 8"),
+        ("decompose --lattice ring --periodic", "decompose --lattice ring --length 8"),
+        ("decompose --lattice honeycomb", "decompose --lattice honeycomb --cells-x 3 --cells-y 4"),
+        ("trotter-scan", "trotter-scan --problem search-split --n 16"),
+        ("trotter-scan --problem chain", "trotter-scan --problem chain --length 8")])
+    def test_defaults_of_the_branch_options(self, tmp_path, short, full):
+        # The branch options default to None and each branch fills in its
+        # own defaults: leaving one out gives the bytes of naming its default.
+        outputs = []
+        for name, argv in (("short", short), ("full", full)):
+            out, report = tmp_path / f"{name}.out", tmp_path / f"{name}.report"
+            extra = ["--report", str(report)] if argv.startswith("decompose") else []
+            assert main([*argv.split(), "--out", str(out), *extra]) == EXIT_OK
+            outputs.append([path.read_bytes() for path in (out, report) if path.exists()])
+        assert outputs[0] == outputs[1]
 
     def test_unknown_flag_exits_validation(self, capsys):
         assert main(["equivalence", "--frobnicate"]) == EXIT_VALIDATION

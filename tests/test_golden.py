@@ -19,7 +19,10 @@
 #   most 8.9e-15 each, and their largest distance from the closed form
 #   sin^2((2k+1) asin(1/sqrt N)) fell from 8.2e-15 to 1.0e-15: the mean
 #   is carried by an exact identity instead of being summed again over all
-#   N amplitudes at every step.
+#   N amplitudes at every step. Both grover pins then held unedited when
+#   the curve moved to the two-scalar recurrence (the target amplitude and
+#   the carried mean, no N-dimensional step) and the amplification table
+#   to one shard loop that draws each shard's words once for every R.
 # - trajectory was recorded from the stacked layer. It differs from the
 #   per-sample output in 24 z cells, by at most 2.2e-16 each: the stacked
 #   |a|^2 is a correctly rounded square, the per-sample one went through

@@ -3,7 +3,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamsearch.statevector import (
@@ -14,6 +14,7 @@ from hamsearch.statevector import (
     success_curve,
     uniform_state,
 )
+from oracles import carried_mean_curve
 
 
 def closed_form_curve(n, max_steps):
@@ -123,6 +124,29 @@ class TestSuccessCurve:
         n, target, steps = search
         curve = success_curve(n, steps, target=target)
         assert np.max(np.abs(curve - closed_form_curve(n, steps))) < 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(searches())
+    @example((2, 1, 3))
+    @example((3, 2, 5))
+    @example((255, 0, 30))
+    @example((65536, 65535, 2 * expected_peak_step(65536)))
+    @example((2**19, 2**19 - 1, 2 * expected_peak_step(2**19)))
+    def test_keeps_the_bytes_of_the_full_space_step(self, search):
+        # The two-scalar recurrence runs the float operations that the
+        # N-dimensional step with a carried mean ran on psi[t] and the mean.
+        n, target, steps = search
+        want = carried_mean_curve(n, steps, target)
+        assert success_curve(n, steps, target=target).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, steps, target, message", [
+        (16, 0, 0, "max_steps must be >= 1"),
+        (16, 3, 16, r"target index 16 outside \[0, 16\)"),
+        (16, 3, -1, r"target index -1 outside \[0, 16\)"),
+        (2**22 + 1, 3, 0, "exceeds the cap 4194304")])
+    def test_rejects_bad_arguments(self, n, steps, target, message):
+        with pytest.raises(ValueError, match=message):
+            success_curve(n, steps, target=target)
 
     def test_matches_closed_form_at_two_to_the_twenty(self):
         n = 2**20
