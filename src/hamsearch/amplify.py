@@ -1,5 +1,6 @@
 # Majority-rule error amplification and the complexity accounting for the
-# two evolution routes.
+# two evolution routes; cost_report alone builds the whole cost comparison,
+# from the search split of size N and its commutator estimate.
 #
 # A single search run errs with probability p (worst case 1/N). Repeating R
 # times (R odd) and taking the majority gives failure probability equal to
@@ -26,12 +27,12 @@ from math import ceil, comb, exp, isfinite, log, log1p, log2, sqrt
 
 import numpy as np
 
+from .search import SearchInstance, search_split
+from .trotter import commutator_error
+
 __all__ = [
     "AmplificationPlan",
     "MajorityEstimate",
-    "CostModel",
-    "TrotterCost",
-    "GroverCost",
     "majority_bound",
     "majority_error_exact",
     "simulate_majority",
@@ -42,8 +43,7 @@ __all__ = [
     "asymptotic_runs",
     "register_width",
     "per_step_cost",
-    "trotter_complexity",
-    "grover_complexity",
+    "cost_report",
 ]
 
 Z_95 = 1.959963984540054
@@ -293,81 +293,63 @@ def per_step_cost(dimension: int, bits: int) -> float:
     return log2(dimension) * float(bits) ** 3
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Inputs of the complexity comparison, in abstract cost units.
-
-    ``norm_e2`` comes from the product-formula commutator estimate.
-    """
-
-    total_time: float
-    error_budget: float
-    database_size: int
-    norm_e2: float = 0.0
-    step_cost: float = 1.0
-    grover_step_cost: float = 1.0
-
-    def __post_init__(self) -> None:
-        # Python floats, so that an overflow below is an inf to check, not a numpy warning.
-        for name in ("total_time", "error_budget", "norm_e2", "step_cost", "grover_step_cost"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.total_time > 0 and 0 < self.error_budget < 1):
-            raise ValueError("need total_time > 0 and error budget in (0, 1)")
-        if self.database_size < 3:
-            raise ValueError("database size must be >= 3")
-        if not (self.norm_e2 >= 0 and self.step_cost >= 0 and self.grover_step_cost >= 0):
-            raise ValueError("norm_e2 and the step costs must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TrotterCost:
-    cost: float
-    steps: float  # implied n = t^2 ||E2|| / eps, before integer rounding
-    queries: float
-
-
-@dataclass(frozen=True)
-class GroverCost:
-    cost: float
-    q_steps: float  # t/2, the step count of the equivalent discrete route
-    runs: int
-    runs_formula: int
-    queries: float
-
-
 def _finite(name: str, value: float) -> float:
     if not isfinite(value):
         raise ValueError(f"{name} is not finite")
     return value
 
 
-def trotter_complexity(cm: CostModel) -> TrotterCost:
-    """Small-step route: cost = t^2 (||E2||/eps) C, power-law in 1/eps."""
-    # t * t overflows to inf, where t**2 would raise OverflowError.
-    steps = _finite(f"step count t^2 ||E2||/eps at t={cm.total_time:g}",
-                    cm.total_time * cm.total_time * cm.norm_e2 / cm.error_budget)
-    return TrotterCost(
-        cost=_finite(f"Trotter cost (step count x step cost {cm.step_cost:g})",
-                     steps * cm.step_cost),
-        steps=steps,
-        queries=_finite("Trotter query count", steps * QUERIES_PER_TROTTER_STEP),
-    )
+def cost_report(n: int, total_time: float | None, error_budget: float,
+                step_cost: float, grover_step_cost: float) -> dict:
+    """The ``cost`` subcommand's report for the search split of size N.
 
-
-def grover_complexity(cm: CostModel) -> GroverCost:
-    """Reflection route: cost = (t/2) R C_G with R odd runs of majority voting.
-
-    R is the smallest odd run count whose majority bound meets the error
-    budget (logarithmic in 1/eps); the -2 log(eps)/log(N) estimate is
-    reported alongside.
+    Small-step route: t^2 ||E2||/eps steps of cost C, power-law in 1/eps.
+    Reflection route: (t/2) R steps of cost C_G with R the smallest odd run
+    count whose majority bound meets eps, logarithmic in 1/eps. t None is
+    (pi/2) sqrt(N); a count, cost or ratio that is not finite raises.
     """
-    runs = runs_required(cm.database_size, cm.error_budget)
-    q_steps = 0.5 * cm.total_time
-    return GroverCost(
-        cost=_finite(f"Grover cost ((t/2) R x Grover step cost {cm.grover_step_cost:g})",
-                     q_steps * runs * cm.grover_step_cost),
-        q_steps=q_steps,
-        runs=runs,
-        runs_formula=asymptotic_runs(cm.database_size, cm.error_budget),
-        queries=_finite("Grover query count", q_steps * runs * QUERIES_PER_GROVER_STEP),
-    )
+    inst = SearchInstance(n)
+    split = search_split(inst)
+    norm_e2 = commutator_error(split)
+    # Python floats, so that an overflow below is an inf to check, not a numpy warning.
+    t, eps, step_cost, grover_step_cost = (float(x) for x in (
+        inst.total_time if total_time is None else total_time,
+        error_budget, step_cost, grover_step_cost))
+    if not (t > 0 and 0 < eps < 1):
+        raise ValueError("need total_time > 0 and error budget in (0, 1)")
+    if n < 3:
+        raise ValueError("database size must be >= 3")
+    if not (step_cost >= 0 and grover_step_cost >= 0):
+        raise ValueError("norm_e2 and the step costs must be nonnegative")
+    # t * t overflows to inf, where t**2 would raise OverflowError.
+    steps = _finite(f"step count t^2 ||E2||/eps at t={t:g}", t * t * norm_e2 / eps)
+    trotter_cost = _finite(f"Trotter cost (step count x step cost {step_cost:g})",
+                           steps * step_cost)
+    trotter_queries = _finite("Trotter query count", steps * QUERIES_PER_TROTTER_STEP)
+    runs = runs_required(n, eps)
+    q_steps = 0.5 * t
+    grover_cost = _finite(f"Grover cost ((t/2) R x Grover step cost {grover_step_cost:g})",
+                          q_steps * runs * grover_step_cost)
+    runs_formula = asymptotic_runs(n, eps)
+    grover_queries = _finite("Grover query count", q_steps * runs * QUERIES_PER_GROVER_STEP)
+    whole_steps = max(1, ceil(steps))
+    bits = register_width(whole_steps, len(split), eps)
+    return {
+        "inputs": {"N": n, "t": t, "eps": eps, "term_count": len(split), "norm_e2": norm_e2,
+                   "step_cost": step_cost, "grover_step_cost": grover_step_cost},
+        "n": whole_steps,
+        "dt": t / whole_steps,
+        "b": bits,
+        "C": per_step_cost(n, bits),
+        "cost": {
+            "trotter": trotter_cost,
+            "grover": grover_cost,
+            "ratio_grover_over_trotter": _finite(
+                f"cost ratio Grover/Trotter at step cost {step_cost:g}", grover_cost / trotter_cost)
+            if trotter_cost > 0 else None,
+        },
+        "grover": {"q_steps": q_steps, "runs": runs, "runs_formula": runs_formula},
+        "queries": {"trotter": trotter_queries, "grover": grover_queries},
+        "convention": {"queries_per_trotter_step": QUERIES_PER_TROTTER_STEP,
+                       "queries_per_grover_step": QUERIES_PER_GROVER_STEP},
+    }

@@ -331,7 +331,7 @@ def cmd_grover(args) -> tuple[list, str | None]:
         plans = [replace(plan, runs=r) for r in range(1, plan.runs + 1, 2)]
     max_steps = args.max_steps if args.max_steps is not None else max(1, 2 * expected)
     curve = statevector.success_curve(args.n, max_steps, target=args.target)
-    rows = [[k, p] for k, p in enumerate(curve)]
+    rows = np.column_stack([np.arange(curve.size), curve])
     peak = statevector.peak_step(curve)
     if args.measured_error:
         # Clipped into [0, 1/2]: at N = 2 the peak reads 1/2 less one rounding.
@@ -363,45 +363,7 @@ def cmd_grover(args) -> tuple[list, str | None]:
 
 
 def cmd_cost(args) -> tuple[list, str | None]:
-    inst = search.SearchInstance(args.n)
-    total_time = args.t if args.t is not None else inst.total_time
-    split = search.search_split(inst)
-    norm_e2 = trotter.commutator_error(split)
-    cm = amplify.CostModel(total_time=total_time, error_budget=args.eps, database_size=args.n,
-                           norm_e2=norm_e2, step_cost=args.step_cost,
-                           grover_step_cost=args.grover_step_cost)
-    tc = amplify.trotter_complexity(cm)
-    gc = amplify.grover_complexity(cm)
-    steps = max(1, int(np.ceil(tc.steps)))
-    bits = amplify.register_width(steps, len(split), args.eps)
-    report = {
-        "inputs": {
-            "N": args.n,
-            "t": total_time,
-            "eps": args.eps,
-            "term_count": len(split),
-            "norm_e2": norm_e2,
-            "step_cost": cm.step_cost,
-            "grover_step_cost": cm.grover_step_cost,
-        },
-        "n": steps,
-        "dt": total_time / steps,
-        "b": bits,
-        "C": amplify.per_step_cost(args.n, bits),
-        "cost": {
-            "trotter": tc.cost,
-            "grover": gc.cost,
-            "ratio_grover_over_trotter": amplify._finite(
-                f"cost ratio Grover/Trotter at step cost {cm.step_cost:g}", gc.cost / tc.cost)
-            if tc.cost > 0 else None,
-        },
-        "grover": {"q_steps": gc.q_steps, "runs": gc.runs, "runs_formula": gc.runs_formula},
-        "queries": {"trotter": tc.queries, "grover": gc.queries},
-        "convention": {
-            "queries_per_trotter_step": amplify.QUERIES_PER_TROTTER_STEP,
-            "queries_per_grover_step": amplify.QUERIES_PER_GROVER_STEP,
-        },
-    }
+    report = amplify.cost_report(args.n, args.t, args.eps, args.step_cost, args.grover_step_cost)
     return [(args.out, _report_text(report))], None
 
 

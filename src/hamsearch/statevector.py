@@ -15,6 +15,7 @@ from .search import SearchInstance, grover_power
 
 __all__ = [
     "MAX_DIMENSION",
+    "MAX_STEPS",
     "uniform_state",
     "grover_iterate",
     "success_curve",
@@ -24,15 +25,21 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 2**22
+MAX_STEPS = 2**20
 
 
-def uniform_state(n: int) -> np.ndarray:
-    """Uniform superposition: every amplitude 1/sqrt(N)."""
+def _checked_dimension(n: int) -> int:
     n = int(n)
     if n < 2:
         raise ValueError("database size must be >= 2")
     if n > MAX_DIMENSION:
         raise ValueError(f"N={n} exceeds the cap {MAX_DIMENSION}")
+    return n
+
+
+def uniform_state(n: int) -> np.ndarray:
+    """Uniform superposition: every amplitude 1/sqrt(N)."""
+    n = _checked_dimension(n)
     return np.full(n, 1.0 / np.sqrt(n))
 
 
@@ -65,12 +72,15 @@ def success_curve(n: int, max_steps: int, target: int = 0) -> np.ndarray:
     """Success probability |<t|psi_k>|^2 for k = 0 .. max_steps."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    psi = uniform_state(n)
-    _check_target(psi.size, target)
-    mean, a = float(psi.mean()), float(psi[target])
+    if max_steps > MAX_STEPS:
+        raise ValueError(f"max_steps={max_steps} exceeds the cap {MAX_STEPS}")
+    n = _checked_dimension(n)
+    _check_target(n, target)
+    amp = 1.0 / np.sqrt(n)  # a zero-stride view sums pairwise as the np.full array does
+    mean, a = float(np.broadcast_to(amp, (n,)).mean()), float(amp)
     curve = [abs(a) ** 2]  # libm pow, which can sit one rounding off np.square
     for _ in range(max_steps):
-        mean -= 2.0 * a / psi.size  # the target's sign flip, seen by the mean
+        mean -= 2.0 * a / n  # the target's sign flip, seen by the mean
         a = 2.0 * mean + a  # 2 mean - (-a): the flipped amplitude, inverted
         curve.append(abs(a) ** 2)
     return np.array(curve)

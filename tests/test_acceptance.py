@@ -10,13 +10,11 @@ import pytest
 
 from hamsearch.amplify import (
     AmplificationPlan,
-    CostModel,
     averaging_error,
-    grover_complexity,
+    cost_report,
     majority_bound,
     majority_error_exact,
     simulate_majority,
-    trotter_complexity,
 )
 from hamsearch.decompose import (
     color_edges,
@@ -177,17 +175,11 @@ def test_criterion_09_majority_amplification():
 
 
 def test_criterion_10_efficiency_separation():
-    inst = SearchInstance(1024)
-    norm_e2 = commutator_error(search_split_of(1024))
     ratios = []
     for eps in [10.0**-k for k in range(2, 13)]:
-        cm = CostModel(
-            total_time=inst.total_time,
-            error_budget=eps,
-            database_size=1024,
-            norm_e2=norm_e2,
-        )
-        ratios.append(grover_complexity(cm).cost / trotter_complexity(cm).cost)
+        # The search split at N = 1024 over its search time (pi/2) sqrt(N).
+        cost = cost_report(1024, None, eps, 1.0, 1.0)["cost"]
+        ratios.append(cost["grover"] / cost["trotter"])
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] < 1e-10
     print(f"ACCEPTANCE 10 PASS - cost ratio falls monotonically to {ratios[-1]:.2e}")

@@ -15,10 +15,9 @@ from hamsearch.amplify import (
     DOUBLE_GRID,
     MAX_RUNS,
     AmplificationPlan,
-    CostModel,
     asymptotic_runs,
     averaging_error,
-    grover_complexity,
+    cost_report,
     majority_bound,
     majority_error_exact,
     per_step_cost,
@@ -26,7 +25,6 @@ from hamsearch.amplify import (
     runs_required,
     simulate_majorities,
     simulate_majority,
-    trotter_complexity,
     wilson_interval,
 )
 from oracles import binomial_draw, binomial_majority_failures, search_split_of
@@ -345,67 +343,66 @@ class TestRegisterWidth:
 
 
 class TestComplexities:
-    def _model(self, **kwargs):
-        defaults = dict(
-            total_time=50.0,
-            error_budget=1e-6,
-            database_size=1024,
-            norm_e2=0.0156,
-        )
-        defaults.update(kwargs)
-        return CostModel(**defaults)
+    @staticmethod
+    def _report(n=1024, total_time=50.0, error_budget=1e-6, step_cost=1.0, grover_step_cost=1.0):
+        return cost_report(n, total_time, error_budget, step_cost, grover_step_cost)
 
     def test_halving_budget_doubles_trotter_cost(self):
-        base = trotter_complexity(self._model()).cost
-        halved = trotter_complexity(self._model(error_budget=5e-7)).cost
+        base = self._report()["cost"]["trotter"]
+        halved = self._report(error_budget=5e-7)["cost"]["trotter"]
         assert halved == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_doubling_time_quadruples_trotter_cost(self):
-        base = trotter_complexity(self._model()).cost
-        doubled = trotter_complexity(self._model(total_time=100.0)).cost
+        base = self._report()["cost"]["trotter"]
+        doubled = self._report(total_time=100.0)["cost"]["trotter"]
         assert doubled == pytest.approx(4.0 * base, rel=1e-12)
 
     def test_implied_steps_match_budget_planner(self):
         from hamsearch.search import SearchInstance
-        from hamsearch.trotter import commutator_error, plan_for_budget
+        from hamsearch.trotter import plan_for_budget
 
         inst = SearchInstance(16)
-        terms = search_split_of(16)
         eps = 1e-3
-        cm = self._model(
-            total_time=inst.total_time,
-            error_budget=eps,
-            database_size=16,
-            norm_e2=commutator_error(terms),
-        )
-        implied = trotter_complexity(cm).steps
-        planned = plan_for_budget(terms, inst.total_time, eps).steps
-        assert planned == int(np.ceil(implied - 1e-12))
+        report = self._report(n=16, total_time=None, error_budget=eps)
+        implied = report["queries"]["trotter"] / 2  # t^2 ||E2||/eps before rounding
+        planned = plan_for_budget(search_split_of(16), inst.total_time, eps).steps
+        assert planned == int(np.ceil(implied - 1e-12)) == report["n"]
 
     def test_native_budget_grover_cost(self):
-        cm = self._model(error_budget=1.0 / 1024.0)
-        result = grover_complexity(cm)
-        assert result.runs == 1
-        assert result.cost == pytest.approx(25.0, abs=1e-12)  # t/2 * 1 * C_G
+        report = self._report(error_budget=1.0 / 1024.0)
+        assert report["grover"]["runs"] == 1
+        assert report["cost"]["grover"] == pytest.approx(25.0, abs=1e-12)  # t/2 * 1 * C_G
 
     def test_efficiency_separation_in_budget(self):
         ratios = []
         for eps in [10.0**-k for k in range(2, 13)]:
-            cm = self._model(error_budget=eps)
-            ratios.append(grover_complexity(cm).cost / trotter_complexity(cm).cost)
+            cost = self._report(error_budget=eps)["cost"]
+            ratios.append(cost["grover"] / cost["trotter"])
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1e-8
 
     def test_queries_follow_the_convention(self):
-        cm = self._model()
-        assert trotter_complexity(cm).queries == pytest.approx(2.0 * trotter_complexity(cm).steps)
-        gc = grover_complexity(cm)
-        assert gc.queries == pytest.approx(gc.q_steps * gc.runs)
+        report = self._report()
+        steps = report["queries"]["trotter"] / 2
+        assert report["cost"]["trotter"] == pytest.approx(steps)  # unit step cost
+        grover = report["grover"]
+        assert report["queries"]["grover"] == pytest.approx(grover["q_steps"] * grover["runs"])
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            CostModel(total_time=0.0, error_budget=0.1, database_size=16)
-        with pytest.raises(ValueError):
-            CostModel(total_time=1.0, error_budget=2.0, database_size=16)
-        with pytest.raises(ValueError):
-            CostModel(total_time=1.0, error_budget=0.1, database_size=2)
+        # In the order of the checks: when several inputs are bad, the first wins.
+        for kwargs, message in [
+            (dict(n=2.5), "database size must be an integer >= 2"),
+            (dict(total_time=0.0), r"need total_time > 0 and error budget in \(0, 1\)"),
+            (dict(error_budget=2.0), r"need total_time > 0 and error budget in \(0, 1\)"),
+            (dict(n=2, error_budget=2.0), r"need total_time > 0 and error budget in \(0, 1\)"),
+            (dict(n=2), "database size must be >= 3"),
+            (dict(n=2, step_cost=-1.0), "database size must be >= 3"),
+            (dict(grover_step_cost=-1.0), "the step costs must be nonnegative"),
+            (dict(total_time=1e200), r"step count t\^2 \|\|E2\|\|/eps at t=1e\+200 is not"),
+            (dict(step_cost=1e308), r"Trotter cost \(step count x step cost 1e\+308\) is not"),
+            (dict(n=4, error_budget=0.1), "no run count meets the budget 0.1 at n=4"),
+            (dict(grover_step_cost=1e308), r"Grover cost \(\(t/2\) R x Grover step cost 1e\+308"),
+            (dict(step_cost=5e-324), "cost ratio Grover/Trotter at step cost 4.94066e-324"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                self._report(**kwargs)

@@ -626,6 +626,7 @@ class TestPlumbing:
         ("trotter-scan --problem chain --length 1", EXIT_VALIDATION),
         ("grover --n 1", EXIT_VALIDATION),
         ("grover --max-steps 0", EXIT_VALIDATION),
+        ("grover --max-steps 100000000", EXIT_VALIDATION),
         ("grover --n 64 --target 64", EXIT_VALIDATION),
         ("grover --n 16 --runs 1 --trials 10000 --seed 18446744073709551616", EXIT_VALIDATION),
         ("cost --n 1024 --step-cost 5e-324", EXIT_VALIDATION),

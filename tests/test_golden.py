@@ -27,6 +27,9 @@
 #   per-sample output in 24 z cells, by at most 2.2e-16 each: the stacked
 #   |a|^2 is a correctly rounded square, the per-sample one went through
 #   libm pow.
+# - cost was recorded from the CostModel / trotter_complexity /
+#   grover_complexity records with the report assembled in the CLI, and its
+#   pins held unedited when amplify.cost_report took over the whole report.
 #
 # The graph's weights are multiples of 1/4, so its residuals are exact in
 # binary floating point and do not depend on how a product is summed. The
@@ -106,6 +109,25 @@ GROVER = (
     "b512afc27761b6462c4cf3539a6c35575ca619f4268cb76cd932f4147c51d030",
 )
 
+COST = {
+    "n-2^20-eps-1e-12": (
+        ["--n", "1048576", "--eps", "1e-12"],
+        "018836b248a3185f27ad5ddf05f4a3808cbcd37413f9eed9db01003987fb9a9d",
+    ),
+    "step-costs": (
+        ["--n", "16", "--t", "2", "--step-cost", "2", "--grover-step-cost", "3"],
+        "bffe63004403651adfd65c98ca2fb105b41de9914caf0fda46ef4df566954280",
+    ),
+    "eps-1e-300": (
+        ["--n", "1024", "--eps", "1e-300"],
+        "91ad370e984b6c6201a587d57dfa101f65fbbefbd6bfad95279db45a2f7c4064",
+    ),
+    "zero-step-cost": (
+        ["--step-cost", "0"],
+        "6ca49b3fbb047bd01abdf6503aa39bd91a992262edb7f0e35e26dab14447e16a",
+    ),
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -146,3 +168,11 @@ def test_grover_outputs_are_pinned(tmp_path):
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert _sha256(out) == curve_digest
     assert _sha256(tmp_path / "curve.csv.amplification.csv") == amplification_digest
+
+
+@pytest.mark.parametrize("name", sorted(COST))
+def test_cost_reports_are_pinned(tmp_path, name):
+    flags, digest = COST[name]
+    out = tmp_path / "cost.json"
+    assert main(["cost", *flags, "--out", str(out)]) == EXIT_OK
+    assert _sha256(out) == digest

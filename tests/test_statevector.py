@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamsearch.statevector import (
+    MAX_STEPS,
     expected_peak_step,
     grover_iterate,
     peak_step,
@@ -50,6 +51,16 @@ class TestUniformState:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
             uniform_state(2**23)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=2**22))
+    @example(2**22)
+    @example(2**22 - 1)
+    def test_zero_stride_mean_is_the_state_mean(self, n):
+        # success_curve reads the starting mean from a zero-stride view
+        # instead of the N amplitudes; numpy sums both pairwise.
+        view = np.broadcast_to(1.0 / np.sqrt(n), (n,))
+        assert float(view.mean()) == float(uniform_state(n).mean())
 
 
 class TestGroverIterate:
@@ -141,6 +152,8 @@ class TestSuccessCurve:
 
     @pytest.mark.parametrize("n, steps, target, message", [
         (16, 0, 0, "max_steps must be >= 1"),
+        (16, MAX_STEPS + 1, 0, "max_steps=1048577 exceeds the cap 1048576"),
+        (2**22 + 1, 10**8, 0, "max_steps=100000000 exceeds the cap"),
         (16, 3, 16, r"target index 16 outside \[0, 16\)"),
         (16, 3, -1, r"target index -1 outside \[0, 16\)"),
         (2**22 + 1, 3, 0, "exceeds the cap 4194304")])
