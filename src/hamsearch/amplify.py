@@ -320,7 +320,7 @@ def cost_report(n: int, total_time: float | None, error_budget: float,
     if n < 3:
         raise ValueError("database size must be >= 3")
     if not (step_cost >= 0 and grover_step_cost >= 0):
-        raise ValueError("norm_e2 and the step costs must be nonnegative")
+        raise ValueError("the step costs must be nonnegative")
     # t * t overflows to inf, where t**2 would raise OverflowError.
     steps = _finite(f"step count t^2 ||E2||/eps at t={t:g}", t * t * norm_e2 / eps)
     trotter_cost = _finite(f"Trotter cost (step count x step cost {step_cost:g})",

@@ -11,7 +11,7 @@
 # and 17 significant digits; no timestamps. Config files are flat
 # "key = value" lines (keys are the option names with '-' -> '_'), checked
 # like the flags they name; command line beats config beats defaults, and
-# unknown keys are rejected.
+# unknown or repeated keys are rejected.
 
 from __future__ import annotations
 
@@ -457,7 +457,7 @@ def _config_tokens(path: str, options: dict) -> list:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    tokens = []
+    tokens, seen = [], {}
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -468,6 +468,8 @@ def _config_tokens(path: str, options: dict) -> list:
         key, value = key.strip().replace("-", "_"), value.strip()
         if key not in options or key in ("command", "config"):
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
         option = "--" + key.replace("_", "-")
         if not isinstance(options[key], bool):
             tokens.append(f"{option}={value}")

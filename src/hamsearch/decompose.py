@@ -14,7 +14,13 @@
 # exactly max-degree colors; everything else takes Misra-Gries with at most
 # max-degree + 1 colors. Edges are processed in sorted order and every
 # choice takes the smallest available color, so the coloring is a pure
-# function of the graph.
+# function of the graph. Both passes change colors only through
+# _ColorState.recolor, which flip_chain uses to swap two colors along an
+# alternating path. Misra-Gries rotates the fan of u up to its first vertex
+# where d is free, and that prefix is always a fan (Misra & Gries 1992): a
+# c/d flip from u turns only the fan edge f_j that held d into c, and d stays
+# free at f_{j-1}, with no c or d edge before it, unless the flip ends at
+# f_{j-1}; then its c edge became d, c is free there, and d is free at f_k.
 
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import assert_hermitian
-from .trotter import BlockTerm, HermitianTermSet
+from .trotter import BlockTerm, HermitianTermSet, document_int, unique_keys
 
 __all__ = [
     "InteractionGraph",
@@ -159,70 +165,51 @@ class _ColorState:
         self.colors = [-1] * len(graph.edges)
         self.by_vertex = [dict() for _ in range(graph.vertex_count)]  # color -> edge
 
-    def is_free(self, vertex: int, c: int) -> bool:
-        return c not in self.by_vertex[vertex]
-
     def smallest_free(self, vertex: int) -> int:
         for c in range(self.palette):
             if c not in self.by_vertex[vertex]:
                 return c
         raise AssertionError(f"no free color at vertex {vertex} (palette {self.palette})")
 
-    def assign(self, e: int, c: int) -> None:
-        u, v, _ = self.edges[e]
-        old = self.colors[e]
-        if old != -1:
-            del self.by_vertex[u][old]
-            del self.by_vertex[v][old]
-        self.colors[e] = c
-        if c != -1:
-            self.by_vertex[u][c] = e
-            self.by_vertex[v][c] = e
+    def recolor(self, edges: list, colors: list) -> None:
+        """Give edges[i] colors[i]; all old colors go first, so colors may pass between edges."""
+        for e in edges:
+            if self.colors[e] != -1:
+                u, v, _ = self.edges[e]
+                del self.by_vertex[u][self.colors[e]]
+                del self.by_vertex[v][self.colors[e]]
+        for e, c in zip(edges, colors):
+            u, v, _ = self.edges[e]
+            self.colors[e] = c
+            self.by_vertex[u][c] = self.by_vertex[v][c] = e
 
-    def alternating_chain(self, start: int, first: int, second: int) -> list:
-        """Maximal path from `start` whose edges alternate colors (first, second)."""
-        chain = []
-        z, want = start, first
+    def flip_chain(self, start: int, a: int, b: int) -> None:
+        """Swap a and b along the maximal path from `start` alternating colors (a, b)."""
+        chain, z, want = [], start, a
         while want in self.by_vertex[z]:
             e = self.by_vertex[z][want]
             chain.append(e)
             u, v, _ = self.edges[e]
             z = v if z == u else u
-            want = second if want == first else first
-        return chain
-
-    def swap_chain(self, chain: list, a: int, b: int) -> None:
-        for e in chain:
-            u, v, _ = self.edges[e]
-            del self.by_vertex[u][self.colors[e]]
-            del self.by_vertex[v][self.colors[e]]
-            self.colors[e] = b if self.colors[e] == a else a
-        for e in chain:
-            u, v, _ = self.edges[e]
-            self.by_vertex[u][self.colors[e]] = e
-            self.by_vertex[v][self.colors[e]] = e
+            want = b if want == a else a
+        self.recolor(chain, [b if self.colors[e] == a else a for e in chain])
 
 
 def _color_bipartite(graph: InteractionGraph) -> list:
-    # Koenig: max-degree colors suffice. When no color is free at both ends,
-    # swap the two candidate colors along the alternating chain from v; in a
-    # bipartite graph that chain cannot reach u, so the swap frees a shared
-    # color.
+    # Koenig: max-degree colors suffice. With no color free at both ends, flip
+    # u's smallest free color c with v's along the alternating chain from v;
+    # in a bipartite graph it cannot reach u, so the flip frees c at v.
     state = _ColorState(graph, max(1, graph.max_degree))
     for k, (u, v, _) in enumerate(graph.edges):
-        shared = [
-            c
-            for c in range(state.palette)
-            if state.is_free(u, c) and state.is_free(v, c)
-        ]
+        shared = [c for c in range(state.palette)
+                  if c not in state.by_vertex[u] and c not in state.by_vertex[v]]
         if shared:
-            state.assign(k, shared[0])
-            continue
-        a = state.smallest_free(u)
-        b = state.smallest_free(v)
-        chain = state.alternating_chain(v, a, b)
-        state.swap_chain(chain, a, b)
-        state.assign(k, a)
+            c = shared[0]
+        else:
+            c = state.smallest_free(u)
+            state.flip_chain(v, c, state.smallest_free(v))
+        state.colors[k] = c
+        state.by_vertex[u][c] = state.by_vertex[v][c] = k
     return state.colors
 
 
@@ -241,43 +228,24 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
             for y, e in adj[u]:
                 if y in in_fan or state.colors[e] == -1:
                     continue
-                if state.is_free(fan[-1][0], state.colors[e]):
+                if state.colors[e] not in state.by_vertex[fan[-1][0]]:
                     fan.append((y, e))
                     in_fan.add(y)
                     grown = True
                     break
         c = state.smallest_free(u)
         d = state.smallest_free(fan[-1][0])
-        if not state.is_free(u, d):
-            # Swap colors along the maximal cd-path from u; afterwards d is
-            # free at u (the path cannot loop back, c being free at u).
-            chain = state.alternating_chain(u, d, c)
-            state.swap_chain(chain, c, d)
-        # First fan vertex where d is free and the prefix is still a fan
-        # under the current (possibly path-swapped) colors.
-        w_index = None
-        for idx, (y, _) in enumerate(fan):
-            if not state.is_free(y, d):
-                continue
-            ok = True
-            for i in range(1, idx + 1):
-                col = state.colors[fan[i][1]]
-                if col == -1 or not state.is_free(fan[i - 1][0], col):
-                    ok = False
-                    break
-            if ok:
-                w_index = idx
-                break
-        if w_index is None:
-            raise AssertionError("no rotatable fan prefix; coloring invariant broken")
-        # Rotate the prefix: each fan edge inherits the next one's color.
-        edges = [e for _, e in fan]
-        shifted = [state.colors[e] for e in edges[1:w_index + 1]]
-        for e in edges[1:w_index + 1]:
-            state.assign(e, -1)
-        for e, col in zip(edges, shifted):
-            state.assign(e, col)
-        state.assign(edges[w_index], d)
+        if d in state.by_vertex[u]:
+            # Flip the maximal dc-path from u; afterwards d is free at u (the
+            # path cannot loop back, c being free at u).
+            state.flip_chain(u, d, c)
+        # Rotate the fan up to its first vertex where d is free: each edge
+        # takes the next one's color and the last takes d.
+        w = 0
+        while d in state.by_vertex[fan[w][0]]:
+            w += 1
+        edges = [e for _, e in fan[:w + 1]]
+        state.recolor(edges, [state.colors[e] for e in edges[1:]] + [d])
     return state.colors
 
 
@@ -417,10 +385,11 @@ def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False) -> Int
 def load_graph(path) -> InteractionGraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
             return InteractionGraph(
-                vertex_count=int(doc["vertices"]),
-                edges=tuple((int(u), int(v), float(w)) for u, v, w in doc["edges"]),
+                vertex_count=document_int(doc["vertices"], "vertex count"),
+                edges=tuple((document_int(u, "endpoint"), document_int(v, "endpoint"), float(w))
+                            for u, v, w in doc["edges"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document {path}: {exc}") from exc

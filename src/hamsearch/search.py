@@ -136,11 +136,7 @@ def grover_power(inst: SearchInstance, q: float | np.ndarray) -> np.ndarray:
 
 def phase_rotation(beta: float | np.ndarray) -> np.ndarray:
     """exp(i beta s3) = diag(e^{i beta}, e^{-i beta}), shape (..., 2, 2) for beta (...)."""
-    beta = np.asarray(beta, dtype=float)
-    out = np.zeros(beta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(1j * beta)
-    out[..., 1, 1] = np.exp(-1j * beta)
-    return out
+    return rotation_unitary((0.0, 0.0, 1.0), -2.0 * np.asarray(beta, dtype=float))
 
 
 def equivalence_params(inst: SearchInstance, t: float | np.ndarray) -> EquivalenceParams:

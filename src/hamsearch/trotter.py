@@ -30,6 +30,8 @@ __all__ = [
     "trotter_scan",
     "plan_for_budget",
     "telescoping_bound_check",
+    "unique_keys",
+    "document_int",
     "term_set_from_json",
     "save_term_set",
     "load_term_set",
@@ -366,9 +368,27 @@ def _term_from_entries(dim: int, entries: dict):
     return h
 
 
+def unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for the JSON documents read here: a key given twice raises."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} given twice")
+        doc[key] = value
+    return doc
+
+
+def document_int(value, what: str) -> int:
+    """An integer from a JSON document: 2.0 is one, 1.7 and true are not."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def term_set_from_json(doc: dict) -> HermitianTermSet:
     try:
-        dim = int(doc["dimension"])
+        dim = document_int(doc["dimension"], "dimension")
         raw_terms = doc["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed term-set document: {exc}") from exc
@@ -377,7 +397,8 @@ def term_set_from_json(doc: dict) -> HermitianTermSet:
         entries = {}
         for entry in item.get("entries", []):
             r, c, re, im = entry
-            r, c, value = int(r), int(c), complex(float(re), float(im))
+            r, c = document_int(r, f"term {k}: row"), document_int(c, f"term {k}: column")
+            value = complex(float(re), float(im))
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"term {k}: entry ({r}, {c}) outside dimension {dim}")
             if not np.isfinite(value):
@@ -412,4 +433,4 @@ def save_term_set(path, terms: HermitianTermSet) -> None:
 
 def load_term_set(path) -> HermitianTermSet:
     with open(path, "r", encoding="utf-8") as fh:
-        return term_set_from_json(json.load(fh))
+        return term_set_from_json(json.load(fh, object_pairs_hook=unique_keys))

@@ -318,6 +318,27 @@ class TestDecompose:
         assert "Hermitian" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, named", [
+        ('{"vertices": 3, "edges": [[0, 1.7, 1.0], [1, 2, 1.0]]}', "endpoint 1.7"),
+        ('{"vertices": 3.9, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}', "vertex count 3.9"),
+        ('{"vertices": 3, "edges": [[0, true, 1.0], [1, 2, 1.0]]}', "endpoint True"),
+        ('{"vertices": 3, "edges": [[0, 1, 1.0]], "edges": [[1, 2, 1.0]]}', "key 'edges'"),
+    ])
+    def test_rejects_inexact_graph_documents(self, tmp_path, capsys, doc, named):
+        gpath = tmp_path / "graph.json"
+        gpath.write_text(doc)
+        out, report = tmp_path / "terms.json", tmp_path / "report.json"
+        rc = main(["decompose", "--graph", str(gpath), "--out", str(out), "--report", str(report)])
+        assert rc == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
+    def test_integral_float_endpoints_are_vertices(self, tmp_path, capsys):
+        gpath = tmp_path / "graph.json"
+        gpath.write_text('{"vertices": 3.0, "edges": [[0, 1.0, 1.0], [1, 2.0, 1.0]]}')
+        assert main(["decompose", "--graph", str(gpath)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["edges"] == 2
+
     def test_open_chain_keeps_its_diagonal_term(self, tmp_path):
         out = tmp_path / "terms.json"
         report_path = tmp_path / "report.json"
@@ -833,6 +854,14 @@ class TestPlumbing:
         cfg.write_text("frobnicate = 1\n")
         assert main(["equivalence", "--config", str(cfg)]) == EXIT_VALIDATION
         assert "frobnicate" in capsys.readouterr().err
+
+    def test_repeated_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 4\nsamples = 5\nn = 64\n")
+        out = tmp_path / "t.csv"
+        assert main(["trajectory", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert f"{cfg}:3: config key 'n' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, line", [("equivalence", "format = xml"),
                                                ("trotter-scan", "problem = foo")])

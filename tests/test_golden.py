@@ -30,6 +30,10 @@
 # - cost was recorded from the CostModel / trotter_complexity /
 #   grover_complexity records with the report assembled in the CLI, and its
 #   pins held unedited when amplify.cost_report took over the whole report.
+# - COLORINGS was recorded from the coloring passes that changed colors
+#   through assign / swap_chain and re-checked every fan prefix before a
+#   Misra-Gries rotation, and held unedited when both passes moved to one
+#   recolor primitive and the first d-free rotation vertex.
 #
 # The graph's weights are multiples of 1/4, so its residuals are exact in
 # binary floating point and do not depend on how a product is summed. The
@@ -39,10 +43,12 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from hamsearch.cli import EXIT_OK, main
+from hamsearch.decompose import InteractionGraph, color_edges
 
 GRAPH = {
     "vertices": 6,
@@ -128,6 +134,35 @@ COST = {
     ),
 }
 
+# sha256 of repr([(colors, bipartite), ...]) over _coloring_graphs(). The family
+# reaches every branch of both passes: the Koenig chain flip, the Misra-Gries
+# path flip and rotations past the first fan edge.
+COLORINGS = "70d32c5bf3dd254b05eebcf6f029e24a2ed4074844852890ac157577dfff2ae8"
+
+
+def _pairing_graph(rng, n, degree):
+    # Random simple degree-regular graph: the pairing model, redrawn until simple.
+    stubs = [v for v in range(n) for _ in range(degree)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
+        if len(pairs) == len(stubs) // 2 and all(a != b for a, b in pairs):
+            return InteractionGraph(n, tuple((u, v, 1.0) for u, v in sorted(pairs)))
+
+
+def _coloring_graphs():
+    # Random graphs with n in [2, 40] and edge density in [0.05, 1]; one in
+    # three keeps only the edges across a random bipartition.
+    rng = random.Random(15)
+    graphs = []
+    for k in range(300):
+        n, density = rng.randint(2, 40), rng.uniform(0.05, 1.0)
+        side = [rng.randrange(2) for _ in range(n)]
+        edges = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < density and (k % 3 or side[u] != side[v])]
+        graphs.append(InteractionGraph(n, tuple(edges)))
+    return graphs + [_pairing_graph(rng, 64, 4)]
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -176,3 +211,9 @@ def test_cost_reports_are_pinned(tmp_path, name):
     out = tmp_path / "cost.json"
     assert main(["cost", *flags, "--out", str(out)]) == EXIT_OK
     assert _sha256(out) == digest
+
+
+def test_edge_colorings_are_pinned():
+    colorings = [color_edges(g) for g in _coloring_graphs()]
+    text = repr([(c.colors, c.bipartite) for c in colorings])
+    assert hashlib.sha256(text.encode()).hexdigest() == COLORINGS

@@ -20,6 +20,7 @@ from hamsearch.search import (
     equivalence_residual,
     evolve_continuous,
     grover_power,
+    phase_rotation,
     search_split,
 )
 from hamsearch.statevector import expected_peak_step
@@ -300,6 +301,12 @@ class TestEquivalence:
     def test_endpoint_identity(self):
         for n in (2, 3, 4, 16, 64, 256, 1024):
             assert endpoint_residual(SearchInstance(n)) < 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-1e300, max_value=1e300))
+    def test_phase_rotation_is_the_phase_diagonal(self, beta):
+        expected = np.diag([np.exp(1j * beta), np.exp(-1j * beta)])
+        assert np.array_equal(phase_rotation(beta), expected)
 
 
 class TestTrajectories:

@@ -502,6 +502,31 @@ class TestJsonInterchange:
         with pytest.raises(ValueError):
             term_set_from_json({"terms": []})
 
+    @pytest.mark.parametrize("dimension, entry, match", [
+        (2.5, [0, 0, 1.0, 0.0], r"dimension 2\.5 is not an integer"),
+        (True, [0, 0, 1.0, 0.0], r"dimension True is not an integer"),
+        (2, [0.9, 0, 1.0, 0.0], r"term 0: row 0\.9 is not an integer"),
+        (2, [0, False, 1.0, 0.0], r"term 0: column False is not an integer"),
+    ])
+    def test_rejects_non_integer_indices(self, dimension, entry, match):
+        doc = {"dimension": dimension, "terms": [{"label": "x", "entries": [entry]}]}
+        with pytest.raises(ValueError, match=match):
+            term_set_from_json(doc)
+
+    def test_integral_floats_are_indices(self):
+        doc = {"dimension": 2.0, "terms": [{"label": "x", "entries": [[1.0, 1, 3.0, 0.0]]}]}
+        assert np.array_equal(term_set_from_json(doc).dense(0), np.diag([0.0, 3.0]))
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"dimension": 2, "dimension": 3, "terms": []}', "dimension"),
+        ('{"dimension": 2, "terms": [{"label": "a", "label": "b", "entries": []}]}', "label"),
+    ])
+    def test_rejects_repeated_keys(self, tmp_path, text, key):
+        path = tmp_path / "terms.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"key '{key}' given twice"):
+            load_term_set(path)
+
     def test_rejects_duplicate_entries(self):
         entries = [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0], [0, 0, 5.0, 0.0]]
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": entries}]}
