@@ -10,18 +10,25 @@
 #
 # Randomness contract: Monte Carlo uses numpy's Philox counter-based
 # generator keyed on (seed, shard); the same seed reproduces the same
-# stream on any platform, and shard tallies merge by summation. The count
-# is the one numpy's Generator.binomial(R, p) would give on that stream.
+# stream on any platform, and shard tallies merge by summation. A shard
+# reads no other shard's words, so the shards are tallied on one thread per
+# CPU (Philox draws release the interpreter lock) and the integer sums do
+# not depend on which thread tallied what. The count is the one numpy's
+# Generator.binomial(R, p) would give on that stream.
 # Up to R p = 30 numpy draws a binomial by inversion, which reads one Philox
 # word per trial and fails the majority iff the word is at or above a
 # cutoff; the cutoff is found once per plan by replaying numpy's inversion
-# loop, and each trial is then one word compared with it; a shard's words
-# are drawn once and every R of a sweep reads them. Above R p = 30 numpy
-# switches to BTPE, and the draw still goes through Generator.binomial.
-# tests/test_amplify.py pins the count to numpy's own sampler.
+# loop, and each trial is then one word compared with it. A shard's words
+# are drawn once, CHUNK at a time, and every R of a sweep reads them; the
+# words that R draws again come from the stream after the whole shard.
+# Above R p = 30 numpy switches to BTPE, and the draw still goes through
+# Generator.binomial. tests/test_amplify.py pins the count to numpy's own
+# sampler.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import ceil, comb, exp, isfinite, log, log1p, log2, sqrt
 
@@ -48,6 +55,9 @@ __all__ = [
 
 Z_95 = 1.959963984540054
 SHARD_SIZE = 1 << 18
+# Words per Philox draw within a shard, so that a shard in flight on each
+# CPU adds less to peak RSS than one whole shard's words did.
+CHUNK = 1 << 16
 # numpy's next_double is (word >> 11) 2^-53: a grid of 2^53 values in [0, 1).
 DOUBLE_GRID = 1 << 53
 # numpy draws binomial(R, p <= 1/2) by inversion up to R p = 30, by BTPE above.
@@ -174,20 +184,72 @@ def _inversion_cutoffs(runs: int, p: float) -> tuple[int, int]:
     return fail, first_reaching(bound + 1)
 
 
-def _count_inversion_failures(raw: np.ndarray, bitgen: np.random.Philox,
-                              fail: int, restart: int) -> int:
-    """Failures among the inversion trials of words ``raw``: words at or above
-    the fail cutoff, with words past the restart cutoff dropped and drawn
-    again from ``bitgen``, the stream after ``raw``, as numpy does."""
-    fail_word = np.uint64(fail << 11)
-    restart_word = np.uint64(restart << 11) if restart < DOUBLE_GRID else None
-    failures = 0
-    while raw.size:
-        failures += int(np.count_nonzero(raw >= fail_word))
-        count = int(np.count_nonzero(raw >= restart_word)) if restart_word is not None else 0
-        failures -= count
-        raw = bitgen.random_raw(count)
+def _fails_and_redraws(words: np.ndarray, fail: int, restart: int) -> tuple[int, int]:
+    """Inversion trials of ``words`` at or above the fail cutoff, and those
+    of them past the restart cutoff, which numpy drops and draws again."""
+    fails = int(np.count_nonzero(words >= np.uint64(fail << 11)))
+    if restart == DOUBLE_GRID:  # 2^53 << 11 is past the uint64 words
+        return fails, 0
+    return fails, int(np.count_nonzero(words >= np.uint64(restart << 11)))
+
+
+def _inversion_shard(bitgen: np.random.Philox, count: int,
+                     cutoffs: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """Each plan's failures among ``count`` inversion trials of ``bitgen``.
+
+    The words come in draws of CHUNK; one comparison with the lowest fail
+    cutoff keeps the candidates, among which each plan counts its fail and
+    redraw words. Redraws read the stream after the last chunk, as numpy does.
+    """
+    low = np.uint64(min(fail for fail, _ in cutoffs.values()) << 11)
+    failures = dict.fromkeys(cutoffs, 0)
+    redraws = dict.fromkeys(cutoffs, 0)
+    for done in range(0, count, CHUNK):
+        raw = bitgen.random_raw(min(CHUNK, count - done))
+        candidates = raw[raw >= low]
+        for k, cut in cutoffs.items():
+            fails, again = _fails_and_redraws(candidates, *cut)
+            failures[k] += fails - again
+            redraws[k] += again
+    after = bitgen.state
+    for k, cut in cutoffs.items():
+        if redraws[k]:
+            bitgen.state = after
+        while redraws[k]:
+            fails, redraws[k] = _fails_and_redraws(bitgen.random_raw(redraws[k]), *cut)
+            failures[k] += fails - redraws[k]
     return failures
+
+
+def _on_every_cpu(tally, items: range) -> list:
+    """[tally(i) for i in items], spread over min(CPU count, len(items))
+    threads, the calling thread one of them; every thread is joined before
+    the first exception a thread raised is raised again."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(cpus, len(items)))
+    results = [None] * len(items)
+    errors = [None] * workers
+
+    def work(w: int) -> None:
+        try:
+            for j in range(w, len(items), workers):
+                results[j] = tally(items[j])
+        except BaseException as exc:  # raised again by the caller
+            errors[w] = exc
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def simulate_majorities(plans: list[AmplificationPlan]) -> list[MajorityEstimate]:
@@ -195,11 +257,14 @@ def simulate_majorities(plans: list[AmplificationPlan]) -> list[MajorityEstimate
 
     Shard ``i`` of SHARD_SIZE trials draws from Philox(key=(seed, i)), so the
     result is reproducible from the seed alone, and each count is the one
-    Generator.binomial(R, p) gives on the shard's stream. Up to R p = 30 the
-    shard's words are drawn once, each R compares them with its cutoff from
-    numpy's binomial inversion, and an R that draws again restarts from the
-    stream's state after them; a cutoff no word reaches (p = 0, or R >= 7 at
-    p = 2^-19) reads nothing. Above R p = 30 (BTPE) Generator.binomial draws.
+    Generator.binomial(R, p) gives on the shard's stream. The shards are
+    tallied on min(CPU count, shard count) worker threads and their counts
+    summed, so the result does not depend on the CPU count. Up to R p = 30 a
+    shard's words are drawn once, CHUNK at a time, each R compares them with
+    its cutoff from numpy's binomial inversion, and an R that draws again
+    restarts from the stream's state after the whole shard; a cutoff no word
+    reaches (p = 0, or R >= 7 at p = 2^-19) reads nothing. Above R p = 30
+    (BTPE) Generator.binomial draws.
     """
     shared = {(plan.per_run_error, plan.trials, plan.seed) for plan in plans}
     if len(shared) != 1:
@@ -208,22 +273,25 @@ def simulate_majorities(plans: list[AmplificationPlan]) -> list[MajorityEstimate
     btpe = [k for k, plan in enumerate(plans) if plan.runs * p > INVERSION_LIMIT]
     cutoffs = {k: _inversion_cutoffs(plan.runs, p) for k, plan in enumerate(plans) if k not in btpe}
     cutoffs = {k: cut for k, cut in cutoffs.items() if cut[0] < DOUBLE_GRID}
-    failures = [0] * len(plans)
-    for shard, done in enumerate(range(0, trials if btpe or cutoffs else 0, SHARD_SIZE)):
-        count = min(SHARD_SIZE, trials - done)
+    # numpy loads np.random on first use. Loading it here, not in a worker,
+    # keeps it out of that thread's malloc arena: 0.6 MiB of peak RSS.
+    philox = np.random.Philox
+
+    def tally(shard: int) -> dict[int, int]:
+        count = min(SHARD_SIZE, trials - shard * SHARD_SIZE)
         key = np.array([seed, shard], dtype=np.uint64)
+        failures = {}
         for k in btpe:
-            wrong = np.random.Generator(np.random.Philox(key=key)).binomial(
+            wrong = np.random.Generator(philox(key=key)).binomial(
                 plans[k].runs, p, size=count)
-            failures[k] += int(np.count_nonzero(wrong >= _majority_threshold(plans[k].runs)))
+            failures[k] = int(np.count_nonzero(wrong >= _majority_threshold(plans[k].runs)))
         if cutoffs:
-            bitgen = np.random.Philox(key=key)
-            raw = bitgen.random_raw(count)
-            after = bitgen.state
-            for k, (fail, restart) in cutoffs.items():
-                bitgen.state = after
-                failures[k] += _count_inversion_failures(raw, bitgen, fail, restart)
-            del raw  # freed before the next shard's words are drawn
+            failures.update(_inversion_shard(philox(key=key), count, cutoffs))
+        return failures
+
+    shards = range((trials + SHARD_SIZE - 1) // SHARD_SIZE if btpe or cutoffs else 0)
+    tallies = _on_every_cpu(tally, shards)
+    failures = [sum(t.get(k, 0) for t in tallies) for k in range(len(plans))]
     return [MajorityEstimate(f / trials, *wilson_interval(f, trials), f, trials)
             for f in failures]
 

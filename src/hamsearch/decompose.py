@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import assert_hermitian
-from .trotter import BlockTerm, HermitianTermSet, document_int, unique_keys
+from .trotter import BlockTerm, HermitianTermSet, document_float, document_int, unique_keys
 
 __all__ = [
     "InteractionGraph",
@@ -388,7 +388,8 @@ def load_graph(path) -> InteractionGraph:
             doc = json.load(fh, object_pairs_hook=unique_keys)
             return InteractionGraph(
                 vertex_count=document_int(doc["vertices"], "vertex count"),
-                edges=tuple((document_int(u, "endpoint"), document_int(v, "endpoint"), float(w))
+                edges=tuple((document_int(u, "endpoint"), document_int(v, "endpoint"),
+                             document_float(w, "edge (%r, %r) weight", u, v))
                             for u, v, w in doc["edges"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

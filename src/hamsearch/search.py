@@ -49,6 +49,8 @@ class SearchInstance:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 2:
             raise ValueError("database size must be an integer >= 2")
+        if self.n >= 2**64:  # numpy takes no integer past uint64 as a number
+            raise ValueError(f"database size N={self.n} is not below 2^64")
         object.__setattr__(self, "n", int(self.n))
 
     @property

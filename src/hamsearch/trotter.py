@@ -32,6 +32,7 @@ __all__ = [
     "telescoping_bound_check",
     "unique_keys",
     "document_int",
+    "document_float",
     "term_set_from_json",
     "save_term_set",
     "load_term_set",
@@ -378,12 +379,25 @@ def unique_keys(pairs: list) -> dict:
     return doc
 
 
-def document_int(value, what: str) -> int:
-    """An integer from a JSON document: 2.0 is one, 1.7 and true are not."""
+def document_int(value, what: str, *args) -> int:
+    """An integer from a JSON document: 2.0 is one, 1.7 and true are not.
+    The error names the value as ``what % args``, formatted only then: a
+    document has one value to read per entry or edge."""
     if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise ValueError(f"{what} {value!r} is not an integer")
+    raise ValueError(f"{what % args} {value!r} is not an integer")
+
+
+def document_float(value, what: str, *args) -> float:
+    """A number from a JSON document as a float: true and "2.5" are not
+    numbers. The error names the value as document_int does."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ValueError(f"{what % args} {value!r} is not a float")
 
 
 def term_set_from_json(doc: dict) -> HermitianTermSet:
@@ -392,13 +406,20 @@ def term_set_from_json(doc: dict) -> HermitianTermSet:
         raw_terms = doc["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed term-set document: {exc}") from exc
+    if not isinstance(raw_terms, list):
+        raise ValueError(f"malformed term-set document: terms {raw_terms!r} is not a list")
     terms, labels = [], []
     for k, item in enumerate(raw_terms):
+        if not (isinstance(item, dict) and isinstance(item.get("entries"), list)):
+            raise ValueError(f"term {k} is not an object with an \"entries\" list: {item!r}")
         entries = {}
-        for entry in item.get("entries", []):
+        for entry in item["entries"]:
+            if not (isinstance(entry, list) and len(entry) == 4):
+                raise ValueError(f"term {k}: entry {entry!r} is not [row, col, re, im]")
             r, c, re, im = entry
-            r, c = document_int(r, f"term {k}: row"), document_int(c, f"term {k}: column")
-            value = complex(float(re), float(im))
+            r, c = document_int(r, "term %d: row", k), document_int(c, "term %d: column", k)
+            value = complex(document_float(re, "term %d: entry (%d, %d) real part", k, r, c),
+                            document_float(im, "term %d: entry (%d, %d) imaginary part", k, r, c))
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"term {k}: entry ({r}, {c}) outside dimension {dim}")
             if not np.isfinite(value):

@@ -1,6 +1,9 @@
 # Majority-vote amplification (bound, exact tail, Monte Carlo) and the
 # cost accounting for both evolution routes.
 
+import os
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil
@@ -12,8 +15,10 @@ from hypothesis import strategies as st
 
 from hamsearch import amplify
 from hamsearch.amplify import (
+    CHUNK,
     DOUBLE_GRID,
     MAX_RUNS,
+    SHARD_SIZE,
     AmplificationPlan,
     asymptotic_runs,
     averaging_error,
@@ -248,6 +253,90 @@ class TestSimulateMajority:
         assert made == draws == []
         simulate_majority(AmplificationPlan(2**-19, 5, 600_000, seed=1))
         assert len(made) == 3 and sum(draws) == 600_000
+
+
+def _on_cpus(monkeypatch, count):
+    # The tally runs on one thread per CPU the process may use.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class _ThreadRecordingPhilox(np.random.Philox):
+    # Records the name of every thread that draws words.
+    names = set()
+
+    def random_raw(self, size=None, output=True):
+        self.names.add(threading.current_thread().name)
+        return super().random_raw(size, output)
+
+
+class TestThreadedTally:
+    # 3 shards and a fourth of 2^16 + 12345 trials: neither a multiple of
+    # CHUNK nor of SHARD_SIZE.
+    TRIALS = 3 * SHARD_SIZE + CHUNK + 12_345
+
+    @pytest.mark.parametrize("p, runs", [(1 / 16, 9), (0.01, 119), (P_PAST_30, 65)])
+    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch, p, runs):
+        plans = [AmplificationPlan(p, r, self.TRIALS, seed=11) for r in range(1, runs + 1, 2)]
+        counts = {}
+        monkeypatch.setattr(np.random, "Philox", _ThreadRecordingPhilox)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter lock often
+        try:
+            for cpus in (1, 4):
+                _on_cpus(monkeypatch, cpus)
+                _ThreadRecordingPhilox.names = set()
+                counts[cpus] = [est.failures for est in simulate_majorities(plans)]
+                # Four shards on four CPUs: one thread each, the caller one of them.
+                assert len(_ThreadRecordingPhilox.names) == cpus
+                assert threading.current_thread().name in _ThreadRecordingPhilox.names
+        finally:
+            sys.setswitchinterval(switch)
+        assert counts[1] == counts[4]
+        assert counts[1][0] == binomial_majority_failures(plans[0])
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_restart_cutoffs_across_chunks_and_shards(self, monkeypatch, cpus):
+        # The moved cutoffs of the restart test above: a quarter and a half of
+        # the words draw again. 300 000 trials are two shards of 4 and 1
+        # chunks; the redraws read each shard's stream after its last chunk.
+        cutoffs = {3: (1 << 52, 3 << 51), 5: (1 << 51, 1 << 52)}
+        monkeypatch.setattr(amplify, "_inversion_cutoffs", lambda runs, p: cutoffs[runs])
+        _on_cpus(monkeypatch, cpus)
+        trials = 300_000
+        plans = [AmplificationPlan(0.1, runs, trials, seed=9) for runs in (3, 5)]
+
+        def whole_shards(fail, restart):
+            failures = 0
+            for shard, done in enumerate(range(0, trials, SHARD_SIZE)):
+                bitgen = np.random.Philox(key=np.array([9, shard], dtype=np.uint64))
+                words = bitgen.random_raw(min(SHARD_SIZE, trials - done)) >> np.uint64(11)
+                while words.size:
+                    count = int(np.count_nonzero(words >= restart))
+                    failures += int(np.count_nonzero(words >= fail)) - count
+                    words = bitgen.random_raw(count) >> np.uint64(11)
+            return failures
+
+        got = [est.failures for est in simulate_majorities(plans)]
+        assert got == [whole_shards(*cutoffs[3]), whole_shards(*cutoffs[5])]
+
+    @pytest.mark.parametrize("bad_shard", [0, 3])  # the calling thread's and a worker's
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, bad_shard):
+        class FailingPhilox(np.random.Philox):
+            def __init__(self, *args, key, **kwargs):
+                self.shard = int(key[1])
+                super().__init__(*args, key=key, **kwargs)
+
+            def random_raw(self, size=None, output=True):
+                if self.shard == bad_shard:
+                    raise RuntimeError(f"no words for shard {self.shard}")
+                return super().random_raw(size, output)
+
+        _on_cpus(monkeypatch, 4)
+        monkeypatch.setattr(np.random, "Philox", FailingPhilox)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"no words for shard {bad_shard}"):
+            simulate_majority(AmplificationPlan(1 / 16, 3, self.TRIALS, seed=1))
+        assert threading.active_count() == before
 
 
 class TestWilsonInterval:

@@ -333,6 +333,22 @@ class TestDecompose:
         assert named in capsys.readouterr().err
         assert not out.exists() and not report.exists()
 
+    @pytest.mark.parametrize("weight, named", [
+        ("true", "edge (0, 1) weight True is not a float"),
+        ('"2.5"', "edge (0, 1) weight '2.5' is not a float"),
+        ("1" + "0" * 400, "edge (0, 1) weight 1000"),  # past the float range
+    ])
+    def test_rejects_weights_that_are_not_numbers(self, tmp_path, capsys, weight, named):
+        # float() read true as 1.0 and "2.5" as 2.5, and raised OverflowError
+        # past the float range.
+        gpath = tmp_path / "graph.json"
+        gpath.write_text('{"vertices": 3, "edges": [[0, 1, %s], [1, 2, 1.0]]}' % weight)
+        out, report = tmp_path / "terms.json", tmp_path / "report.json"
+        rc = main(["decompose", "--graph", str(gpath), "--out", str(out), "--report", str(report)])
+        assert rc == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
     def test_integral_float_endpoints_are_vertices(self, tmp_path, capsys):
         gpath = tmp_path / "graph.json"
         gpath.write_text('{"vertices": 3.0, "edges": [[0, 1.0, 1.0], [1, 2.0, 1.0]]}')
@@ -672,6 +688,35 @@ class TestPlumbing:
         assert err.startswith("hamsearch: ") and err.count("\n") == 1
         assert all(a in err for a in argv if a.startswith(str(tmp_path)))
         assert sorted(tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("command", [
+        "trajectory --n {n}", "equivalence --n-list 4,{n}",
+        "trotter-scan --problem search-split --n {n}", "grover --n {n}", "cost --n {n}"])
+    def test_database_size_of_2_to_the_64_is_rejected(self, tmp_path, capsys, command):
+        # numpy's sqrt raised TypeError on an integer past uint64.
+        n = 2**64
+        out = tmp_path / "out.txt"
+        assert main([*command.format(n=n).split(), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"hamsearch: database size N={n} is not below 2^64\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_database_size_below_2_to_the_64_runs(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main(["trajectory", "--n", str(2**64 - 1), "--samples", "3",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.exists()
+
+    def test_cli_import_loads_no_pool_modules(self):
+        # setup_s: concurrent.futures alone costs about 6 ms and 0.65 MiB on
+        # every import; the Monte Carlo's worker threads use plain threading.
+        probe = ("import sys, hamsearch.cli\n"
+                 "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
+        src = os.path.dirname(os.path.dirname(hamsearch.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("spelling", ["dotted", "symlink"])
     def test_two_outputs_to_one_file_are_rejected(self, tmp_path, capsys, spelling):

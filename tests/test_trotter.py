@@ -513,6 +513,34 @@ class TestJsonInterchange:
         with pytest.raises(ValueError, match=match):
             term_set_from_json(doc)
 
+    @pytest.mark.parametrize("term", [5, [], "x", {"label": "x"}, {"entries": 5}])
+    def test_rejects_a_term_without_entries(self, term):
+        # save_term_set writes "entries" in every term; one missing was read
+        # as an all-zero term, and a term that is no object raised AttributeError.
+        doc = {"dimension": 2, "terms": [{"label": "a", "entries": []}, term]}
+        with pytest.raises(ValueError, match='term 1 is not an object with an "entries" list'):
+            term_set_from_json(doc)
+
+    @pytest.mark.parametrize("terms, match", [
+        (5, "terms 5 is not a list"),
+        ([{"entries": [5]}], r"term 0: entry 5 is not \[row, col, re, im\]"),
+        ([{"entries": [[0, 0, 1.0]]}], r"term 0: entry \[0, 0, 1\.0\] is not \[row, col"),
+    ])
+    def test_rejects_misshapen_terms_and_entries(self, terms, match):
+        # Each raised TypeError, or a ValueError that named no term.
+        with pytest.raises(ValueError, match=match):
+            term_set_from_json({"dimension": 2, "terms": terms})
+
+    @pytest.mark.parametrize("value, match", [
+        (("1.5", 0.0), r"term 0: entry \(1, 1\) real part '1\.5' is not a float"),
+        ((1.0, True), r"term 0: entry \(1, 1\) imaginary part True is not a float"),
+        ((10**400, 0.0), r"term 0: entry \(1, 1\) real part 1000+ is not a float"),
+    ])
+    def test_rejects_entries_that_are_not_numbers(self, value, match):
+        doc = {"dimension": 2, "terms": [{"label": "x", "entries": [[1, 1, *value]]}]}
+        with pytest.raises(ValueError, match=match):
+            term_set_from_json(doc)
+
     def test_integral_floats_are_indices(self):
         doc = {"dimension": 2.0, "terms": [{"label": "x", "entries": [[1.0, 1, 3.0, 0.0]]}]}
         assert np.array_equal(term_set_from_json(doc).dense(0), np.diag([0.0, 3.0]))
