@@ -36,8 +36,13 @@ RECONSTRUCTION_LIMIT = 1e-12
 SPECTRUM_LIMIT = 1e-10
 ENDPOINT_TOL = 1e-9
 SLOPE_WINDOW = (0.9, 1.1)
-COMMUTING_TOL = 1e-12
+# Round-off a scan's error may carry beyond its commutator bound (0 for a
+# commuting split), per product step and for the exact reference: up to
+# 7.4e-15 was seen, on a dense d = 1024 term at t = 1e-9.
+ROUNDOFF_PER_STEP = 1e-14
 PEAK_ROUNDOFF = 1e-12
+# Most rows of a sampled table: as many as grover's curve at its step cap.
+MAX_ROWS = statevector.MAX_STEPS + 1
 
 
 def _first_repeat(values: list) -> int | None:
@@ -129,6 +134,8 @@ def _report_text(report: dict) -> str:
 def cmd_trajectory(args) -> tuple[list, str | None]:
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
+    if args.samples > MAX_ROWS:
+        raise ValueError(f"--samples {args.samples} above the cap of {MAX_ROWS} table rows")
     inst = search.SearchInstance(args.n)
     total = inst.total_time
     t = np.linspace(0.0, total, args.samples)
@@ -161,6 +168,9 @@ def cmd_equivalence(args) -> tuple[list, str | None]:
         raise ValueError("N list is empty")
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
+    if len(args.n_list) * args.samples > MAX_ROWS:
+        raise ValueError(f"--n-list x --samples = {len(args.n_list)} x {args.samples} table rows, "
+                         f"above the cap of {MAX_ROWS}")
     rows = np.concatenate([_equivalence_rows(n, args.samples) for n in args.n_list])
     n_worst, t_worst, _, _, worst = rows[np.argmax(rows[:, 4])].tolist()
     text = _table_text(args.format, ["N", "t", "Q_t", "beta", "residual"], rows,
@@ -233,13 +243,14 @@ def cmd_trotter_scan(args) -> tuple[list, str | None]:
     if commuting:
         extra["commuting"] = True
     text = _table_text(args.format, ["dt", "n", "error", "bound"], rows, extra=extra)
+    # Errors within their round-off show no slope.
+    roundoff = [ROUNDOFF_PER_STEP * (steps + 1) for _, steps, _, _ in rows]
     failure = None
-    if commuting:
-        if not max(row[2] for row in rows) <= COMMUTING_TOL:
-            failure = f"commuting split is off the exact evolution by over {COMMUTING_TOL:.0e}"
-    elif any(row[2] > row[3] for row in rows):
-        failure = "measured error above the slack-2 commutator bound"
-    elif not (SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]):
+    if not all(error <= bound + r for (_, _, error, bound), r in zip(rows, roundoff)):
+        failure = ("commuting split is off the exact evolution beyond round-off" if commuting
+                   else "measured error above the slack-2 commutator bound")
+    elif (not commuting and all(row[2] > r for row, r in zip(rows, roundoff))
+          and not SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]):
         failure = f"fitted slope {slope:.3f} outside {SLOPE_WINDOW}"
     return [(args.out, text)], failure
 

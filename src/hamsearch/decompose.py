@@ -24,7 +24,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import assert_hermitian
-from .trotter import BlockTerm, HermitianTermSet, document_float, document_int, unique_keys
+from .trotter import MAX_SITES, BlockTerm, HermitianTermSet, read_document
 
 __all__ = [
     "InteractionGraph",
@@ -47,6 +46,10 @@ __all__ = [
     "load_graph",
 ]
 
+# Largest |weight| of an edge: its block [[|w|, w], [w, |w|]] squares to
+# entries of 2 w^2, which stay finite up to here.
+MAX_WEIGHT = 2.0**511
+
 
 @dataclass(frozen=True)
 class InteractionGraph:
@@ -59,6 +62,8 @@ class InteractionGraph:
         n = int(self.vertex_count)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
+        if n > MAX_SITES:
+            raise ValueError(f"vertex count {n} above the site cap {MAX_SITES}")
         normalized = []
         for u, v, w in self.edges:
             u, v = int(u), int(v)
@@ -68,9 +73,13 @@ class InteractionGraph:
                 raise ValueError(f"edge ({u}, {v}) outside vertex range")
             if u > v:
                 u, v = v, u
-            if not math.isfinite(float(w)):
+            w = float(w)
+            if not math.isfinite(w):
                 raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
-            normalized.append((u, v, float(w)))
+            if abs(w) > MAX_WEIGHT:
+                raise ValueError(f"edge ({u}, {v}) weight {w!r} is past +-2^511, where its block "
+                                 "squares past the float range")
+            normalized.append((u, v, w))
         normalized.sort()
         for a, b in zip(normalized, normalized[1:]):
             if a[:2] == b[:2]:
@@ -347,6 +356,8 @@ def laplacian_chain(length: int, periodic: bool = False):
         raise ValueError("chain needs at least 2 sites")
     if periodic and length == 2:
         raise ValueError("periodic 2-site chain is a multigraph")
+    if length > MAX_SITES:
+        raise ValueError(f"chain length {length} above the site cap {MAX_SITES}")
     edges = [(i, i + 1, 1.0) for i in range(length - 1)]
     if periodic:
         edges.append((0, length - 1, 1.0))
@@ -366,6 +377,9 @@ def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False) -> Int
         raise ValueError("need at least one cell per direction")
     if periodic and (cells_x < 2 or cells_y < 2):
         raise ValueError("periodic honeycomb needs >= 2 cells per direction")
+    if 2 * cells_x * cells_y > MAX_SITES:
+        raise ValueError(f"honeycomb of {cells_x} x {cells_y} cells has {2 * cells_x * cells_y} "
+                         f"sites, above the site cap {MAX_SITES}")
 
     def site(x: int, y: int, s: int) -> int:
         return 2 * (x * cells_y + y) + s
@@ -383,14 +397,5 @@ def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False) -> Int
 
 
 def load_graph(path) -> InteractionGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=unique_keys)
-            return InteractionGraph(
-                vertex_count=document_int(doc["vertices"], "vertex count"),
-                edges=tuple((document_int(u, "endpoint"), document_int(v, "endpoint"),
-                             document_float(w, "edge (%r, %r) weight", u, v))
-                            for u, v, w in doc["edges"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed graph document {path}: {exc}") from exc
+    """The graph of a {"vertices": V, "edges": [[u, v, weight]]} document."""
+    return InteractionGraph(*read_document(path, "vertices", "edges"))

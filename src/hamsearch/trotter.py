@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from math import ceil
 
@@ -30,9 +31,7 @@ __all__ = [
     "trotter_scan",
     "plan_for_budget",
     "telescoping_bound_check",
-    "unique_keys",
-    "document_int",
-    "document_float",
+    "read_document",
     "term_set_from_json",
     "save_term_set",
     "load_term_set",
@@ -338,7 +337,15 @@ def telescoping_bound_check(x: np.ndarray, y: np.ndarray, n: int) -> tuple[float
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: {dimension, terms: [{label, entries: [[row, col, re, im]]}]}
+# JSON documents: term sets {dimension, terms: [{label, entries: [[row, col,
+# re, im]]}]} and graphs {vertices, edges: [[u, v, weight]]}, read by read_document.
+
+# Most sites a document, a graph or a lattice may declare.
+MAX_SITES = 2**20
+# Each list of rows: its item, shape and field names, two indices then floats.
+_FORMS = {"entries": ("entry", "[row, col, re, im]", "row", "column", "real part",
+                      "imaginary part"),
+          "edges": ("edge", "[u, v, weight]", "endpoint", "endpoint", "weight")}
 
 
 def _nonzero_entries(h) -> tuple:
@@ -352,9 +359,21 @@ def _nonzero_entries(h) -> tuple:
     return rows[order], cols[order], values[order]
 
 
-def _term_from_entries(dim: int, entries: dict):
-    # A BlockTerm when the off-diagonal support is a matching and the
-    # uncovered diagonal is real; a dense matrix otherwise.
+def _term_from_entries(dim: int, rows: list, where: str):
+    # A term from its [row, col, re, im] rows, which must lie inside the
+    # dimension, be finite and not repeat: a BlockTerm when the off-diagonal
+    # support is a matching and the uncovered diagonal is real; a dense
+    # matrix otherwise.
+    entries = {}
+    for r, c, re, im in rows:
+        value = complex(re, im)
+        if not (0 <= r < dim and 0 <= c < dim):
+            raise ValueError(f"{where}entry ({r}, {c}) outside dimension {dim}")
+        if not np.isfinite(value):
+            raise ValueError(f"{where}entry ({r}, {c}) is non-finite ({value})")
+        if (r, c) in entries:
+            raise ValueError(f"{where}duplicate entry ({r}, {c})")
+        entries[r, c] = value
     pairs = sorted({(min(r, c), max(r, c)) for r, c in entries if r != c})
     covered = {site for pair in pairs for site in pair}
     free = {r: v for (r, c), v in entries.items() if r == c and r not in covered}
@@ -363,14 +382,15 @@ def _term_from_entries(dim: int, entries: dict):
         diagonal[list(free)] = [v.real for v in free.values()]
         blocks = [[[entries.get((a, b), 0.0) for b in pair] for a in pair] for pair in pairs]
         return BlockTerm(pairs, blocks, diagonal)
+    if dim > MAX_DENSE_DIMENSION:
+        raise ValueError(f"dense term of d={dim} exceeds the cap {MAX_DENSE_DIMENSION}")
     h = np.zeros((dim, dim), dtype=complex)
     for (r, c), v in entries.items():
         h[r, c] = v
     return h
 
 
-def unique_keys(pairs: list) -> dict:
-    """``object_pairs_hook`` for the JSON documents read here: a key given twice raises."""
+def _unique_keys(pairs: list) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
@@ -379,56 +399,64 @@ def unique_keys(pairs: list) -> dict:
     return doc
 
 
-def document_int(value, what: str, *args) -> int:
-    """An integer from a JSON document: 2.0 is one, 1.7 and true are not.
-    The error names the value as ``what % args``, formatted only then: a
-    document has one value to read per entry or edge."""
-    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{what % args} {value!r} is not an integer")
-
-
-def document_float(value, what: str, *args) -> float:
-    """A number from a JSON document as a float: true and "2.5" are not
-    numbers. The error names the value as document_int does."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def _number(value, kind: type, what: str, *args):
+    # value as an int (2.0 is one; 1.7 and true are not) or a float (true, "2.5"
+    # and an integer past the float range are not); errors name what.format(*args).
+    if isinstance(value, (int, float, np.integer)) and not isinstance(value, bool):
         try:
-            return float(value)
+            if kind is float or not isinstance(value, float) or value.is_integer():
+                return kind(value)
         except OverflowError:  # an integer past the float range
             pass
-    raise ValueError(f"{what % args} {value!r} is not a float")
+    raise ValueError(f"{what.format(*args)} {value!r} is not "
+                     f"{'a float' if kind is float else 'an integer'}")
 
 
-def term_set_from_json(doc: dict) -> HermitianTermSet:
-    try:
-        dim = document_int(doc["dimension"], "dimension")
-        raw_terms = doc["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed term-set document: {exc}") from exc
-    if not isinstance(raw_terms, list):
-        raise ValueError(f"malformed term-set document: terms {raw_terms!r} is not a list")
-    terms, labels = [], []
-    for k, item in enumerate(raw_terms):
+def _rows(rows: list, form: tuple, where: str = ""):
+    # Yields the rows of the form as [i, j, x, ...], integer indices and then
+    # floats; a row already of these types is yielded as it is.
+    item, shape, *names = form
+    kinds = (int, int) + (float,) * (len(names) - 2)
+    names = names[:2] + [f"{item} ({{0}}, {{1}}) {name}" for name in names[2:]]
+    for row in rows:
+        if type(row) is not list or tuple(map(type, row)) != kinds:
+            if not (isinstance(row, list) and len(row) == len(names)):
+                raise ValueError(f"{where}{item} {row!r} is not {shape}")
+            row = [_number(x, kind, where + name, *row) for x, kind, name in zip(row, kinds, names)]
+        yield row
+
+
+def read_document(doc, size_key: str, key: str) -> tuple:
+    """(size, list) of a graph or term-set document, parsed or at a path: keys
+    unique, the size an integer up to MAX_SITES, a list of rows read by _rows."""
+    if isinstance(doc, (str, os.PathLike)):
+        with open(doc, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh, object_pairs_hook=_unique_keys)
+            except ValueError as exc:  # not JSON, or a key given twice
+                raise ValueError(f"{fh.name}: {exc}") from exc
+    if not (isinstance(doc, dict) and size_key in doc and key in doc):
+        raise ValueError(f"document is not an object with keys {size_key!r} and {key!r}")
+    name = "vertex count" if size_key == "vertices" else size_key
+    size, items = _number(doc[size_key], int, name), doc[key]
+    if size > MAX_SITES:
+        raise ValueError(f"{name} {size} above the site cap {MAX_SITES}")
+    if not isinstance(items, list):
+        raise ValueError(f"{key} {items!r} is not a list")
+    return size, list(_rows(items, _FORMS[key])) if key in _FORMS else items
+
+
+def term_set_from_json(doc) -> HermitianTermSet:
+    """The term set of a document, given parsed or as a path."""
+    dim, items = read_document(doc, "dimension", "terms")
+    terms = []
+    for k, item in enumerate(items):
         if not (isinstance(item, dict) and isinstance(item.get("entries"), list)):
             raise ValueError(f"term {k} is not an object with an \"entries\" list: {item!r}")
-        entries = {}
-        for entry in item["entries"]:
-            if not (isinstance(entry, list) and len(entry) == 4):
-                raise ValueError(f"term {k}: entry {entry!r} is not [row, col, re, im]")
-            r, c, re, im = entry
-            r, c = document_int(r, "term %d: row", k), document_int(c, "term %d: column", k)
-            value = complex(document_float(re, "term %d: entry (%d, %d) real part", k, r, c),
-                            document_float(im, "term %d: entry (%d, %d) imaginary part", k, r, c))
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"term {k}: entry ({r}, {c}) outside dimension {dim}")
-            if not np.isfinite(value):
-                raise ValueError(f"term {k}: entry ({r}, {c}) is non-finite ({value})")
-            if (r, c) in entries:
-                raise ValueError(f"term {k}: duplicate entry ({r}, {c})")
-            entries[r, c] = value
-        terms.append(_term_from_entries(dim, entries))
-        labels.append(item.get("label", f"term{k}"))
+        where = f"term {k}: "
+        rows = _rows(item["entries"], _FORMS["entries"], where)
+        terms.append(_term_from_entries(dim, rows, where))
+    labels = [item.get("label", f"term{k}") for k, item in enumerate(items)]
     return HermitianTermSet(dimension=dim, terms=tuple(terms), labels=tuple(labels))
 
 
@@ -453,5 +481,4 @@ def save_term_set(path, terms: HermitianTermSet) -> None:
 
 
 def load_term_set(path) -> HermitianTermSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return term_set_from_json(json.load(fh, object_pairs_hook=unique_keys))
+    return term_set_from_json(path)

@@ -56,7 +56,7 @@ CLAIM_FAILURES = {
                              "trajectory endpoints deviate"),
     "equivalence-residual": ("equivalence --n-list 4 --samples 3", {"RESIDUAL_LIMIT": -1.0},
                              "above -1.0e+00 at N=4"),
-    "scan-commuting": ("trotter-scan --problem chain --length 2", {"COMMUTING_TOL": -1.0},
+    "scan-commuting": ("trotter-scan --problem chain --length 2", {"ROUNDOFF_PER_STEP": -1.0},
                        "commuting split is off"),
     "scan-bound": ("trotter-scan --problem search-split --n 16", _scaled_scan_errors,
                    "above the slack-2 commutator bound"),
@@ -197,6 +197,20 @@ class TestTrotterScan:
         assert footer["commuting"] is True
         assert footer["slope"] is None
         assert footer["norm_e2"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        "--length 4 --periodic --t 1000 --dt-grid 1,0.5,0.25,0.125",
+        "--length 3 --t 1e-9 --dt-grid 1e-9,5e-10,2.5e-10,1.25e-10",
+    ])
+    def test_round_off_is_no_false_claim(self, tmp_path, capsys, argv):
+        # The commuting ring's errors grow to 3.6e-12 at 8000 steps, about
+        # 4.5e-16 a step; at t = 1e-9 the errors are 4.8e-16 of round-off
+        # against bounds of 2.2e-18 and less, and show no slope. Both exited 3.
+        out = tmp_path / "scan.csv"
+        rc = main(["trotter-scan", "--problem", "chain", *argv.split(), "--out", str(out)])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        _, rows = _read_rows(out)
+        assert max(row[2] for row in rows) > 1e-16
 
     def test_long_ring_runs_on_sectors(self, tmp_path):
         # 4096 sites: a dense d x d term would take 256 MiB and each eigh
@@ -348,6 +362,28 @@ class TestDecompose:
         assert rc == EXIT_VALIDATION
         assert named in capsys.readouterr().err
         assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("edges", ["[[0, 1, 1e160], [1, 2, 1.0]]",
+                                       "[[0, 1, -1e308], [0, 2, 1e308]]"])
+    def test_rejects_weights_whose_blocks_square_past_the_float_range(self, tmp_path, capsys,
+                                                                      edges):
+        # These put numpy overflow warnings on stderr, then exited 2 with a
+        # JSON message that named no edge.
+        gpath = tmp_path / "graph.json"
+        gpath.write_text('{"vertices": 3, "edges": %s}' % edges)
+        out, report = tmp_path / "terms.json", tmp_path / "report.json"
+        rc = main(["decompose", "--graph", str(gpath), "--out", str(out), "--report", str(report)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("hamsearch: edge (0, 1) weight ") and err.count("\n") == 1
+        assert "2^511" in err
+        assert not out.exists() and not report.exists()
+
+    def test_large_finite_weights_run(self, tmp_path, capsys):
+        gpath = tmp_path / "graph.json"
+        gpath.write_text('{"vertices": 3, "edges": [[0, 1, 1e150], [1, 2, 1.0]]}')
+        assert main(["decompose", "--graph", str(gpath), "--out", str(tmp_path / "t")]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_integral_float_endpoints_are_vertices(self, tmp_path, capsys):
         gpath = tmp_path / "graph.json"
@@ -780,6 +816,42 @@ class TestPlumbing:
         assert rc == EXIT_VALIDATION
         cap = trotter.MAX_DENSE_DIMENSION
         assert capsys.readouterr().err == f"hamsearch: dense term of d={d} exceeds the cap {cap}\n"
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("argv, message", [
+        ("trajectory --samples 1000000000",
+         f"--samples 1000000000 above the cap of {cli.MAX_ROWS} table rows"),
+        ("trajectory --samples 1048578", "--samples 1048578 above the cap of 1048577 table rows"),
+        ("equivalence --n-list 4 --samples 1000000000",
+         f"--n-list x --samples = 1 x 1000000000 table rows, above the cap of {cli.MAX_ROWS}"),
+        ("equivalence --n-list 4,16 --samples 600000",
+         "--n-list x --samples = 2 x 600000 table rows, above the cap of 1048577"),
+        ("decompose --lattice chain --length 1000000000",
+         f"chain length 1000000000 above the site cap {trotter.MAX_SITES}"),
+        ("decompose --lattice ring --length 1048577",
+         "chain length 1048577 above the site cap 1048576"),
+        ("trotter-scan --problem chain --length 1000000000",
+         "chain length 1000000000 above the site cap 1048576"),
+        ("decompose --lattice honeycomb --cells-x 100000 --cells-y 100000",
+         "honeycomb of 100000 x 100000 cells has 20000000000 sites, above the site cap 1048576"),
+        ("decompose --graph {big.json}", "vertex count 100000000 above the site cap 1048576"),
+    ])
+    def test_sizes_over_a_cap_exit_2_before_allocating(self, tmp_path, capsys, argv, message):
+        # Each of these raised MemoryError (exit 1 with a traceback) or was
+        # killed for memory: np.linspace, a chain's or a honeycomb's edge
+        # list, or neighbors() on a 40-byte document.
+        (tmp_path / "big.json").write_text('{"vertices":100000000,"edges":[[0,1,1]]}')
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv.split()]
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"hamsearch: {message}\n")
+        assert not out.exists()
         assert peak < 16 * 2**20
 
     def test_traced_names_resolve_after_the_cli_import(self):

@@ -1,6 +1,8 @@
 # Graphs, edge coloring (Koenig fast path, Misra-Gries general case), and
 # the block-diagonal splitting, including the lattice generators.
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hamsearch.decompose import (
+    MAX_WEIGHT,
     EdgeColoring,
     InteractionGraph,
     bipartition,
@@ -19,7 +22,7 @@ from hamsearch.decompose import (
     laplacian_chain,
     load_graph,
 )
-from hamsearch.trotter import BlockTerm, exact_term_exponential
+from hamsearch.trotter import MAX_SITES, BlockTerm, exact_term_exponential
 from oracles import laplacian_matrix, save_graph, seeds
 
 
@@ -111,6 +114,40 @@ class TestInteractionGraph:
     def test_rejects_non_finite_weights(self, weight):
         with pytest.raises(ValueError, match=r"edge \(0, 2\) has non-finite weight"):
             InteractionGraph(3, ((0, 1, 1.0), (2, 0, weight)))
+
+    @pytest.mark.parametrize("weight", [1e154, -1e308, np.nextafter(MAX_WEIGHT, np.inf)])
+    def test_rejects_weights_whose_blocks_square_past_the_float_range(self, weight):
+        # A block's square holds 2 w^2: finite up to |w| = 2^511.
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) weight .* past \+-2\^511"):
+            InteractionGraph(3, ((0, 1, 1.0), (2, 0, weight)))
+
+    def test_weights_at_the_bound_square_to_finite_blocks(self):
+        g = InteractionGraph(3, ((0, 1, MAX_WEIGHT), (1, 2, -MAX_WEIGHT)))
+        for term in decompose(g, *graph_laplacian(g)).terms:
+            assert np.all(np.isfinite(term.blocks @ term.blocks))
+
+
+class TestSiteCap:
+    # Each size is refused before any per-site list is built.
+    @pytest.mark.parametrize("build, match", [
+        (lambda: laplacian_chain(MAX_SITES + 1), f"chain length {MAX_SITES + 1} above"),
+        (lambda: laplacian_chain(10**9, periodic=True), "chain length 1000000000 above"),
+        (lambda: honeycomb_lattice(1024, 513), "honeycomb of 1024 x 513 cells has 1050624 sites"),
+        (lambda: honeycomb_lattice(10**5, 10**5, periodic=True), "has 20000000000 sites"),
+        (lambda: InteractionGraph(MAX_SITES + 1, ((0, 1, 1.0),)), f"vertex count {MAX_SITES + 1}"),
+    ])
+    def test_sizes_over_the_cap_are_refused_before_allocating(self, build, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match + f".*site cap {MAX_SITES}"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_graph_at_the_cap_is_allowed(self):
+        assert InteractionGraph(MAX_SITES, ()).vertex_count == MAX_SITES
 
 
 class TestColorEdges:
@@ -399,6 +436,34 @@ class TestGraphJson:
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, %s]]}' % weight)
         with pytest.raises(ValueError, match=r"edge \(1, 2\) has non-finite weight"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("edges, match", [
+        ("[5]", r"edge 5 is not \[u, v, weight\]"),
+        ("[[0, 1]]", r"edge \[0, 1\] is not \[u, v, weight\]"),
+        ('[[0, 1, 1.0, 2.0]]', r"edge \[0, 1, 1\.0, 2\.0\] is not"),
+        ('[{"u": 0}]', r"edge \{'u': 0\} is not"),
+        ("5", "edges 5 is not a list"),
+    ])
+    def test_rejects_misshapen_edges(self, tmp_path, edges, match):
+        # Each raised a TypeError or an unpacking ValueError that named no edge.
+        path = tmp_path / "bad.json"
+        path.write_text('{"vertices": 3, "edges": %s}' % edges)
+        with pytest.raises(ValueError, match=match):
+            load_graph(path)
+
+    def test_integer_weights_read_as_floats(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"vertices": 3, "edges": [[0, 1, 2], [1, 2, 1.0]]}')
+        assert load_graph(path).edges == ((0, 1, 2.0), (1, 2, 1.0))
+
+    def test_a_declared_vertex_count_over_the_cap_is_named(self, tmp_path):
+        # This 40-byte document used to be killed for memory: neighbors()
+        # built a list for each of its 10^8 vertices.
+        path = tmp_path / "big.json"
+        path.write_text('{"vertices":100000000,"edges":[[0,1,1]]}')
+        match = f"vertex count 100000000 above the site cap {MAX_SITES}"
+        with pytest.raises(ValueError, match=match):
             load_graph(path)
 
 

@@ -2,6 +2,8 @@
 # commutator error estimate, budget planning, and the telescoping bound.
 # Independent oracle for exponentials: scipy's scaling-and-squaring expm.
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,7 @@ from hamsearch.pauli import phase_aligned_distance
 from hamsearch.search import SearchInstance, evolve_continuous, grover_power
 from hamsearch.trotter import (
     MAX_DENSE_DIMENSION,
+    MAX_SITES,
     BlockTerm,
     HermitianTermSet,
     TrotterPlan,
@@ -553,6 +556,33 @@ class TestJsonInterchange:
         path = tmp_path / "terms.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"key '{key}' given twice"):
+            load_term_set(path)
+
+    @pytest.mark.parametrize("dimension, entries, match", [
+        (10**8, [[0, 0, 1.0, 0.0]], f"dimension 100000000 above the site cap {MAX_SITES}"),
+        # A path's two edges are no matching: the term would be a dense
+        # 2^20 x 2^20 matrix.
+        (MAX_SITES, [[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0], [1, 2, 1.0, 0.0], [2, 1, 1.0, 0.0]],
+         f"dense term of d={MAX_SITES} exceeds the cap {MAX_DENSE_DIMENSION}"),
+    ])
+    def test_sizes_over_a_cap_are_refused_before_allocating(self, dimension, entries, match):
+        doc = {"dimension": dimension, "terms": [{"label": "x", "entries": entries}]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match):
+                term_set_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_reads_a_document_at_its_path(self, tmp_path):
+        # A file that is not JSON is named in the error.
+        path = tmp_path / "terms.json"
+        path.write_text('{"dimension": 2, "terms": [{"entries": [[0, 0, 1.0, 0.0]]}]}')
+        assert term_set_from_json(path).labels == ("term0",)
+        path.write_text('{"dimension": 2, "terms": [')
+        with pytest.raises(ValueError, match=f"{path}: Expecting value"):
             load_term_set(path)
 
     def test_rejects_duplicate_entries(self):
