@@ -63,6 +63,8 @@ DOUBLE_GRID = 1 << 53
 # numpy draws binomial(R, p <= 1/2) by inversion up to R p = 30, by BTPE above.
 INVERSION_LIMIT = 30.0
 MAX_RUNS = 399
+# Most Monte Carlo trials grover takes; 2^30 of R = 1, 3, .., 9 run for ~6 s on 2 vCPUs.
+MAX_TRIALS = 2**30
 # Binary-query accounting: two queries per small-step term pair, one per
 # reflection step.
 QUERIES_PER_TROTTER_STEP = 2

@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -335,6 +336,10 @@ def cmd_decompose(args) -> tuple[list, str | None]:
 
 
 def cmd_grover(args) -> tuple[list, str | None]:
+    for option, value, cap in (("--runs", args.runs, amplify.MAX_RUNS),
+                               ("--trials", args.trials, amplify.MAX_TRIALS)):
+        if value is not None and value > cap:
+            raise ValueError(f"{option} {value} above the cap of {cap}")
     expected = statevector.expected_peak_step(args.n)
     plans = []
     if args.runs is not None:
@@ -387,7 +392,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process, and each subcommand's handler."""
     parser = _Parser(
         prog="hamsearch",
         description="Search-evolution experiments: trajectories, equivalence "
@@ -395,17 +402,14 @@ def build_parser():
         "success curves, and cost comparisons.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     sp = subparsers.add_parser("trajectory", help="Bloch trajectories of both routes")
     sp.add_argument("--n", type=int, default=16, help="database size")
     sp.add_argument("--samples", type=int, default=65)
-    commands["trajectory"] = cmd_trajectory
 
     sp = subparsers.add_parser("equivalence", help="residuals of the route-equivalence identity")
     sp.add_argument("--n-list", type=int_list, default="4,16,64,256,1024")
     sp.add_argument("--samples", type=int, default=20)
-    commands["equivalence"] = cmd_equivalence
 
     sp = subparsers.add_parser("trotter-scan", help="error vs step size for a term split")
     sp.add_argument("--problem", choices=("search-split", "chain"), default="search-split")
@@ -414,7 +418,6 @@ def build_parser():
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--t", type=float, default=None, help="total time (default: problem specific)")
     sp.add_argument("--dt-grid", type=float_list, default="0.2,0.1,0.05,0.025")
-    commands["trotter-scan"] = cmd_trotter_scan
 
     sp = subparsers.add_parser("decompose", help="edge-color a lattice and emit its term set")
     sp.add_argument("--lattice", choices=("chain", "ring", "honeycomb"), default=None)
@@ -424,7 +427,6 @@ def build_parser():
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--graph", default=None, help="external graph JSON instead of a lattice")
     sp.add_argument("--report", default="-", help="where to write the validation report")
-    commands["decompose"] = cmd_decompose
 
     sp = subparsers.add_parser("grover", help="full-space success curve and amplification")
     sp.add_argument("--n", type=int, default=1024)
@@ -439,7 +441,6 @@ def build_parser():
     )
     sp.add_argument("--amplification-out", default=None)
     sp.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    commands["grover"] = cmd_grover
 
     sp = subparsers.add_parser("cost", help="small-step vs reflection-route complexity")
     sp.add_argument("--n", type=int, default=1024)
@@ -447,7 +448,6 @@ def build_parser():
     sp.add_argument("--eps", type=float, default=1e-6)
     sp.add_argument("--step-cost", type=float, default=1.0)
     sp.add_argument("--grover-step-cost", type=float, default=1.0)
-    commands["cost"] = cmd_cost
 
     # Every subcommand writes --out; all but decompose and cost write a table.
     for name, sp in subparsers.choices.items():
@@ -455,7 +455,9 @@ def build_parser():
         if name not in ("decompose", "cost"):
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--config", default=None, help="flat key=value config file")
-    return parser, commands
+    # Each handler is looked up when called, so a replaced or traced cmd_* runs.
+    return parser, {name: lambda args, h="cmd_" + name.replace("-", "_"): globals()[h](args)
+                    for name in subparsers.choices}
 
 
 def _config_tokens(path: str, options: dict) -> list:

@@ -25,8 +25,8 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -51,9 +51,37 @@ __all__ = [
 MAX_WEIGHT = 2.0**511
 
 
+def _check_edge(u, v, w, n: int) -> tuple:
+    # One edge as (u, v, weight) with u < v, or the ValueError naming its fault.
+    u, v = int(u), int(v)
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    if u > v:
+        u, v = v, u
+    w = float(w)
+    if not math.isfinite(w):
+        raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
+    if abs(w) > MAX_WEIGHT:
+        raise ValueError(f"edge ({u}, {v}) weight {w!r} is past +-2^511, where its block "
+                         "squares past the float range")
+    return u, v, w
+
+
+def _columns(rows: tuple) -> tuple:
+    # (u, v, weight) arrays, u < v, of rows that numpy reads as int() and float() do.
+    if set(map(len, rows)) - {3}:
+        raise ValueError("rows are not (u, v, weight)")
+    columns = zip(*rows) if rows else ((), (), ())
+    u, v, w = (np.array(c, dtype=t) for c, t in zip(columns, (np.intp, np.intp, float)))
+    return np.minimum(u, v), np.maximum(u, v), w
+
+
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Simple undirected weighted graph; edges stored sorted with u < v."""
+    """Simple undirected weighted graph; edges stored sorted with u < v, as
+    (int, int, float) tuples and as read-only arrays with a CSR adjacency."""
 
     vertex_count: int
     edges: tuple  # of (u, v, weight)
@@ -64,53 +92,43 @@ class InteractionGraph:
             raise ValueError("graph needs at least one vertex")
         if n > MAX_SITES:
             raise ValueError(f"vertex count {n} above the site cap {MAX_SITES}")
-        normalized = []
-        for u, v, w in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
-            if u > v:
-                u, v = v, u
-            w = float(w)
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
-            if abs(w) > MAX_WEIGHT:
-                raise ValueError(f"edge ({u}, {v}) weight {w!r} is past +-2^511, where its block "
-                                 "squares past the float range")
-            normalized.append((u, v, w))
-        normalized.sort()
-        for a, b in zip(normalized, normalized[1:]):
-            if a[:2] == b[:2]:
-                raise ValueError(
-                    f"parallel edges between {a[0]} and {a[1]} (multigraph rejected)"
-                )
+        rows = tuple(self.edges)
+        try:
+            u, v, w = _columns(rows)
+        except (TypeError, ValueError, OverflowError):
+            u = None
+        if u is None or not np.all((u < v) & (u >= 0) & (v < n) & (np.abs(w) <= MAX_WEIGHT)):
+            # A row numpy cannot read or finds bad: the scalar check names the first.
+            u, v, w = _columns([_check_edge(u, v, w, n) for u, v, w in rows])
+        order = np.argsort(u * n + v)
+        u, v, w = u[order], v[order], w[order]
+        parallel = np.flatnonzero((u[1:] == u[:-1]) & (v[1:] == v[:-1]))
+        if parallel.size:
+            a, b = u[parallel[0]], v[parallel[0]]
+            raise ValueError(f"parallel edges between {a} and {b} (multigraph rejected)")
+        # CSR adjacency: each vertex's (other vertex, edge) pairs in vertex order.
+        ends, others = np.concatenate([u, v]), np.concatenate([v, u])
+        by_end = np.argsort(ends * n + others)
+        start = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+        adjacency = (start, others[by_end], np.tile(np.arange(u.size), 2)[by_end])
+        for a in (u, v, w, *adjacency):
+            a.flags.writeable = False
         object.__setattr__(self, "vertex_count", n)
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", tuple(zip(u.tolist(), v.tolist(), w.tolist())))
+        object.__setattr__(self, "_arrays", ((u, v, w), adjacency))
 
     @property
     def max_degree(self) -> int:
-        deg = [0] * self.vertex_count
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return max(deg, default=0)
+        return int(np.diff(self.neighbors()[0]).max())
 
     def edge_arrays(self):
-        """The edges as three arrays: u, v and weight."""
-        e = np.array(self.edges, dtype=float).reshape(-1, 3)
-        return e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2]
+        """The edges as three read-only arrays: u, v and weight."""
+        return self._arrays[0]
 
-    def neighbors(self) -> dict:
-        """Adjacency as {vertex: sorted list of (other_vertex, edge_index)}."""
-        adj = {v: [] for v in range(self.vertex_count)}
-        for k, (u, v, _) in enumerate(self.edges):
-            adj[u].append((v, k))
-            adj[v].append((u, k))
-        for v in adj:
-            adj[v].sort()
-        return adj
+    def neighbors(self) -> tuple:
+        """Read-only CSR adjacency ``(start, other, edge)``: vertex x meets the
+        sorted ``other[start[x]:start[x + 1]]`` by the same slice of ``edge``."""
+        return self._arrays[1]
 
 
 @dataclass(frozen=True)
@@ -122,8 +140,8 @@ class EdgeColoring:
     bipartite: bool
 
     def __post_init__(self) -> None:
-        colors = tuple(int(c) for c in self.colors)
-        if any(c < 0 for c in colors):
+        colors = tuple(map(int, self.colors))
+        if min(colors, default=0) < 0:
             raise ValueError("colors must be nonnegative")
         object.__setattr__(self, "colors", colors)
 
@@ -135,34 +153,33 @@ class EdgeColoring:
 
 def bipartition(graph: InteractionGraph):
     """Two-coloring of the vertices by BFS, or None if an odd cycle exists."""
+    start, other, _ = (a.tolist() for a in graph.neighbors())
     side = [-1] * graph.vertex_count
-    adj = graph.neighbors()
-    for start in range(graph.vertex_count):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if side[v] == -1:
-                    side[v] = 1 - side[u]
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    return None
+    for root in range(graph.vertex_count):
+        if side[root] == -1:
+            side[root], queue = 0, [root]
+            for u in queue:  # the queue grows while it is read
+                for v in other[start[u]:start[u + 1]]:
+                    if side[v] == -1:
+                        side[v] = 1 - side[u]
+                        queue.append(v)
+                    elif side[v] == side[u]:
+                        return None
     return side
 
 
 def _verify_proper(graph: InteractionGraph, colors) -> None:
-    seen = set()
-    for k, (u, v, _) in enumerate(graph.edges):
-        for vertex in (u, v):
-            key = (vertex, colors[k])
-            if key in seen:
-                raise AssertionError(
-                    f"improper coloring: color {colors[k]} repeated at vertex {vertex}"
-                )
-            seen.add(key)
+    # The (vertex, color) keys (u0, c0), (v0, c0), (u1, c1), ... in edge order
+    # must all differ; the first to repeat an earlier one is named.
+    us, vs, _ = graph.edge_arrays()
+    vertex, color = np.stack([us, vs], axis=1).ravel(), np.repeat(np.asarray(colors, np.int64), 2)
+    again = np.ones(vertex.size, dtype=bool)
+    again[np.unique(vertex + graph.vertex_count * (color - color.min(initial=0)),
+                    return_index=True)[1]] = False
+    if again.any():
+        k = int(np.argmax(again))
+        raise AssertionError(f"improper coloring: color {colors[k // 2]} repeated at vertex "
+                             f"{vertex[k]}")
 
 
 class _ColorState:
@@ -224,17 +241,18 @@ def _color_bipartite(graph: InteractionGraph) -> list:
 
 def _color_misra_gries(graph: InteractionGraph) -> list:
     state = _ColorState(graph, graph.max_degree + 1)
-    adj = graph.neighbors()
+    start, other, edge = (a.tolist() for a in graph.neighbors())
 
     for k, (u, v, _) in enumerate(graph.edges):
         # Maximal fan of u anchored at v, as (vertex, edge) pairs: the color
         # of each added edge is free at the previous fan vertex.
         fan = [(v, k)]
         in_fan = {v}
+        around = list(zip(other[start[u]:start[u + 1]], edge[start[u]:start[u + 1]]))
         grown = True
         while grown:
             grown = False
-            for y, e in adj[u]:
+            for y, e in around:
                 if y in in_fan or state.colors[e] == -1:
                     continue
                 if state.colors[e] not in state.by_vertex[fan[-1][0]]:
@@ -337,11 +355,11 @@ def decompose_matrix(h: np.ndarray, graph: InteractionGraph | None = None) -> He
     if graph is None:
         weights = np.abs(h[rows, cols]).tolist()
         graph = InteractionGraph(n, tuple(zip(rows.tolist(), cols.tolist(), weights)))
-    edge_set = {(u, v) for u, v, _ in graph.edges}
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        if (r, c) not in edge_set:
-            raise ValueError(f"off-diagonal support at ({r}, {c}) has no matching edge")
     us, vs, _ = graph.edge_arrays()
+    missing = np.setdiff1d(rows * n + cols, us * n + vs)
+    if missing.size:
+        r, c = divmod(int(missing[0]), n)
+        raise ValueError(f"off-diagonal support at ({r}, {c}) has no matching edge")
     return decompose(graph, h[us, vs], np.real(np.diag(h)))
 
 
@@ -358,10 +376,8 @@ def laplacian_chain(length: int, periodic: bool = False):
         raise ValueError("periodic 2-site chain is a multigraph")
     if length > MAX_SITES:
         raise ValueError(f"chain length {length} above the site cap {MAX_SITES}")
-    edges = [(i, i + 1, 1.0) for i in range(length - 1)]
-    if periodic:
-        edges.append((0, length - 1, 1.0))
-    graph = InteractionGraph(vertex_count=length, edges=tuple(edges))
+    edges = tuple(zip(range(length - 1), range(1, length), repeat(1.0)))
+    graph = InteractionGraph(length, edges + ((0, length - 1, 1.0),) * periodic)
     return graph, graph_laplacian(graph)[0], np.full(length, 2.0)
 
 
@@ -381,19 +397,15 @@ def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False) -> Int
         raise ValueError(f"honeycomb of {cells_x} x {cells_y} cells has {2 * cells_x * cells_y} "
                          f"sites, above the site cap {MAX_SITES}")
 
-    def site(x: int, y: int, s: int) -> int:
-        return 2 * (x * cells_y + y) + s
-
-    edges = []
-    for x in range(cells_x):
-        for y in range(cells_y):
-            a = site(x, y, 0)
-            edges.append((a, site(x, y, 1), 1.0))
-            if x > 0 or periodic:
-                edges.append((a, site((x - 1) % cells_x, y, 1), 1.0))
-            if y > 0 or periodic:
-                edges.append((a, site(x, (y - 1) % cells_y, 1), 1.0))
-    return InteractionGraph(vertex_count=2 * cells_x * cells_y, edges=tuple(edges))
+    # Site (x, y, s) is 2 (x cells_y + y) + s; the A site of each cell bonds
+    # to the B sites of its own cell and of the cells at x - 1 and y - 1.
+    a = 2 * np.arange(cells_x * cells_y).reshape(cells_x, cells_y)
+    cut = slice(0 if periodic else 1, None)  # an open patch has no bond across its edge
+    us = np.concatenate([a.ravel(), a[cut].ravel(), a[:, cut].ravel()])
+    vs = np.concatenate([(a + 1).ravel(), np.roll(a + 1, 1, axis=0)[cut].ravel(),
+                         np.roll(a + 1, 1, axis=1)[:, cut].ravel()])
+    edges = tuple(zip(us.tolist(), vs.tolist(), repeat(1.0)))
+    return InteractionGraph(2 * cells_x * cells_y, edges)
 
 
 def load_graph(path) -> InteractionGraph:

@@ -4,12 +4,14 @@
 # JSON writer, the Rodrigues rotation of the Bloch sphere, the
 # product-formula error scan on dense d x d matrices, the term-set document
 # as json.dump writes it, the majority Monte Carlo and single binomial
-# draws as numpy's Generator.binomial makes them, and the success curve of
-# the full-space step with a carried mean.
+# draws as numpy's Generator.binomial makes them, the success curve of the
+# full-space step with a carried mean, and the graph layer as scalar loops.
 
 import ctypes
 import json
+import math
 import threading
+from collections import deque
 from functools import reduce
 from math import ceil
 
@@ -17,6 +19,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hamsearch.amplify import SHARD_SIZE
+from hamsearch.decompose import MAX_WEIGHT
 from hamsearch.search import SearchInstance, search_split
 
 # Seeds for np.random.default_rng, so that a property test draws its arrays
@@ -179,3 +182,79 @@ def carried_mean_curve(n, max_steps, target):
         np.subtract(2.0 * mean, psi, out=psi)
         curve.append(abs(psi[target]) ** 2)
     return np.array(curve)
+
+
+def scalar_graph(vertex_count, edges):
+    # (edges, max_degree) of an InteractionGraph as a loop over its edge rows
+    # makes them: each row checked in order, then sorted and compared with
+    # its neighbour for parallel edges. Raises what the constructor raises.
+    n = int(vertex_count)
+    normalized = []
+    for u, v, w in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) outside vertex range")
+        if u > v:
+            u, v = v, u
+        w = float(w)
+        if not math.isfinite(w):
+            raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
+        if abs(w) > MAX_WEIGHT:
+            raise ValueError(f"edge ({u}, {v}) weight {w!r} is past +-2^511, where its block "
+                             "squares past the float range")
+        normalized.append((u, v, w))
+    normalized.sort()
+    for a, b in zip(normalized, normalized[1:]):
+        if a[:2] == b[:2]:
+            raise ValueError(f"parallel edges between {a[0]} and {a[1]} (multigraph rejected)")
+    degree = [0] * n
+    for u, v, _ in normalized:
+        degree[u] += 1
+        degree[v] += 1
+    return tuple(normalized), max(degree)
+
+
+def scalar_adjacency(vertex_count, edges):
+    # {vertex: sorted list of (other vertex, edge index)} of normalized edges.
+    adj = {v: [] for v in range(vertex_count)}
+    for k, (u, v, _) in enumerate(edges):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    for v in adj:
+        adj[v].sort()
+    return adj
+
+
+def scalar_bipartition(vertex_count, edges):
+    # Sides of a BFS two-coloring from each smallest unseen vertex, or None.
+    side = [-1] * vertex_count
+    adj = scalar_adjacency(vertex_count, edges)
+    for start in range(vertex_count):
+        if side[start] != -1:
+            continue
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v, _ in adj[u]:
+                if side[v] == -1:
+                    side[v] = 1 - side[u]
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    return None
+    return side
+
+
+def scalar_verify_proper(edges, colors):
+    # Raises at the first (vertex, color) seen twice, in edge order.
+    seen = set()
+    for k, (u, v, _) in enumerate(edges):
+        for vertex in (u, v):
+            key = (vertex, colors[k])
+            if key in seen:
+                raise AssertionError(
+                    f"improper coloring: color {colors[k]} repeated at vertex {vertex}"
+                )
+            seen.add(key)

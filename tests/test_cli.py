@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hamsearch
-from hamsearch import cli, decompose, statevector, trotter
+from hamsearch import amplify, cli, decompose, statevector, trotter
 from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from hamsearch.decompose import honeycomb_lattice
 from hamsearch.trotter import load_term_set
@@ -500,6 +500,31 @@ class TestGrover:
         assert rc == EXIT_VALIDATION
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--runs", "401"], "--runs 401 above the cap of 399"),
+        (["--runs", "3", "--trials", str(2**30 + 1)],
+         "--trials 1073741825 above the cap of 1073741824"),
+        (["--trials", str(2**30 + 1)], "--trials 1073741825 above the cap of 1073741824"),
+    ])
+    def test_caps_come_before_any_plan_or_curve(self, tmp_path, capsys, monkeypatch, argv,
+                                                message):
+        def built(*args, **kwargs):
+            raise AssertionError("built before the caps were checked")
+
+        monkeypatch.setattr(amplify, "AmplificationPlan", built)
+        monkeypatch.setattr(statevector, "success_curve", built)
+        rc = main(["grover", "--n", "16", *argv, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"hamsearch: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_runs_at_the_cap_run(self, tmp_path):
+        rc = main(["grover", "--n", "1024", "--runs", str(amplify.MAX_RUNS), "--trials", "10000",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_OK
+        _, rows = _read_rows(tmp_path / "x.csv.amplification.csv")
+        assert rows[-1][0] == amplify.MAX_RUNS
+
     def test_bound_past_the_float_power(self, tmp_path, capsys):
         # 1024^111 overflows a float: the power raised OverflowError, a
         # traceback and exit 1. The bound is 2^220 / 2^1110 = 2^-890.
@@ -682,6 +707,61 @@ class TestPlumbing:
         amp_b = (tmp_path / "b.csv.amplification.csv").read_bytes()
         assert amp_a == amp_b
 
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process. Calls in sequence, with
+        # other subcommands, flags and config files between them, each give
+        # the stdout, stderr, files and exit code of a call in a new process.
+        calls = [
+            "decompose --lattice honeycomb --cells-x 5 --out h.json",
+            "decompose --graph g.json --out g.terms.json --report g.report.json",
+            "trajectory --config t.cfg --out t.json",
+            "grover --n 16 --runs 3 --trials 10000 --seed 1",
+            "grover --n 16 --runs 401",
+            "decompose --lattice ring --cells-x 2",
+            "equivalence --n-list 4,16 --samples 3 --format json --out e.json",
+            "trotter-scan --problem chain --length 6 --config s.cfg",
+            "trajectory --samples 1",
+            "trajectory --frobnicate",
+            "cost --n 64 --config c.cfg",
+            "decompose --graph g.json --lattice chain",
+        ]
+        inputs = {"t.cfg": "n = 16\nsamples = 5\nformat = json\n", "s.cfg": "periodic = true\n",
+                  "c.cfg": "eps = 1e-3\nunknown = 1\n"}
+        src = os.path.dirname(os.path.dirname(hamsearch.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        results = {}
+        for name in ("sequence", "fresh"):
+            run = tmp_path / name
+            run.mkdir()
+            save_graph(run / "g.json", decompose.InteractionGraph(
+                4, ((0, 1, 1.0), (1, 2, 0.5), (0, 2, 2.0), (2, 3, 1.0))))
+            for file, text in inputs.items():
+                (run / file).write_text(text)
+            monkeypatch.chdir(run)
+            seen = []
+            for call in calls:
+                if name == "sequence":
+                    code = main(call.split())
+                    out, err = capsys.readouterr()
+                else:
+                    proc = subprocess.run([sys.executable, "-m", "hamsearch.cli", *call.split()],
+                                          env=env, capture_output=True, text=True, timeout=60)
+                    code, out, err = proc.returncode, proc.stdout, proc.stderr
+                seen.append((call, code, out, err))
+            files = {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+            results[name] = seen, files
+        assert results["sequence"] == results["fresh"]
+        codes = [code for _, code, _, _ in results["sequence"][0]]
+        assert codes == [0, 0, 0, 0, 2, 2, 0, 0, 2, 2, 2, 2]
+
+    def test_a_replaced_handler_is_the_one_run(self, capsys, monkeypatch):
+        # The parser outlives a call; the handler is looked up at each one.
+        assert main(["cost", "--n", "16"]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_cost", lambda args: ([("-", f"replaced {args.n}\n")], None))
+        assert main(["cost", "--n", "16"]) == EXIT_OK
+        assert capsys.readouterr().out == "replaced 16\n"
+
     def test_io_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         rc = main(["equivalence", "--n-list", "4", "--samples", "4", "--out", str(out)])
@@ -835,11 +915,16 @@ class TestPlumbing:
         ("decompose --lattice honeycomb --cells-x 100000 --cells-y 100000",
          "honeycomb of 100000 x 100000 cells has 20000000000 sites, above the site cap 1048576"),
         ("decompose --graph {big.json}", "vertex count 100000000 above the site cap 1048576"),
+        ("grover --n 16 --runs 1000000001 --trials 10000",
+         f"--runs 1000000001 above the cap of {amplify.MAX_RUNS}"),
+        ("grover --n 16 --runs 3 --trials 1000000000000000",
+         f"--trials 1000000000000000 above the cap of {amplify.MAX_TRIALS}"),
     ])
     def test_sizes_over_a_cap_exit_2_before_allocating(self, tmp_path, capsys, argv, message):
         # Each of these raised MemoryError (exit 1 with a traceback) or was
         # killed for memory: np.linspace, a chain's or a honeycomb's edge
-        # list, or neighbors() on a 40-byte document.
+        # list, neighbors() on a 40-byte document, or grover's list of one
+        # plan per odd run count. The trial count would have run for months.
         (tmp_path / "big.json").write_text('{"vertices":100000000,"edges":[[0,1,1]]}')
         argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv.split()]
         out = tmp_path / "out"

@@ -15,7 +15,7 @@ import tracemalloc
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from hamsearch import cli, statevector, trotter
+from hamsearch import amplify, cli, statevector, trotter
 from hamsearch.cli import EXIT_CLAIM, EXIT_OK, EXIT_VALIDATION, main
 
 # Values no option takes as valid, or takes only at an edge of its range.
@@ -61,8 +61,8 @@ OPTIONS = {
     "grover": {"--n": _ints(2, 4096, statevector.MAX_DIMENSION + 1, 2**64),
                "--max-steps": _ints(1, 100, statevector.MAX_STEPS + 1, 10**9),
                "--target": _ints(-1, 20, 2**64),
-               # Neither --runs nor --trials has a cap: large ones take much memory or time.
-               "--runs": _ints(-1, 9), "--trials": _ints(9999, 12000),
+               "--runs": _ints(-1, 9, amplify.MAX_RUNS + 2, 10**9 + 1),
+               "--trials": _ints(9999, 12000, amplify.MAX_TRIALS + 1, 10**15),
                "--measured-error": FLAG, "--amplification-out": st.none(),
                "--seed": _ints(0, 10, 2**64, 2**64 - 1)},
     "cost": {"--n": _ints(2, 10**6, 2**64, 10**30), "--t": _floats(1e-300, 1e300),

@@ -1,11 +1,12 @@
 # Graphs, edge coloring (Koenig fast path, Misra-Gries general case), and
 # the block-diagonal splitting, including the lattice generators.
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,8 +23,17 @@ from hamsearch.decompose import (
     laplacian_chain,
     load_graph,
 )
+from hamsearch.decompose import _verify_proper
 from hamsearch.trotter import MAX_SITES, BlockTerm, exact_term_exponential
-from oracles import laplacian_matrix, save_graph, seeds
+from oracles import (
+    laplacian_matrix,
+    save_graph,
+    scalar_adjacency,
+    scalar_bipartition,
+    scalar_graph,
+    scalar_verify_proper,
+    seeds,
+)
 
 
 def _chain(length, periodic):
@@ -84,6 +94,44 @@ def sparse_hermitian_matrices(draw):
     return 0.5 * (h + h.conj().T)
 
 
+# Rows an edge list may hold besides valid ones, each at a drawn position.
+FAULTS = ("self-loop", "outside", "non-finite", "past 2^511", "parallel")
+
+
+@st.composite
+def edge_lists(draw, faults=True):
+    # (vertex count, rows): up to 60 distinct pairs on up to 40 vertices, in
+    # either order, with weights up to the +-2^511 bound, then up to two rows
+    # from FAULTS; sometimes as numpy scalars.
+    n = draw(st.integers(min_value=1, max_value=40))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    weight = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, MAX_WEIGHT, -MAX_WEIGHT]))
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, unique_by=frozenset, max_size=60)) if n > 1 else []
+    rows = [(u, v, draw(weight)) for u, v in pairs]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)) if faults else ():
+        u, v = draw(vertex), draw(vertex)
+        if fault == "self-loop":
+            row = (u, u, draw(weight))
+        elif fault == "outside":
+            far = draw(st.sampled_from([-1, n, n + 7, -(2**40)]))
+            row = draw(st.sampled_from([(u, far), (far, u)])) + (draw(weight),)
+        elif fault == "non-finite":
+            row = (u, v, draw(st.sampled_from([float("nan"), float("inf"), -float("inf")])))
+        elif fault == "past 2^511":
+            row = (u, v, draw(st.sampled_from([2.0**512, -1e300, 1e155,
+                                               np.nextafter(MAX_WEIGHT, np.inf)])))
+        elif rows:  # parallel: an earlier pair again, in either order
+            a, b, _ = draw(st.sampled_from(rows))
+            row = draw(st.sampled_from([(a, b), (b, a)])) + (draw(weight),)
+        else:
+            continue
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    if draw(st.booleans()):
+        rows = [(np.int64(u), np.int64(v), np.float64(w)) for u, v, w in rows]
+    return n, tuple(rows)
+
+
 def _assert_proper(graph, coloring):
     seen = set()
     for k, (u, v, _) in enumerate(graph.edges):
@@ -125,6 +173,61 @@ class TestInteractionGraph:
         g = InteractionGraph(3, ((0, 1, MAX_WEIGHT), (1, 2, -MAX_WEIGHT)))
         for term in decompose(g, *graph_laplacian(g)).terms:
             assert np.all(np.isfinite(term.blocks @ term.blocks))
+
+
+class TestScalarReference:
+    # The array graph layer against the scalar loops it replaced (oracles).
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    @example((1, ()))
+    @example((3, ((0, 1, 1.0), (1, 3, 1.0), (2, 2, 1.0))))
+    @example((3, ((0, 1, 1.0), (0, 2**70, 1.0))))  # past the int64 range numpy reads
+    def test_graphs_match_the_scalar_reference(self, case):
+        n, rows = case
+        try:
+            edges, max_degree = scalar_graph(n, rows)
+        except ValueError as exc:
+            event(re.sub(r"-?[\d.]+|\(.*?\)", "_", str(exc))[:28])  # --hypothesis-show-statistics
+            with pytest.raises(ValueError) as raised:
+                InteractionGraph(n, rows)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return
+        event("a graph")
+        g = InteractionGraph(n, rows)
+        assert repr(g.edges) == repr(edges)
+        assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in g.edges)
+        assert g.max_degree == max_degree
+        assert list(zip(*(a.tolist() for a in g.edge_arrays()))) == list(g.edges)
+        start, other, edge = g.neighbors()
+        adj = scalar_adjacency(n, g.edges)
+        for x in range(n):
+            here = slice(start[x], start[x + 1])
+            assert list(zip(other[here].tolist(), edge[here].tolist())) == adj[x]
+        assert bipartition(g) == scalar_bipartition(n, g.edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists(faults=False), st.data())
+    def test_a_clash_is_named_as_the_scalar_check_names_it(self, case, data):
+        g = InteractionGraph(*case)
+        colors = list(color_edges(g).colors)
+        _verify_proper(g, colors)
+        touching = [(k, j) for k, e in enumerate(g.edges) for j, f in enumerate(g.edges)
+                    if j != k and set(e[:2]) & set(f[:2])]
+        assume(touching)
+        k, j = data.draw(st.sampled_from(touching))
+        colors[k] = colors[j]
+        with pytest.raises(AssertionError) as expected:
+            scalar_verify_proper(g.edges, colors)
+        with pytest.raises(AssertionError, match="improper coloring") as raised:
+            _verify_proper(g, colors)
+        assert str(raised.value) == str(expected.value)
+
+    def test_arrays_are_read_only_and_built_once(self):
+        g = honeycomb_lattice(2, 3)
+        assert g.edge_arrays() is g.edge_arrays() and g.neighbors() is g.neighbors()
+        for a in (*g.edge_arrays(), *g.neighbors()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestSiteCap:
