@@ -27,13 +27,13 @@
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from math import ceil, comb, exp, isfinite, log, log1p, log2, sqrt
 
 import numpy as np
 
+from . import usable_cpus
 from .search import SearchInstance, search_split
 from .trotter import commutator_error
 
@@ -227,11 +227,7 @@ def _on_every_cpu(tally, items: range) -> list:
     """[tally(i) for i in items], spread over min(CPU count, len(items))
     threads, the calling thread one of them; every thread is joined before
     the first exception a thread raised is raised again."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = max(1, min(cpus, len(items)))
+    workers = max(1, min(usable_cpus(), len(items)))
     results = [None] * len(items)
     errors = [None] * workers
 

@@ -20,11 +20,12 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from . import amplify, decompose, search, statevector, trotter
+from . import amplify, decompose, search, statevector, trotter, usable_cpus
 from .pauli import bloch_point
 
 EXIT_OK = 0
@@ -105,22 +106,66 @@ def _write_outputs(*outputs) -> None:
     sys.stdout.writelines(content for path, content in outputs if path == "-")
 
 
+# Rows per % operation, and per share of a CSV table that a forked worker
+# formats: below about 4096 rows (20-30 ms) a share saves less than a fork,
+# a join (2-4 ms) and the copy-on-write faults they bring cost.
+CHUNK_ROWS, SHARE_ROWS = 512, 4096
+
+
+def _csv_lines(row_format: str, rows: np.ndarray) -> str:
+    # One line per row, each ending in a newline, a chunk of rows at a time.
+    return "".join([(row_format * len(c)) % tuple(c.ravel().tolist())
+                    for c in np.split(rows, range(CHUNK_ROWS, len(rows), CHUNK_ROWS))])
+
+
+def _shared_csv_lines(row_format: str, rows: np.ndarray) -> list[str]:
+    # _csv_lines of min(usable CPUs, rows // SHARE_ROWS) contiguous shares:
+    # forked workers write shares 1.. into pipes while this process formats
+    # share 0. A worker that fails or writes short has its share formatted
+    # here, so the text does not depend on the workers.
+    count = min(usable_cpus(), len(rows) // SHARE_ROWS) if hasattr(os, "fork") else 1
+    shares, workers = np.array_split(rows, max(count, 1)), []  # workers: (pid, read end)
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            with warnings.catch_warnings():  # Python 3.12 warns on a fork of a threaded
+                # process (OpenBLAS's); the worker takes none of their locks.
+                warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the worker: os._exit runs no atexit handler, flushes no stdio
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as fh:
+                        fh.write(_csv_lines(row_format, share).encode())
+                    os._exit(0)
+                finally:  # the write raised
+                    os._exit(1)
+            os.close(write_end)
+            workers.append((pid, read_end))
+        texts = [_csv_lines(row_format, shares[0])]
+        for _, read_end in workers:
+            with open(read_end, "rb", closefd=False) as fh:
+                texts.append(fh.read().decode("utf-8", "replace"))
+    finally:  # every read end closed first: a later worker holds the earlier ones
+        for _, read_end in workers:
+            os.close(read_end)
+        ok = [True] + [os.waitpid(pid, 0)[1] == 0 for pid, _ in workers]
+    return [text if good and text.count("\n") == len(share) else _csv_lines(row_format, share)
+            for text, good, share in zip(texts, ok, shares)]
+
+
 def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None) -> str:
-    # rows: a 2-D array or a list of equal-length rows of numbers. CSV lines
-    # are formatted one row at a time, so no list of all values is built.
+    # rows: a 2-D array or a list of equal-length rows of numbers. CSV rows
+    # are formatted a chunk at a time, on every usable CPU for large tables.
     rows = np.asarray(rows, dtype=float)
     if fmt == "json":
         doc = {"columns": columns, "rows": rows.tolist()}
         if extra:
             doc.update(extra)
         return json.dumps(doc, indent=1, allow_nan=False) + "\n"
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(columns)]
-    lines += [row_format % tuple(row.tolist()) for row in rows]
-    if extra:
-        lines.append("# " + json.dumps(extra, sort_keys=True, allow_nan=False))
-    lines.append("")  # the text ends with a newline
-    return "\n".join(lines)
+    footer = "# " + json.dumps(extra, sort_keys=True, allow_nan=False) + "\n" if extra else ""
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    return "".join([",".join(columns) + "\n", *_shared_csv_lines(row_format, rows), footer])
 
 
 def _report_text(report: dict) -> str:
@@ -214,10 +259,11 @@ def cmd_trotter_scan(args) -> tuple[list, str | None]:
     terms, total_time = _scan_problem(args)
     if not 0 < total_time < np.inf:
         raise ValueError(f"total time must be positive and finite, got {total_time:g}")
-    step_counts = [max(1, round(total_time / dt)) for dt in args.dt_grid]
-    for dt, steps in zip(args.dt_grid, step_counts):
-        if steps > trotter.STEP_CAP:
-            raise ValueError(f"dt={dt:g} needs {steps:g} steps, above cap {trotter.STEP_CAP}")
+    ratios = [float(total_time) / dt for dt in args.dt_grid]  # inf past the float range
+    for dt, ratio in zip(args.dt_grid, ratios):
+        if ratio == np.inf or round(ratio) > trotter.STEP_CAP:
+            raise ValueError(f"dt={dt:g} needs {ratio:g} steps, above cap {trotter.STEP_CAP}")
+    step_counts = [max(1, round(ratio)) for ratio in ratios]
     if len(set(step_counts)) < 4:
         raise ValueError(f"dt grid gives {len(set(step_counts))} distinct step counts; "
                          "the slope fit needs at least 4")

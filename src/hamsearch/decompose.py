@@ -31,7 +31,7 @@ from itertools import repeat
 import numpy as np
 
 from .linalg import assert_hermitian
-from .trotter import MAX_SITES, BlockTerm, HermitianTermSet, read_document
+from .trotter import MAX_SITES, BlockTerm, HermitianTermSet, _number, read_document
 
 __all__ = [
     "InteractionGraph",
@@ -53,7 +53,7 @@ MAX_WEIGHT = 2.0**511
 
 def _check_edge(u, v, w, n: int) -> tuple:
     # One edge as (u, v, weight) with u < v, or the ValueError naming its fault.
-    u, v = int(u), int(v)
+    u, v = [_number(x, int, "edge ({}, {}) endpoint", u, v) for x in (u, v)]
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
     if not (0 <= u < n and 0 <= v < n):
@@ -70,12 +70,17 @@ def _check_edge(u, v, w, n: int) -> tuple:
 
 
 def _columns(rows: tuple) -> tuple:
-    # (u, v, weight) arrays, u < v, of rows that numpy reads as int() and float() do.
+    # (u, v, weight) arrays, u < v, of rows with integer endpoints, or a TypeError.
+    # A bool reads as 0 or 1 in an integer column: only those rows' types are read.
     if set(map(len, rows)) - {3}:
         raise ValueError("rows are not (u, v, weight)")
-    columns = zip(*rows) if rows else ((), (), ())
-    u, v, w = (np.array(c, dtype=t) for c, t in zip(columns, (np.intp, np.intp, float)))
-    return np.minimum(u, v), np.maximum(u, v), w
+    cu, cv, cw = zip(*rows) if rows else ((), (), ())
+    u, v = (np.array(c) if c else np.zeros(0, np.intp) for c in (cu, cv))
+    if u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or any(
+            isinstance(x, (bool, np.bool_)) for k in np.flatnonzero((u <= 1) | (v <= 1))
+            for x in rows[k][:2]):
+        raise TypeError("an endpoint is not an integer")
+    return np.minimum(u, v).astype(np.intp), np.maximum(u, v).astype(np.intp), np.array(cw, float)
 
 
 @dataclass(frozen=True)

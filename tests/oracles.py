@@ -5,7 +5,8 @@
 # product-formula error scan on dense d x d matrices, the term-set document
 # as json.dump writes it, the majority Monte Carlo and single binomial
 # draws as numpy's Generator.binomial makes them, the success curve of the
-# full-space step with a carried mean, and the graph layer as scalar loops.
+# full-space step with a carried mean, the graph layer as scalar loops, and
+# the CSV table one row at a time.
 
 import ctypes
 import json
@@ -187,10 +188,14 @@ def carried_mean_curve(n, max_steps, target):
 def scalar_graph(vertex_count, edges):
     # (edges, max_degree) of an InteractionGraph as a loop over its edge rows
     # makes them: each row checked in order, then sorted and compared with
-    # its neighbour for parallel edges. Raises what the constructor raises.
+    # its neighbour for parallel edges. An endpoint is an integer, or a float
+    # of integral value, and never a bool. Raises what the constructor raises.
     n = int(vertex_count)
     normalized = []
     for u, v, w in edges:
+        for x in (u, v):
+            if isinstance(x, (bool, np.bool_)) or not float(x).is_integer():
+                raise ValueError(f"edge ({u}, {v}) endpoint {x!r} is not an integer")
         u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -258,3 +263,12 @@ def scalar_verify_proper(edges, colors):
                     f"improper coloring: color {colors[k]} repeated at vertex {vertex}"
                 )
             seen.add(key)
+
+
+def table_text_reference(columns, rows, extra=None):
+    # A CSV table as one '%.17g' row at a time makes it: the header, a line
+    # per row, then the extra fields as a '# ' JSON line; a newline at the end.
+    lines = [",".join(columns)] + [",".join("%.17g" % x for x in row) for row in rows]
+    if extra:
+        lines.append("# " + json.dumps(extra, sort_keys=True, allow_nan=False))
+    return "\n".join(lines) + "\n"

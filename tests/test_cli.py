@@ -249,6 +249,15 @@ class TestTrotterScan:
         assert err == "hamsearch: dt=0.2 needs 5e+300 steps, above cap 10000000\n"
         assert not out.exists()
 
+    def test_step_count_past_the_float_range_is_refused(self, tmp_path, capsys):
+        # T / 5e-324 overflows the float range: the count reads inf, with no
+        # numpy overflow warning.
+        out = tmp_path / "x.csv"
+        assert main(["trotter-scan", "--dt-grid=5e-324", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "hamsearch: dt=4.94066e-324 needs inf steps, above cap 10000000\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0.1,0.1,0.1,0.1", "0.2,0.1,0.1,0.05"])
     def test_needs_four_distinct_step_counts(self, tmp_path, capsys, grid):
         out = tmp_path / "x.csv"

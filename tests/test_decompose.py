@@ -95,14 +95,14 @@ def sparse_hermitian_matrices(draw):
 
 
 # Rows an edge list may hold besides valid ones, each at a drawn position.
-FAULTS = ("self-loop", "outside", "non-finite", "past 2^511", "parallel")
+FAULTS = ("self-loop", "outside", "non-integral", "non-finite", "past 2^511", "parallel")
 
 
 @st.composite
 def edge_lists(draw, faults=True):
     # (vertex count, rows): up to 60 distinct pairs on up to 40 vertices, in
     # either order, with weights up to the +-2^511 bound, then up to two rows
-    # from FAULTS; sometimes as numpy scalars.
+    # from FAULTS; sometimes as numpy scalars of the same kinds.
     n = draw(st.integers(min_value=1, max_value=40))
     vertex = st.integers(min_value=0, max_value=n - 1)
     weight = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, MAX_WEIGHT, -MAX_WEIGHT]))
@@ -116,6 +116,9 @@ def edge_lists(draw, faults=True):
         elif fault == "outside":
             far = draw(st.sampled_from([-1, n, n + 7, -(2**40)]))
             row = draw(st.sampled_from([(u, far), (far, u)])) + (draw(weight),)
+        elif fault == "non-integral":  # 2.0 is an integer endpoint; 1.5 and True are not
+            odd = draw(st.sampled_from([float(u), u + 0.5, True, False]))
+            row = draw(st.sampled_from([(odd, v), (v, odd)])) + (draw(weight),)
         elif fault == "non-finite":
             row = (u, v, draw(st.sampled_from([float("nan"), float("inf"), -float("inf")])))
         elif fault == "past 2^511":
@@ -128,7 +131,7 @@ def edge_lists(draw, faults=True):
             continue
         rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
     if draw(st.booleans()):
-        rows = [(np.int64(u), np.int64(v), np.float64(w)) for u, v, w in rows]
+        rows = [tuple(np.asarray(x)[()] for x in row) for row in rows]
     return n, tuple(rows)
 
 
@@ -158,6 +161,19 @@ class TestInteractionGraph:
         with pytest.raises(ValueError):
             InteractionGraph(2, ((0, 5, 1.0),))
 
+    @pytest.mark.parametrize("rows, match", [
+        (((0, 1.7, 1.0), (True, 2, 1.0)), r"edge \(0, 1.7\) endpoint 1.7 is not an integer"),
+        (((0, 1, 1.0), (True, 2, 1.0)), r"edge \(True, 2\) endpoint True is not an integer"),
+        (((0, 1, 1.0), (2, np.False_, 1.0)), r"edge \(2, False\) endpoint np.False_ is not"),
+        (((np.int64(2), np.float64(0.5), 1.0),), r"edge \(2, 0.5\) endpoint np.float64\(0.5\)")])
+    def test_rejects_non_integral_and_boolean_endpoints(self, rows, match):
+        # A bool or a fraction used to be read as the integer it truncates to.
+        with pytest.raises(ValueError, match=match):
+            InteractionGraph(3, rows)
+
+    def test_integral_float_endpoints_are_integers(self):
+        assert InteractionGraph(3, ((2.0, np.float64(0.0), 1.0),)).edges == ((0, 2, 1.0),)
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_weights(self, weight):
         with pytest.raises(ValueError, match=r"edge \(0, 2\) has non-finite weight"):
@@ -182,6 +198,7 @@ class TestScalarReference:
     @example((1, ()))
     @example((3, ((0, 1, 1.0), (1, 3, 1.0), (2, 2, 1.0))))
     @example((3, ((0, 1, 1.0), (0, 2**70, 1.0))))  # past the int64 range numpy reads
+    @example((3, ((0, 1.7, 1.0), (True, 2, 1.0))))
     def test_graphs_match_the_scalar_reference(self, case):
         n, rows = case
         try:
