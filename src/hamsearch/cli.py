@@ -106,20 +106,21 @@ def _write_outputs(*outputs) -> None:
     sys.stdout.writelines(content for path, content in outputs if path == "-")
 
 
-# Rows per % operation, and per share of a CSV table that a forked worker
-# formats: below about 4096 rows (20-30 ms) a share saves less than a fork,
-# a join (2-4 ms) and the copy-on-write faults they bring cost.
-CHUNK_ROWS, SHARE_ROWS = 512, 4096
+# Rows per % operation, and the fewest rows per share of a CSV table that a
+# forked worker formats. On a 2-vCPU Xeon VM two shares of a 4096 x 7 table
+# (25 ms) took as long as one: a fork and join (2-4 ms) and the copy-on-write
+# faults they bring ate the saving. Two of 4096 rows took 41 ms, not 49.
+CHUNK_ROWS, SHARE_ROWS = 64, 4096
 
 
-def _csv_lines(row_format: str, rows: np.ndarray) -> str:
-    # One line per row, each ending in a newline, a chunk of rows at a time.
-    return "".join([(row_format * len(c)) % tuple(c.ravel().tolist())
-                    for c in np.split(rows, range(CHUNK_ROWS, len(rows), CHUNK_ROWS))])
+def _csv_chunks(row_format: str, rows: np.ndarray) -> list[str]:
+    # The rows' lines, each ending in a newline, as one string per chunk of rows.
+    return [(row_format * len(c)) % tuple(c.ravel().tolist())
+            for c in np.split(rows, range(CHUNK_ROWS, len(rows), CHUNK_ROWS))]
 
 
 def _shared_csv_lines(row_format: str, rows: np.ndarray) -> list[str]:
-    # _csv_lines of min(usable CPUs, rows // SHARE_ROWS) contiguous shares:
+    # _csv_chunks of min(usable CPUs, rows // SHARE_ROWS) contiguous shares:
     # forked workers write shares 1.. into pipes while this process formats
     # share 0. A worker that fails or writes short has its share formatted
     # here, so the text does not depend on the workers.
@@ -136,22 +137,23 @@ def _shared_csv_lines(row_format: str, rows: np.ndarray) -> list[str]:
                 try:
                     os.close(read_end)
                     with open(write_end, "wb") as fh:
-                        fh.write(_csv_lines(row_format, share).encode())
+                        fh.writelines(c.encode() for c in _csv_chunks(row_format, share))
                     os._exit(0)
                 finally:  # the write raised
                     os._exit(1)
             os.close(write_end)
             workers.append((pid, read_end))
-        texts = [_csv_lines(row_format, shares[0])]
+        lines, texts = _csv_chunks(row_format, shares[0]), []
         for _, read_end in workers:
             with open(read_end, "rb", closefd=False) as fh:
                 texts.append(fh.read().decode("utf-8", "replace"))
     finally:  # every read end closed first: a later worker holds the earlier ones
         for _, read_end in workers:
             os.close(read_end)
-        ok = [True] + [os.waitpid(pid, 0)[1] == 0 for pid, _ in workers]
-    return [text if good and text.count("\n") == len(share) else _csv_lines(row_format, share)
-            for text, good, share in zip(texts, ok, shares)]
+        done = [os.waitpid(pid, 0)[1] == 0 for pid, _ in workers]
+    for text, ok, share in zip(texts, done, shares[1:]):
+        lines += [text] if ok and text.count("\n") == len(share) else _csv_chunks(row_format, share)
+    return lines
 
 
 def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None) -> str:

@@ -59,7 +59,8 @@ def tables(draw):
     return [f"c{k}" for k in range(width)], rows, extra
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tables())
 def test_bytes_match_the_per_row_reference(forks, table):
     columns, rows, extra = table
@@ -71,26 +72,27 @@ def test_bytes_match_the_per_row_reference(forks, table):
 
 
 def _misbehave(how):
-    # A _csv_lines that fails in the workers as ``how`` says and runs in the caller.
-    caller, real = os.getpid(), cli._csv_lines
+    # A _csv_chunks that fails in the workers as ``how`` says and runs in the caller.
+    caller, real = os.getpid(), cli._csv_chunks
 
-    def lines(row_format, rows):
+    def chunks(row_format, rows):
         if os.getpid() == caller:
             return real(row_format, rows)
         if how == "raise":
             raise RuntimeError("worker fails")
         if how == "signal":
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(row_format, rows)[:-7]  # "short": a line and a half missing
+        *head, last = real(row_format, rows)
+        return [*head, last[:-7]]  # "short": a line and a half missing
 
-    return lines
+    return chunks
 
 
 @pytest.mark.parametrize("how", ["raise", "signal", "short"])
 def test_a_failed_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd, how):
     rows = [[k / 7.0, -k * 1e300, 5e-324 * k] for k in range(3 * THRESHOLD + 1)]
     expected = table_text_reference(["a", "b", "c"], rows, {"n": 1})
-    monkeypatch.setattr(cli, "_csv_lines", _misbehave(how))
+    monkeypatch.setattr(cli, "_csv_chunks", _misbehave(how))
     assert cli._table_text("csv", ["a", "b", "c"], rows, {"n": 1}) == expected
     assert len(forks) == CPUS - 1
     with pytest.raises(ChildProcessError):  # every worker was reaped
