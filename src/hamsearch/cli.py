@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import os
+import pickle
 import sys
 import warnings
 from dataclasses import replace
@@ -107,27 +108,35 @@ def _write_outputs(*outputs) -> None:
 
 
 # Rows per % operation, and the fewest rows per share of a CSV table that a
-# forked worker formats. On a 2-vCPU Xeon VM two shares of a 4096 x 7 table
-# (25 ms) took as long as one: a fork and join (2-4 ms) and the copy-on-write
-# faults they bring ate the saving. Two of 4096 rows took 41 ms, not 49.
+# forked worker computes or formats. On a 2-vCPU Xeon VM two shares of a
+# 4096 x 7 table (25 ms) took as long as one: a fork and join (2-4 ms) and the
+# copy-on-write faults they bring ate the saving. Two of 4096 rows took 41 ms, not 49.
 CHUNK_ROWS, SHARE_ROWS = 64, 4096
 
 
-def _csv_chunks(row_format: str, rows: np.ndarray) -> list[str]:
-    # The rows' lines, each ending in a newline, as one string per chunk of rows.
+def _csv_chunks(rows: np.ndarray) -> list[str]:
+    # The rows' '%.17g' lines, each ending in a newline, as one string per chunk of rows.
+    row_format = ",".join(["%.17g"] * rows.shape[-1]) + "\n"
     return [(row_format * len(c)) % tuple(c.ravel().tolist())
             for c in np.split(rows, range(CHUNK_ROWS, len(rows), CHUNK_ROWS))]
 
 
-def _shared_csv_lines(row_format: str, rows: np.ndarray) -> list[str]:
-    # _csv_chunks of min(usable CPUs, rows // SHARE_ROWS) contiguous shares:
-    # forked workers write shares 1.. into pipes while this process formats
-    # share 0. A worker that fails or writes short has its share formatted
-    # here, so the text does not depend on the workers.
-    count = min(usable_cpus(), len(rows) // SHARE_ROWS) if hasattr(os, "fork") else 1
-    shares, workers = np.array_split(rows, max(count, 1)), []  # workers: (pid, read end)
+def _shares(items, rows: int) -> list:
+    # items as min(usable CPUs, len(items), rows // SHARE_ROWS) contiguous
+    # slices, at least one; one without os.fork.
+    cpus = usable_cpus() if hasattr(os, "fork") else 1
+    count = max(1, min(cpus, len(items), rows // SHARE_ROWS))
+    return [items[k * len(items) // count:(k + 1) * len(items) // count] for k in range(count)]
+
+
+def _on_forks(work, parts: list) -> list:
+    # [work(p) for p in parts]: forked workers run parts[1:] and pickle their
+    # results into one pipe each while this process runs parts[0]. The part of
+    # a worker that fails, is killed or writes a stream that does not unpickle
+    # is rerun here, so the results do not depend on the workers.
+    workers, results = [], {}  # workers: (pid, read end); results: by part index
     try:
-        for share in shares[1:]:
+        for part in parts[1:]:
             read_end, write_end = os.pipe()
             with warnings.catch_warnings():  # Python 3.12 warns on a fork of a threaded
                 # process (OpenBLAS's); the worker takes none of their locks.
@@ -137,37 +146,41 @@ def _shared_csv_lines(row_format: str, rows: np.ndarray) -> list[str]:
                 try:
                     os.close(read_end)
                     with open(write_end, "wb") as fh:
-                        fh.writelines(c.encode() for c in _csv_chunks(row_format, share))
+                        pickle.dump(work(part), fh, pickle.HIGHEST_PROTOCOL)
                     os._exit(0)
-                finally:  # the write raised
+                finally:  # work or the write raised
                     os._exit(1)
             os.close(write_end)
             workers.append((pid, read_end))
-        lines, texts = _csv_chunks(row_format, shares[0]), []
-        for _, read_end in workers:
+        results[0] = work(parts[0])
+        for k, (_, read_end) in enumerate(workers, 1):
             with open(read_end, "rb", closefd=False) as fh:
-                texts.append(fh.read().decode("utf-8", "replace"))
+                try:
+                    results[k] = pickle.load(fh)
+                except (pickle.UnpicklingError, EOFError):  # cut short: rerun below
+                    pass
     finally:  # every read end closed first: a later worker holds the earlier ones
         for _, read_end in workers:
             os.close(read_end)
-        done = [os.waitpid(pid, 0)[1] == 0 for pid, _ in workers]
-    for text, ok, share in zip(texts, done, shares[1:]):
-        lines += [text] if ok and text.count("\n") == len(share) else _csv_chunks(row_format, share)
-    return lines
+        status = [0] + [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    return [results[k] if k in results and status[k] == 0 else work(part)
+            for k, part in enumerate(parts)]
 
 
-def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None) -> str:
-    # rows: a 2-D array or a list of equal-length rows of numbers. CSV rows
-    # are formatted a chunk at a time, on every usable CPU for large tables.
+def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None,
+                lines: list[str] | None = None) -> str:
+    # rows: a 2-D array or a list of equal-length rows of numbers. CSV rows are the
+    # given lines, or are formatted in chunks, in shares on every CPU for large tables.
     rows = np.asarray(rows, dtype=float)
     if fmt == "json":
         doc = {"columns": columns, "rows": rows.tolist()}
         if extra:
             doc.update(extra)
         return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    if lines is None:
+        lines = [c for chunks in _on_forks(_csv_chunks, _shares(rows, len(rows))) for c in chunks]
     footer = "# " + json.dumps(extra, sort_keys=True, allow_nan=False) + "\n" if extra else ""
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    return "".join([",".join(columns) + "\n", *_shared_csv_lines(row_format, rows), footer])
+    return "".join([",".join(columns) + "\n", *lines, footer])
 
 
 def _report_text(report: dict) -> str:
@@ -219,10 +232,19 @@ def cmd_equivalence(args) -> tuple[list, str | None]:
     if len(args.n_list) * args.samples > MAX_ROWS:
         raise ValueError(f"--n-list x --samples = {len(args.n_list)} x {args.samples} table rows, "
                          f"above the cap of {MAX_ROWS}")
-    rows = np.concatenate([_equivalence_rows(n, args.samples) for n in args.n_list])
+    csv = args.format == "csv"
+
+    def part(ns):  # (rows, their CSV text or "") of a group of whole N blocks
+        rows = np.concatenate([_equivalence_rows(n, args.samples) for n in ns])
+        return rows, "".join(_csv_chunks(rows)) if csv else ""
+
+    # One group per share of a CSV table; the JSON table is one group.
+    parts = _on_forks(part, _shares(args.n_list, len(args.n_list) * args.samples if csv else 0))
+    rows = np.concatenate([part_rows for part_rows, _ in parts])
     n_worst, t_worst, _, _, worst = rows[np.argmax(rows[:, 4])].tolist()
     text = _table_text(args.format, ["N", "t", "Q_t", "beta", "residual"], rows,
-                       extra={"max_residual": worst, "limit": RESIDUAL_LIMIT})
+                       extra={"max_residual": worst, "limit": RESIDUAL_LIMIT},
+                       lines=[text for _, text in parts])
     failure = None
     if not worst <= RESIDUAL_LIMIT:
         failure = (f"equivalence residual {worst:.3e} above {RESIDUAL_LIMIT:.1e} "

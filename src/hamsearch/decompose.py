@@ -58,9 +58,9 @@ def _check_edge(u, v, w, n: int) -> tuple:
         raise ValueError(f"self-loop at vertex {u}")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    w = _number(w, float, "edge ({}, {}) weight", u, v)
     if u > v:
         u, v = v, u
-    w = float(w)
     if not math.isfinite(w):
         raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
     if abs(w) > MAX_WEIGHT:
@@ -70,8 +70,9 @@ def _check_edge(u, v, w, n: int) -> tuple:
 
 
 def _columns(rows: tuple) -> tuple:
-    # (u, v, weight) arrays, u < v, of rows with integer endpoints, or a TypeError.
-    # A bool reads as 0 or 1 in an integer column: only those rows' types are read.
+    # (u, v, weight) arrays, u < v, of rows with integer endpoints and int or float
+    # weights, or a TypeError. A bool reads as 0 or 1 in an integer column: only those
+    # rows' endpoint types are read.
     if set(map(len, rows)) - {3}:
         raise ValueError("rows are not (u, v, weight)")
     cu, cv, cw = zip(*rows) if rows else ((), (), ())
@@ -80,6 +81,8 @@ def _columns(rows: tuple) -> tuple:
             isinstance(x, (bool, np.bool_)) for k in np.flatnonzero((u <= 1) | (v <= 1))
             for x in rows[k][:2]):
         raise TypeError("an endpoint is not an integer")
+    if set(map(type, cw)) - {int, float}:  # a bool, a str or a numpy scalar among them
+        raise TypeError("a weight is not an int or a float")
     return np.minimum(u, v).astype(np.intp), np.maximum(u, v).astype(np.intp), np.array(cw, float)
 
 

@@ -402,9 +402,9 @@ def _unique_keys(pairs: list) -> dict:
 def _number(value, kind: type, what: str, *args):
     # value as an int (2.0 is one; 1.7 and true are not) or a float (true, "2.5"
     # and an integer past the float range are not); errors name what.format(*args).
-    if isinstance(value, (int, float, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         try:
-            if kind is float or not isinstance(value, float) or value.is_integer():
+            if kind is float or isinstance(value, (int, np.integer)) or value.is_integer():
                 return kind(value)
         except OverflowError:  # an integer past the float range
             pass

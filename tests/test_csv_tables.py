@@ -1,19 +1,23 @@
-# CSV tables formatted on every usable CPU: the bytes against a per-row
-# '%.17g' reference, with forked workers that succeed and that fail, no
-# worker left after main, and the peak memory of the largest table. Any
+# CSV tables computed and formatted on every usable CPU: the bytes against a
+# per-row '%.17g' reference, for generic tables and for equivalence, whose
+# shares compute their own rows, with forked workers that succeed and that
+# fail, no worker left after main, and the peak memory of the largest table. Any
 # warning fails these tests (pyproject.toml), the fork warning of Python 3.12
 # included.
 
+import argparse
 import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hamsearch
@@ -23,6 +27,8 @@ from test_golden import SUBSPACE
 
 THRESHOLD = 4  # rows per worker share while a test runs
 CPUS = 3
+EQUIVALENCE = ["N", "t", "Q_t", "beta", "residual"]
+PIN_SHARES = {"trajectory": 2, "equivalence-sweep": 3}  # rows // 4096 of the large pins
 
 # Finite doubles, with the cases '%.17g' spells out differently.
 CELLS = st.one_of(
@@ -71,28 +77,41 @@ def test_bytes_match_the_per_row_reference(forks, table):
     assert len(forks) == (shares - 1 if shares > 1 else 0)
 
 
-def _misbehave(how):
-    # A _csv_chunks that fails in the workers as ``how`` says and runs in the caller.
-    caller, real = os.getpid(), cli._csv_chunks
+def _misbehave(monkeypatch, how):
+    # Workers that fail as ``how`` says while this process runs as before:
+    # _csv_chunks raises or is killed in a worker, or a worker's pickle
+    # stream stops short of its end (only workers pickle).
+    caller, chunks, dumps = os.getpid(), cli._csv_chunks, pickle.dumps
 
-    def chunks(row_format, rows):
-        if os.getpid() == caller:
-            return real(row_format, rows)
-        if how == "raise":
-            raise RuntimeError("worker fails")
-        if how == "signal":
+    def failing_chunks(rows):
+        if os.getpid() != caller:
+            if how == "raise":
+                raise RuntimeError("worker fails")
             os.kill(os.getpid(), signal.SIGKILL)
-        *head, last = real(row_format, rows)
-        return [*head, last[:-7]]  # "short": a line and a half missing
+        return chunks(rows)
 
-    return chunks
+    if how == "short":
+        monkeypatch.setattr(pickle, "dump", lambda obj, fh, protocol: fh.write(
+            dumps(obj, protocol)[:-7]))
+    else:
+        monkeypatch.setattr(cli, "_csv_chunks", failing_chunks)
+
+
+def _equivalence(ns, samples):
+    # cmd_equivalence's CSV text, and the reference: the serially
+    # concatenated _equivalence_rows one '%.17g' row at a time, same footer.
+    args = argparse.Namespace(n_list=ns, samples=samples, format="csv", out="-")
+    (output,), _ = cli.cmd_equivalence(args)
+    rows = np.concatenate([cli._equivalence_rows(n, samples) for n in ns])
+    extra = {"max_residual": float(rows[:, 4].max()), "limit": cli.RESIDUAL_LIMIT}
+    return output, ("-", table_text_reference(EQUIVALENCE, rows.tolist(), extra))
 
 
 @pytest.mark.parametrize("how", ["raise", "signal", "short"])
 def test_a_failed_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd, how):
     rows = [[k / 7.0, -k * 1e300, 5e-324 * k] for k in range(3 * THRESHOLD + 1)]
     expected = table_text_reference(["a", "b", "c"], rows, {"n": 1})
-    monkeypatch.setattr(cli, "_csv_chunks", _misbehave(how))
+    _misbehave(monkeypatch, how)
     assert cli._table_text("csv", ["a", "b", "c"], rows, {"n": 1}) == expected
     assert len(forks) == CPUS - 1
     with pytest.raises(ChildProcessError):  # every worker was reaped
@@ -100,10 +119,40 @@ def test_a_failed_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd, h
     assert capfd.readouterr() == ("", "")  # a failing worker prints nothing
 
 
-def test_trajectory_pin_runs_through_workers_and_leaves_none():
-    # The 10001-row pin in a fresh process: stdout holds it exactly once, the
-    # workers run no atexit handler, and none is left when main returns.
-    argv, digest = SUBSPACE["trajectory"]
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ns=st.lists(st.integers(min_value=2, max_value=2**20), min_size=1, max_size=8,
+                   unique=True),
+       samples=st.integers(min_value=2, max_value=9), cpus=st.sampled_from([1, 2, CPUS]))
+@example(ns=[4], samples=9, cpus=CPUS)  # more shares by rows than N blocks
+def test_equivalence_shares_compute_the_serial_table(forks, monkeypatch, ns, samples, cpus):
+    # Contiguous groups of whole N blocks, each computed and formatted by
+    # its own share: min(CPUs, len(ns), rows // THRESHOLD) groups.
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    forks.clear()
+    output, expected = _equivalence(ns, samples)
+    assert output[1].encode() == expected[1].encode()
+    assert len(forks) == max(1, min(cpus, len(ns), len(ns) * samples // THRESHOLD)) - 1
+
+
+@pytest.mark.parametrize("how", ["raise", "signal", "short"])
+def test_a_failed_equivalence_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd,
+                                                                  how):
+    _misbehave(monkeypatch, how)
+    # 15 rows: three groups, two of them in workers
+    output, expected = _equivalence([4, 16, 64, 256, 1024], 3)
+    assert output == expected
+    assert len(forks) == CPUS - 1
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")  # a failing worker prints nothing
+
+
+@pytest.mark.parametrize("name", ["trajectory", "equivalence-sweep"])
+def test_large_pin_runs_through_workers_and_leaves_none(name):
+    # A pin of 10001 or 16000 rows in a fresh process: stdout holds it exactly
+    # once, the workers run no atexit handler, and none is left when main returns.
+    argv, digest = SUBSPACE[name]
     script = textwrap.dedent("""
         import atexit, os, sys
         from hamsearch.cli import main
@@ -124,8 +173,8 @@ def test_trajectory_pin_runs_through_workers_and_leaves_none():
                           env=_env(), capture_output=True, timeout=120)
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
-    forked = hamsearch.usable_cpus() > 1
-    assert proc.stderr.decode() == f"workers {int(forked)}\natexit\n"
+    workers = min(hamsearch.usable_cpus(), PIN_SHARES[name]) - 1
+    assert proc.stderr.decode() == f"workers {workers}\natexit\n"
 
 
 def test_grover_curve_at_the_step_cap_stays_under_160_mib(tmp_path):

@@ -171,6 +171,21 @@ class TestInteractionGraph:
         with pytest.raises(ValueError, match=match):
             InteractionGraph(3, rows)
 
+    @pytest.mark.parametrize("rows, match", [
+        (((0, 1, True), (1, 2, "2.5")), r"edge \(0, 1\) weight True is not a float"),
+        (((0, 1, 1.0), (2, 1, "2.5")), r"edge \(2, 1\) weight '2.5' is not a float"),
+        (((0, 1, np.True_),), r"edge \(0, 1\) weight np.True_ is not a float"),
+        (((0, 1, None),), r"edge \(0, 1\) weight None is not a float"),
+        (((0, 1, 10**400),), r"edge \(0, 1\) weight 1000+ is not a float")])
+    def test_rejects_weights_that_are_not_numbers(self, rows, match):
+        # As a graph document reads them: float() read True as 1.0 and "2.5" as 2.5.
+        with pytest.raises(ValueError, match=match):
+            InteractionGraph(3, rows)
+
+    def test_numeric_weights_of_every_kind_read_as_floats(self):
+        rows = ((0, 1, 2), (1, 2, np.float32(0.5)), (0, 2, np.int64(-3)))
+        assert InteractionGraph(3, rows).edges == ((0, 1, 2.0), (0, 2, -3.0), (1, 2, 0.5))
+
     def test_integral_float_endpoints_are_integers(self):
         assert InteractionGraph(3, ((2.0, np.float64(0.0), 1.0),)).edges == ((0, 2, 1.0),)
 

@@ -23,6 +23,9 @@
 #   the curve moved to the two-scalar recurrence (the target amplitude and
 #   the carried mean, no N-dimensional step) and the amplification table
 #   to one shard loop that draws each shard's words once for every R.
+# - The equivalence sweeps of 8 x 2000 rows were recorded while one process
+#   computed every row and forked workers only formatted CSV text, and held
+#   unedited when each share came to compute its own rows.
 # - trajectory was recorded from the stacked layer. It differs from the
 #   per-sample output in 24 z cells, by at most 2.2e-16 each: the stacked
 #   |a|^2 is a correctly rounded square, the per-sample one went through
@@ -102,6 +105,15 @@ SUBSPACE = {
     "equivalence": (
         ["equivalence", "--n-list", "4,16,64,256,1024,4096,16384,65536", "--samples", "50"],
         "88b550893be3f023864cced3af1dfe439377e32dbeb2224f5179463a8efd57c6",
+    ),
+    "equivalence-sweep": (
+        ["equivalence", "--n-list", "4,16,64,256,1024,4096,16384,65536", "--samples", "2000"],
+        "088b137509124aa81d7123ef67433aaba8a723348a5fc85cb0f1e43eaffd9b34",
+    ),
+    "equivalence-sweep-json": (
+        ["equivalence", "--n-list", "4,16,64,256,1024,4096,16384,65536", "--samples", "2000",
+         "--format", "json"],
+        "9e45eb20ffa7ce775ab6933051f792ead622405197cfe8243597e3457b30ef9d",
     ),
     "trajectory": (
         ["trajectory", "--n", "1024", "--samples", "10001"],
