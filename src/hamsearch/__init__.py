@@ -9,6 +9,8 @@ amplification with the associated complexity accounting.
 """
 
 import os
+import pickle
+import warnings
 
 __version__ = "0.1.0"
 
@@ -17,3 +19,57 @@ def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, where there is one."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _shares(items, count: int) -> list:
+    # items as max(1, min(usable CPUs, len(items), count)) contiguous slices;
+    # one without os.fork.
+    cpus = usable_cpus() if hasattr(os, "fork") else 1
+    count = max(1, min(cpus, len(items), count))
+    return [items[k * len(items) // count:(k + 1) * len(items) // count] for k in range(count)]
+
+
+def _on_forks(work, parts: list) -> list:
+    # [work(p) for p in parts]: forked workers run parts[1:] and pickle their
+    # results into one pipe each while this process runs parts[0]. The part of
+    # a worker that fails, is killed or writes a stream that does not unpickle
+    # is rerun here, and so are the parts from one whose pipe or fork fails,
+    # so the results do not depend on the workers.
+    workers, results = [], {}  # workers: (pid, read end); results: by part index
+    try:
+        for part in parts[1:]:
+            read_end = write_end = None
+            try:
+                read_end, write_end = os.pipe()
+                with warnings.catch_warnings():  # Python 3.12 warns on a fork of a threaded
+                    # process (OpenBLAS's); the worker takes none of their locks.
+                    warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no pipe or no process: this part and the rest run here
+                for fd in (read_end, write_end):
+                    if fd is not None:
+                        os.close(fd)
+                break
+            if pid == 0:  # the worker: os._exit runs no atexit handler, flushes no stdio
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as fh:
+                        pickle.dump(work(part), fh, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:  # work or the write raised
+                    os._exit(1)
+            os.close(write_end)
+            workers.append((pid, read_end))
+        results[0] = work(parts[0])
+        for k, (_, read_end) in enumerate(workers, 1):
+            with open(read_end, "rb", closefd=False) as fh:
+                try:
+                    results[k] = pickle.load(fh)
+                except (pickle.UnpicklingError, EOFError):  # cut short: rerun below
+                    pass
+    finally:  # every read end closed first: a later worker holds the earlier ones
+        for _, read_end in workers:
+            os.close(read_end)
+        status = [0] + [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    return [results[k] if k in results and status[k] == 0 else work(part)
+            for k, part in enumerate(parts)]

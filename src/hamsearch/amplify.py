@@ -11,9 +11,9 @@
 # Randomness contract: Monte Carlo uses numpy's Philox counter-based
 # generator keyed on (seed, shard); the same seed reproduces the same
 # stream on any platform, and shard tallies merge by summation. A shard
-# reads no other shard's words, so the shards are tallied on one thread per
-# CPU (Philox draws release the interpreter lock) and the integer sums do
-# not depend on which thread tallied what. The count is the one numpy's
+# reads no other shard's words, so contiguous groups of shards are tallied
+# in one process per CPU, the caller and forked workers, and the integer
+# sums do not depend on which process tallied what. The count is the one numpy's
 # Generator.binomial(R, p) would give on that stream.
 # Up to R p = 30 numpy draws a binomial by inversion, which reads one Philox
 # word per trial and fails the majority iff the word is at or above a
@@ -27,13 +27,12 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import ceil, comb, exp, isfinite, log, log1p, log2, sqrt
 
 import numpy as np
 
-from . import usable_cpus
+from . import _on_forks, _shares
 from .search import SearchInstance, search_split
 from .trotter import commutator_error
 
@@ -223,41 +222,15 @@ def _inversion_shard(bitgen: np.random.Philox, count: int,
     return failures
 
 
-def _on_every_cpu(tally, items: range) -> list:
-    """[tally(i) for i in items], spread over min(CPU count, len(items))
-    threads, the calling thread one of them; every thread is joined before
-    the first exception a thread raised is raised again."""
-    workers = max(1, min(usable_cpus(), len(items)))
-    results = [None] * len(items)
-    errors = [None] * workers
-
-    def work(w: int) -> None:
-        try:
-            for j in range(w, len(items), workers):
-                results[j] = tally(items[j])
-        except BaseException as exc:  # raised again by the caller
-            errors[w] = exc
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 def simulate_majorities(plans: list[AmplificationPlan]) -> list[MajorityEstimate]:
     """Monte Carlo majority failure rates of plans that differ only in R.
 
     Shard ``i`` of SHARD_SIZE trials draws from Philox(key=(seed, i)), so the
     result is reproducible from the seed alone, and each count is the one
     Generator.binomial(R, p) gives on the shard's stream. The shards are
-    tallied on min(CPU count, shard count) worker threads and their counts
-    summed, so the result does not depend on the CPU count. Up to R p = 30 a
+    tallied in min(CPU count, shard count) contiguous groups, all but the
+    first in forked workers (hamsearch._on_forks), and their counts summed,
+    so the result does not depend on the CPU count. Up to R p = 30 a
     shard's words are drawn once, CHUNK at a time, each R compares them with
     its cutoff from numpy's binomial inversion, and an R that draws again
     restarts from the stream's state after the whole shard; a cutoff no word
@@ -271,8 +244,7 @@ def simulate_majorities(plans: list[AmplificationPlan]) -> list[MajorityEstimate
     btpe = [k for k, plan in enumerate(plans) if plan.runs * p > INVERSION_LIMIT]
     cutoffs = {k: _inversion_cutoffs(plan.runs, p) for k, plan in enumerate(plans) if k not in btpe}
     cutoffs = {k: cut for k, cut in cutoffs.items() if cut[0] < DOUBLE_GRID}
-    # numpy loads np.random on first use. Loading it here, not in a worker,
-    # keeps it out of that thread's malloc arena: 0.6 MiB of peak RSS.
+    # numpy loads np.random on first use: here, before the fork, not in each worker.
     philox = np.random.Philox
 
     def tally(shard: int) -> dict[int, int]:
@@ -288,7 +260,8 @@ def simulate_majorities(plans: list[AmplificationPlan]) -> list[MajorityEstimate
         return failures
 
     shards = range((trials + SHARD_SIZE - 1) // SHARD_SIZE if btpe or cutoffs else 0)
-    tallies = _on_every_cpu(tally, shards)
+    tallies = [t for group in _on_forks(lambda group: [tally(i) for i in group],
+                                        _shares(shards, len(shards))) for t in group]
     failures = [sum(t.get(k, 0) for t in tallies) for k in range(len(plans))]
     return [MajorityEstimate(f / trials, *wilson_interval(f, trials), f, trials)
             for f in failures]

@@ -19,14 +19,12 @@ import argparse
 import functools
 import json
 import os
-import pickle
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from . import amplify, decompose, search, statevector, trotter, usable_cpus
+from . import _on_forks, _shares, amplify, decompose, search, statevector, trotter
 from .pauli import bloch_point
 
 EXIT_OK = 0
@@ -121,52 +119,6 @@ def _csv_chunks(rows: np.ndarray) -> list[str]:
             for c in np.split(rows, range(CHUNK_ROWS, len(rows), CHUNK_ROWS))]
 
 
-def _shares(items, rows: int) -> list:
-    # items as min(usable CPUs, len(items), rows // SHARE_ROWS) contiguous
-    # slices, at least one; one without os.fork.
-    cpus = usable_cpus() if hasattr(os, "fork") else 1
-    count = max(1, min(cpus, len(items), rows // SHARE_ROWS))
-    return [items[k * len(items) // count:(k + 1) * len(items) // count] for k in range(count)]
-
-
-def _on_forks(work, parts: list) -> list:
-    # [work(p) for p in parts]: forked workers run parts[1:] and pickle their
-    # results into one pipe each while this process runs parts[0]. The part of
-    # a worker that fails, is killed or writes a stream that does not unpickle
-    # is rerun here, so the results do not depend on the workers.
-    workers, results = [], {}  # workers: (pid, read end); results: by part index
-    try:
-        for part in parts[1:]:
-            read_end, write_end = os.pipe()
-            with warnings.catch_warnings():  # Python 3.12 warns on a fork of a threaded
-                # process (OpenBLAS's); the worker takes none of their locks.
-                warnings.filterwarnings("ignore", "This process", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:  # the worker: os._exit runs no atexit handler, flushes no stdio
-                try:
-                    os.close(read_end)
-                    with open(write_end, "wb") as fh:
-                        pickle.dump(work(part), fh, pickle.HIGHEST_PROTOCOL)
-                    os._exit(0)
-                finally:  # work or the write raised
-                    os._exit(1)
-            os.close(write_end)
-            workers.append((pid, read_end))
-        results[0] = work(parts[0])
-        for k, (_, read_end) in enumerate(workers, 1):
-            with open(read_end, "rb", closefd=False) as fh:
-                try:
-                    results[k] = pickle.load(fh)
-                except (pickle.UnpicklingError, EOFError):  # cut short: rerun below
-                    pass
-    finally:  # every read end closed first: a later worker holds the earlier ones
-        for _, read_end in workers:
-            os.close(read_end)
-        status = [0] + [os.waitpid(pid, 0)[1] for pid, _ in workers]
-    return [results[k] if k in results and status[k] == 0 else work(part)
-            for k, part in enumerate(parts)]
-
-
 def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None,
                 lines: list[str] | None = None) -> str:
     # rows: a 2-D array or a list of equal-length rows of numbers. CSV rows are the
@@ -178,7 +130,8 @@ def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None,
             doc.update(extra)
         return json.dumps(doc, indent=1, allow_nan=False) + "\n"
     if lines is None:
-        lines = [c for chunks in _on_forks(_csv_chunks, _shares(rows, len(rows))) for c in chunks]
+        shares = _shares(rows, len(rows) // SHARE_ROWS)
+        lines = [c for chunks in _on_forks(_csv_chunks, shares) for c in chunks]
     footer = "# " + json.dumps(extra, sort_keys=True, allow_nan=False) + "\n" if extra else ""
     return "".join([",".join(columns) + "\n", *lines, footer])
 
@@ -239,7 +192,8 @@ def cmd_equivalence(args) -> tuple[list, str | None]:
         return rows, "".join(_csv_chunks(rows)) if csv else ""
 
     # One group per share of a CSV table; the JSON table is one group.
-    parts = _on_forks(part, _shares(args.n_list, len(args.n_list) * args.samples if csv else 0))
+    shares = _shares(args.n_list, len(args.n_list) * args.samples // SHARE_ROWS if csv else 0)
+    parts = _on_forks(part, shares)
     rows = np.concatenate([part_rows for part_rows, _ in parts])
     n_worst, t_worst, _, _, worst = rows[np.argmax(rows[:, 4])].tolist()
     text = _table_text(args.format, ["N", "t", "Q_t", "beta", "residual"], rows,

@@ -2,8 +2,8 @@
 # cost accounting for both evolution routes.
 
 import os
-import sys
-import threading
+import pickle
+import signal
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil
@@ -236,7 +236,9 @@ class TestSimulateMajority:
 
     def test_unreachable_cutoff_draws_nothing(self, monkeypatch):
         # At p = 2^-19 no double reaches 4 failures out of 7: no Philox is
-        # made and no word drawn. At R = 5 every trial reads one word.
+        # made and no word drawn. At R = 5 every trial reads one word. One
+        # CPU, so that every draw is made, and counted, in this process.
+        _on_cpus(monkeypatch, 1)
         made, draws = [], []
 
         class CountingPhilox(np.random.Philox):
@@ -256,42 +258,35 @@ class TestSimulateMajority:
 
 
 def _on_cpus(monkeypatch, count):
-    # The tally runs on one thread per CPU the process may use.
+    # The tally runs in one process per CPU the process may use.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-class _ThreadRecordingPhilox(np.random.Philox):
-    # Records the name of every thread that draws words.
-    names = set()
-
-    def random_raw(self, size=None, output=True):
-        self.names.add(threading.current_thread().name)
-        return super().random_raw(size, output)
+@pytest.fixture
+def forks(monkeypatch):
+    # Counts the workers forked.
+    made, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    return made
 
 
 class TestThreadedTally:
-    # 3 shards and a fourth of 2^16 + 12345 trials: neither a multiple of
-    # CHUNK nor of SHARD_SIZE.
+    # The shards' tally in forked workers (the class keeps the name it had
+    # when they were threads, so its test ids stay). 3 shards and a fourth
+    # of 2^16 + 12345 trials: neither a multiple of CHUNK nor of SHARD_SIZE.
     TRIALS = 3 * SHARD_SIZE + CHUNK + 12_345
 
     @pytest.mark.parametrize("p, runs", [(1 / 16, 9), (0.01, 119), (P_PAST_30, 65)])
-    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch, p, runs):
+    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch, forks, p, runs):
         plans = [AmplificationPlan(p, r, self.TRIALS, seed=11) for r in range(1, runs + 1, 2)]
         counts = {}
-        monkeypatch.setattr(np.random, "Philox", _ThreadRecordingPhilox)
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads trade the interpreter lock often
-        try:
-            for cpus in (1, 4):
-                _on_cpus(monkeypatch, cpus)
-                _ThreadRecordingPhilox.names = set()
-                counts[cpus] = [est.failures for est in simulate_majorities(plans)]
-                # Four shards on four CPUs: one thread each, the caller one of them.
-                assert len(_ThreadRecordingPhilox.names) == cpus
-                assert threading.current_thread().name in _ThreadRecordingPhilox.names
-        finally:
-            sys.setswitchinterval(switch)
-        assert counts[1] == counts[4]
+        for cpus in (1, 3, 4, 6):
+            _on_cpus(monkeypatch, cpus)
+            forks.clear()
+            counts[cpus] = [est.failures for est in simulate_majorities(plans)]
+            # Four shards: a group per CPU up to four, the caller's one of them.
+            assert len(forks) == min(cpus, 4) - 1
+        assert counts[1] == counts[3] == counts[4] == counts[6]
         assert counts[1][0] == binomial_majority_failures(plans[0])
 
     @pytest.mark.parametrize("cpus", [1, 4])
@@ -319,8 +314,38 @@ class TestThreadedTally:
         got = [est.failures for est in simulate_majorities(plans)]
         assert got == [whole_shards(*cutoffs[3]), whole_shards(*cutoffs[5])]
 
-    @pytest.mark.parametrize("bad_shard", [0, 3])  # the calling thread's and a worker's
-    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, bad_shard):
+    @pytest.mark.parametrize("how", ["raise", "signal", "short"])
+    def test_a_failed_worker_leaves_the_counts_unchanged(self, monkeypatch, forks, capfd, how):
+        # Workers that raise, are killed, or whose pickle stream stops short
+        # of its end: the caller tallies their shards again.
+        plans = [AmplificationPlan(1 / 16, r, self.TRIALS, seed=11) for r in (1, 3, 5)]
+        _on_cpus(monkeypatch, 1)
+        expected = [est.failures for est in simulate_majorities(plans)]
+        caller, dumps = os.getpid(), pickle.dumps
+
+        class FailingPhilox(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                if os.getpid() != caller:
+                    if how == "raise":
+                        raise RuntimeError("worker fails")
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return super().random_raw(size, output)
+
+        if how == "short":  # only workers pickle
+            monkeypatch.setattr(pickle, "dump", lambda obj, fh, protocol: fh.write(
+                dumps(obj, protocol)[:-7]))
+        else:
+            monkeypatch.setattr(np.random, "Philox", FailingPhilox)
+        _on_cpus(monkeypatch, 4)
+        forks.clear()
+        assert [est.failures for est in simulate_majorities(plans)] == expected
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert capfd.readouterr() == ("", "")  # a failing worker prints nothing
+
+    @pytest.mark.parametrize("bad_shard", [0, 3])  # the caller's and a worker's
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, forks, bad_shard):
         class FailingPhilox(np.random.Philox):
             def __init__(self, *args, key, **kwargs):
                 self.shard = int(key[1])
@@ -333,10 +358,11 @@ class TestThreadedTally:
 
         _on_cpus(monkeypatch, 4)
         monkeypatch.setattr(np.random, "Philox", FailingPhilox)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"no words for shard {bad_shard}"):
             simulate_majority(AmplificationPlan(1 / 16, 3, self.TRIALS, seed=1))
-        assert threading.active_count() == before
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestWilsonInterval:

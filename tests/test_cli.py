@@ -833,7 +833,8 @@ class TestPlumbing:
 
     def test_cli_import_loads_no_pool_modules(self):
         # setup_s: concurrent.futures alone costs about 6 ms and 0.65 MiB on
-        # every import; the Monte Carlo's worker threads use plain threading.
+        # every import; the CSV formatter and the Monte Carlo fork with plain
+        # os.fork (hamsearch._on_forks).
         probe = ("import sys, hamsearch.cli\n"
                  "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
         src = os.path.dirname(os.path.dirname(hamsearch.__file__))

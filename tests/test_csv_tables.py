@@ -47,7 +47,7 @@ def forks(monkeypatch):
     # Shares of THRESHOLD rows on CPUS CPUs, in chunks of two rows; counts the forks.
     monkeypatch.setattr(cli, "SHARE_ROWS", THRESHOLD)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: CPUS)
+    monkeypatch.setattr(hamsearch, "usable_cpus", lambda: CPUS)
     made = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
@@ -128,7 +128,7 @@ def test_a_failed_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd, h
 def test_equivalence_shares_compute_the_serial_table(forks, monkeypatch, ns, samples, cpus):
     # Contiguous groups of whole N blocks, each computed and formatted by
     # its own share: min(CPUs, len(ns), rows // THRESHOLD) groups.
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(hamsearch, "usable_cpus", lambda: cpus)
     forks.clear()
     output, expected = _equivalence(ns, samples)
     assert output[1].encode() == expected[1].encode()
