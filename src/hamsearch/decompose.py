@@ -51,8 +51,13 @@ __all__ = [
 MAX_WEIGHT = 2.0**511
 
 
-def _check_edge(u, v, w, n: int) -> tuple:
-    # One edge as (u, v, weight) with u < v, or the ValueError naming its fault.
+def _check_edge(row, n: int) -> tuple:
+    # One edge row, from a document or from Python, as (u, v, weight) with u < v, or
+    # the ValueError naming its first fault: shape, endpoints, their range, weight.
+    if not (isinstance(row, (list, tuple)) and len(row) == 3
+            or isinstance(row, np.ndarray) and row.shape == (3,)):
+        raise ValueError(f"edge {row!r} is not [u, v, weight]")
+    u, v, w = row
     u, v = [_number(x, int, "edge ({}, {}) endpoint", u, v) for x in (u, v)]
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
@@ -70,14 +75,14 @@ def _check_edge(u, v, w, n: int) -> tuple:
 
 
 def _columns(rows: tuple) -> tuple:
-    # (u, v, weight) arrays, u < v, of rows with integer endpoints and int or float
-    # weights, or a TypeError. A bool reads as 0 or 1 in an integer column: only those
-    # rows' endpoint types are read.
-    if set(map(len, rows)) - {3}:
-        raise ValueError("rows are not (u, v, weight)")
+    # (u, v, weight) arrays, u < v, of [u, v, weight] lists or tuples with integer
+    # endpoints and int or float weights, or a TypeError or ValueError. A bool reads
+    # as 0 or 1 in an integer column: only those rows' endpoint types are read.
+    if set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {3}:
+        raise TypeError("a row is not a list or tuple of three")
     cu, cv, cw = zip(*rows) if rows else ((), (), ())
     u, v = (np.array(c) if c else np.zeros(0, np.intp) for c in (cu, cv))
-    if u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or any(
+    if u.ndim != 1 or v.ndim != 1 or u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or any(
             isinstance(x, (bool, np.bool_)) for k in np.flatnonzero((u <= 1) | (v <= 1))
             for x in rows[k][:2]):
         raise TypeError("an endpoint is not an integer")
@@ -107,7 +112,7 @@ class InteractionGraph:
             u = None
         if u is None or not np.all((u < v) & (u >= 0) & (v < n) & (np.abs(w) <= MAX_WEIGHT)):
             # A row numpy cannot read or finds bad: the scalar check names the first.
-            u, v, w = _columns([_check_edge(u, v, w, n) for u, v, w in rows])
+            u, v, w = _columns([_check_edge(row, n) for row in rows])
         order = np.argsort(u * n + v)
         u, v, w = u[order], v[order], w[order]
         parallel = np.flatnonzero((u[1:] == u[:-1]) & (v[1:] == v[:-1]))

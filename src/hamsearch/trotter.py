@@ -338,14 +338,14 @@ def telescoping_bound_check(x: np.ndarray, y: np.ndarray, n: int) -> tuple[float
 
 # ---------------------------------------------------------------------------
 # JSON documents: term sets {dimension, terms: [{label, entries: [[row, col,
-# re, im]]}]} and graphs {vertices, edges: [[u, v, weight]]}, read by read_document.
+# re, im]]}]} and graphs {vertices, edges}. read_document checks what both share;
+# each row is read once, where its record is built (an edge's in decompose).
 
 # Most sites a document, a graph or a lattice may declare.
 MAX_SITES = 2**20
-# Each list of rows: its item, shape and field names, two indices then floats.
-_FORMS = {"entries": ("entry", "[row, col, re, im]", "row", "column", "real part",
-                      "imaginary part"),
-          "edges": ("edge", "[u, v, weight]", "endpoint", "endpoint", "weight")}
+# An entry's field types and the names its errors give them.
+_ENTRY_KINDS = (int, int, float, float)
+_ENTRY_FIELDS = ("row", "column", "entry ({}, {}) real part", "entry ({}, {}) imaginary part")
 
 
 def _nonzero_entries(h) -> tuple:
@@ -360,12 +360,18 @@ def _nonzero_entries(h) -> tuple:
 
 
 def _term_from_entries(dim: int, rows: list, where: str):
-    # A term from its [row, col, re, im] rows, which must lie inside the
-    # dimension, be finite and not repeat: a BlockTerm when the off-diagonal
-    # support is a matching and the uncovered diagonal is real; a dense
-    # matrix otherwise.
+    # A term from its [row, col, re, im] rows, read here: lists of that shape with
+    # integer indices and float parts (taken as they are when of those types),
+    # inside the dimension, finite and not repeated. A BlockTerm when the off-diagonal
+    # support is a matching and the uncovered diagonal is real; a dense matrix otherwise.
     entries = {}
-    for r, c, re, im in rows:
+    for row in rows:
+        if type(row) is not list or tuple(map(type, row)) != _ENTRY_KINDS:
+            if not (isinstance(row, list) and len(row) == 4):
+                raise ValueError(f"{where}entry {row!r} is not [row, col, re, im]")
+            row = [_number(x, kind, where + name, *row)
+                   for x, kind, name in zip(row, _ENTRY_KINDS, _ENTRY_FIELDS)]
+        r, c, re, im = row
         value = complex(re, im)
         if not (0 <= r < dim and 0 <= c < dim):
             raise ValueError(f"{where}entry ({r}, {c}) outside dimension {dim}")
@@ -412,23 +418,9 @@ def _number(value, kind: type, what: str, *args):
                      f"{'a float' if kind is float else 'an integer'}")
 
 
-def _rows(rows: list, form: tuple, where: str = ""):
-    # Yields the rows of the form as [i, j, x, ...], integer indices and then
-    # floats; a row already of these types is yielded as it is.
-    item, shape, *names = form
-    kinds = (int, int) + (float,) * (len(names) - 2)
-    names = names[:2] + [f"{item} ({{0}}, {{1}}) {name}" for name in names[2:]]
-    for row in rows:
-        if type(row) is not list or tuple(map(type, row)) != kinds:
-            if not (isinstance(row, list) and len(row) == len(names)):
-                raise ValueError(f"{where}{item} {row!r} is not {shape}")
-            row = [_number(x, kind, where + name, *row) for x, kind, name in zip(row, kinds, names)]
-        yield row
-
-
 def read_document(doc, size_key: str, key: str) -> tuple:
     """(size, list) of a graph or term-set document, parsed or at a path: keys
-    unique, the size an integer up to MAX_SITES, a list of rows read by _rows."""
+    unique, the size an integer up to MAX_SITES, the list's rows left unread."""
     if isinstance(doc, (str, os.PathLike)):
         with open(doc, "r", encoding="utf-8") as fh:
             try:
@@ -443,7 +435,7 @@ def read_document(doc, size_key: str, key: str) -> tuple:
         raise ValueError(f"{name} {size} above the site cap {MAX_SITES}")
     if not isinstance(items, list):
         raise ValueError(f"{key} {items!r} is not a list")
-    return size, list(_rows(items, _FORMS[key])) if key in _FORMS else items
+    return size, items
 
 
 def term_set_from_json(doc) -> HermitianTermSet:
@@ -453,9 +445,7 @@ def term_set_from_json(doc) -> HermitianTermSet:
     for k, item in enumerate(items):
         if not (isinstance(item, dict) and isinstance(item.get("entries"), list)):
             raise ValueError(f"term {k} is not an object with an \"entries\" list: {item!r}")
-        where = f"term {k}: "
-        rows = _rows(item["entries"], _FORMS["entries"], where)
-        terms.append(_term_from_entries(dim, rows, where))
+        terms.append(_term_from_entries(dim, item["entries"], f"term {k}: "))
     labels = [item.get("label", f"term{k}") for k, item in enumerate(items)]
     return HermitianTermSet(dimension=dim, terms=tuple(terms), labels=tuple(labels))
 

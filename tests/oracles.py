@@ -188,11 +188,15 @@ def carried_mean_curve(n, max_steps, target):
 def scalar_graph(vertex_count, edges):
     # (edges, max_degree) of an InteractionGraph as a loop over its edge rows
     # makes them: each row checked in order, then sorted and compared with
-    # its neighbour for parallel edges. An endpoint is an integer, or a float
-    # of integral value, and never a bool. Raises what the constructor raises.
+    # its neighbour for parallel edges. A row is a list or tuple of three. An
+    # endpoint is an integer, or a float of integral value, and never a bool.
+    # Raises what the constructor raises.
     n = int(vertex_count)
     normalized = []
-    for u, v, w in edges:
+    for row in edges:
+        if not (isinstance(row, (list, tuple)) and len(row) == 3):
+            raise ValueError(f"edge {row!r} is not [u, v, weight]")
+        u, v, w = row
         for x in (u, v):
             if isinstance(x, (bool, np.bool_)) or not float(x).is_integer():
                 raise ValueError(f"edge ({u}, {v}) endpoint {x!r} is not an integer")

@@ -2,7 +2,6 @@
 # formats, determinism, and config/flag precedence.
 
 import argparse
-import importlib.util
 import json
 import os
 import resource
@@ -342,10 +341,15 @@ class TestDecompose:
         assert not out.exists()
 
     @pytest.mark.parametrize("doc, named", [
-        ('{"vertices": 3, "edges": [[0, 1.7, 1.0], [1, 2, 1.0]]}', "endpoint 1.7"),
+        ('{"vertices": 3, "edges": [[0, 1.7, 1.0], [1, 2, 1.0]]}',
+         "edge (0, 1.7) endpoint 1.7 is not an integer"),
         ('{"vertices": 3.9, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}', "vertex count 3.9"),
-        ('{"vertices": 3, "edges": [[0, true, 1.0], [1, 2, 1.0]]}', "endpoint True"),
+        ('{"vertices": 3, "edges": [[0, true, 1.0], [1, 2, 1.0]]}',
+         "edge (0, True) endpoint True is not an integer"),
         ('{"vertices": 3, "edges": [[0, 1, 1.0]], "edges": [[1, 2, 1.0]]}', "key 'edges'"),
+        # Rows are checked in order, so the first bad row is named, whatever its fault.
+        ('{"vertices": 3, "edges": [[0, 7, 1.0], [0, 1.5, 1.0]]}',
+         "edge (0, 7) outside vertex range"),
     ])
     def test_rejects_inexact_graph_documents(self, tmp_path, capsys, doc, named):
         gpath = tmp_path / "graph.json"
@@ -950,25 +954,27 @@ class TestPlumbing:
         assert peak < 16 * 2**20
 
     def test_traced_names_resolve_after_the_cli_import(self):
-        # The benchmark's traced mode imports hamsearch.cli alone and then
-        # wraps each name of perfbench/tracing.py's TRACED found in
-        # sys.modules["hamsearch.<module>"]; every one must be there.
+        # The benchmark's traced mode imports hamsearch.cli alone, then loads
+        # perfbench/tracing.py and wraps every name of its TRACED found in
+        # sys.modules["hamsearch.<module>"]. A fresh process does the same, and
+        # every name must be wrapped; no bytecode is written next to perfbench.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        names = [f"{module}.{fn}" for module, fns in tracing.TRACED.items() for fn in fns]
-        probe = ("import sys, hamsearch.cli\n"
-                 "for name in sys.argv[1:]:\n"
+        probe = ("import importlib.util, sys, hamsearch.cli\n"
+                 "spec = importlib.util.spec_from_file_location('tracing', sys.argv[1])\n"
+                 "tracing = importlib.util.module_from_spec(spec)\n"
+                 "spec.loader.exec_module(tracing)\n"
+                 "tracing.Tracer().install()\n"
+                 "for name in tracing.SPAN_NAMES:\n"
                  "    module, fn = name.split('.')\n"
-                 "    module = sys.modules.get('hamsearch.' + module)\n"
-                 "    if not callable(getattr(module, fn, None)):\n"
+                 "    fn = getattr(sys.modules['hamsearch.' + module], fn)\n"
+                 "    if not hasattr(fn, '__wrapped__'):\n"
                  "        print(name)\n")
         src = os.path.dirname(os.path.dirname(hamsearch.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", probe, *names], env=env,
-                              capture_output=True, text=True, timeout=60)
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", probe,
+                               os.path.join(root, "perfbench", "tracing.py")],
+                              env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ""
 

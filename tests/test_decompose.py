@@ -1,6 +1,7 @@
 # Graphs, edge coloring (Koenig fast path, Misra-Gries general case), and
 # the block-diagonal splitting, including the lattice generators.
 
+import json
 import re
 import tracemalloc
 
@@ -95,14 +96,17 @@ def sparse_hermitian_matrices(draw):
 
 
 # Rows an edge list may hold besides valid ones, each at a drawn position.
-FAULTS = ("self-loop", "outside", "non-integral", "non-finite", "past 2^511", "parallel")
+FAULTS = ("self-loop", "outside", "non-integral", "non-finite", "past 2^511", "parallel",
+          "misshapen")
 
 
 @st.composite
-def edge_lists(draw, faults=True):
+def edge_lists(draw, faults=True, numpy=True):
     # (vertex count, rows): up to 60 distinct pairs on up to 40 vertices, in
     # either order, with weights up to the +-2^511 bound, then up to two rows
-    # from FAULTS; sometimes as numpy scalars of the same kinds.
+    # from FAULTS; with numpy, sometimes as numpy scalars of the same kinds.
+    # A misshapen row is a list or no sequence at all, so its repr is the
+    # same in Python and in a JSON document.
     n = draw(st.integers(min_value=1, max_value=40))
     vertex = st.integers(min_value=0, max_value=n - 1)
     weight = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, MAX_WEIGHT, -MAX_WEIGHT]))
@@ -124,14 +128,17 @@ def edge_lists(draw, faults=True):
         elif fault == "past 2^511":
             row = (u, v, draw(st.sampled_from([2.0**512, -1e300, 1e155,
                                                np.nextafter(MAX_WEIGHT, np.inf)])))
-        elif rows:  # parallel: an earlier pair again, in either order
-            a, b, _ = draw(st.sampled_from(rows))
+        elif fault == "misshapen":
+            row = draw(st.sampled_from([[u, v], [u, v, 1.0, 0.0], u, None, "uvw", {"u": u}]))
+        elif any(isinstance(r, tuple) for r in rows):  # parallel: an earlier pair again
+            a, b, _ = draw(st.sampled_from([r for r in rows if isinstance(r, tuple)]))
             row = draw(st.sampled_from([(a, b), (b, a)])) + (draw(weight),)
         else:
             continue
         rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
-    if draw(st.booleans()):
-        rows = [tuple(np.asarray(x)[()] for x in row) for row in rows]
+    if numpy and draw(st.booleans()):
+        rows = [tuple(np.asarray(x)[()] for x in row) if isinstance(row, tuple) else row
+                for row in rows]
     return n, tuple(rows)
 
 
@@ -579,13 +586,48 @@ class TestGraphJson:
         ('[[0, 1, 1.0, 2.0]]', r"edge \[0, 1, 1\.0, 2\.0\] is not"),
         ('[{"u": 0}]', r"edge \{'u': 0\} is not"),
         ("5", "edges 5 is not a list"),
+        ((5,), r"edge 5 is not \[u, v, weight\]"),
+        ((None,), r"edge None is not \[u, v, weight\]"),
+        (((0, 1),), r"edge \(0, 1\) is not \[u, v, weight\]"),
+        (((0, 1, 1.0, 2.0),), r"edge \(0, 1, 1\.0, 2\.0\) is not \[u, v, weight\]"),
+        ((range(1, 4),), r"edge range\(1, 4\) is not \[u, v, weight\]"),  # numpy reads it
     ])
     def test_rejects_misshapen_edges(self, tmp_path, edges, match):
-        # Each raised a TypeError or an unpacking ValueError that named no edge.
+        # A string is a document's edge list, read by load_graph; a tuple holds
+        # Python rows for InteractionGraph. Both reach the one edge checker.
+        # Each was read as an edge, or raised a TypeError or an unpacking
+        # ValueError that named no edge.
+        if isinstance(edges, tuple):
+            with pytest.raises(ValueError, match=match):
+                InteractionGraph(3, edges)
+            return
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": 3, "edges": %s}' % edges)
         with pytest.raises(ValueError, match=match):
             load_graph(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(numpy=False))
+    @example((3, ((0, 7, 1.0), (0, 1.5, 1.0))))  # the first bad row is named
+    @example((3, (([0, 1], [1, 2], 1.0),)))  # endpoints numpy reads as a 2-D array
+    def test_a_document_reads_as_its_rows_do(self, tmp_path_factory, case):
+        # The rows written as a JSON document give load_graph the graph, or the
+        # message, that InteractionGraph gives on the rows themselves.
+        n, rows = case
+        path = tmp_path_factory.mktemp("graph") / "graph.json"
+        path.write_text(json.dumps({"vertices": n, "edges": rows}))
+        try:
+            g = InteractionGraph(n, rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                load_graph(path)
+            assert str(raised.value) == str(exc)
+            return
+        assert repr(load_graph(path).edges) == repr(g.edges)
+
+    def test_array_rows_read_as_tuples_do(self):
+        g = InteractionGraph(3, (np.array([2, 0, 1.5]), np.array([1, 2, -1])))
+        assert g.edges == ((0, 2, 1.5), (1, 2, -1.0))
 
     def test_integer_weights_read_as_floats(self, tmp_path):
         path = tmp_path / "graph.json"

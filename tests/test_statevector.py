@@ -1,6 +1,8 @@
 # Full-space search oracle: rank-1 reflection updates, success curves, and
 # agreement with the two-dimensional subspace model.
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +151,24 @@ class TestSuccessCurve:
         n, target, steps = search
         want = carried_mean_curve(n, steps, target)
         assert success_curve(n, steps, target=target).tobytes() == want.tobytes()
+
+    def test_the_step_cap_curve_is_held_as_float64(self):
+        # The curve was a list of 2^20 + 1 Python floats, which peaked at 40 MiB;
+        # a float64 array holds 8 MiB. Its bytes are those of the list version.
+        tracemalloc.start()
+        try:
+            curve = success_curve(16, MAX_STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        mean, a = float(np.broadcast_to(0.25, (16,)).mean()), 0.25
+        listed = [abs(a) ** 2]
+        for _ in range(MAX_STEPS):
+            mean -= 2.0 * a / 16
+            a = 2.0 * mean + a
+            listed.append(abs(a) ** 2)
+        assert curve.tobytes() == np.array(listed).tobytes()
 
     @pytest.mark.parametrize("n, steps, target, message", [
         (16, 0, 0, "max_steps must be >= 1"),
