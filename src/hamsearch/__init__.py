@@ -10,6 +10,7 @@ amplification with the associated complexity accounting.
 
 import os
 import pickle
+import sys
 import warnings
 
 __version__ = "0.1.0"
@@ -73,3 +74,35 @@ def _on_forks(work, parts: list) -> list:
         status = [0] + [os.waitpid(pid, 0)[1] for pid, _ in workers]
     return [results[k] if k in results and status[k] == 0 else work(part)
             for k, part in enumerate(parts)]
+
+
+def _write_outputs(*outputs) -> None:
+    # The package's one writer of output files, all or nothing over (path, text
+    # chunks) pairs. Targets that are not regular files, such as /dev/null, are
+    # written first; files go under temporary names next to their targets and
+    # are renamed once all are written; stdout ('-') comes last. Two files with
+    # one real path are rejected before anything is written.
+    def write(path, content):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(content)
+
+    devices = [k for k, (path, _) in enumerate(outputs)
+               if os.path.exists(path) and not os.path.isfile(path)]
+    staged = [(f"{path}.{os.getpid()}-{k}.tmp", path, content)
+              for k, (path, content) in enumerate(outputs) if path != "-" and k not in devices]
+    seen = set()
+    for _, path, _ in staged:
+        if os.path.realpath(path) in seen:
+            raise ValueError(f"two outputs go to the same file {path}")
+        seen.add(os.path.realpath(path))
+    for k in devices:
+        write(*outputs[k])
+    try:
+        for tmp, _, content in staged:
+            write(tmp, content)
+        for tmp, path, _ in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp in [tmp for tmp, _, _ in staged if os.path.exists(tmp)]:
+            os.remove(tmp)
+    sys.stdout.writelines(chunk for path, content in outputs if path == "-" for chunk in content)

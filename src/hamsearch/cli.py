@@ -3,9 +3,9 @@
 #
 # Exit codes (stable for CI): 0 success, 2 validation failure (ValueError),
 # 3 claim assertion failure (or the edge coloring's AssertionError), 4 I/O
-# failure (OSError). Each handler returns its (path, content) outputs and
-# the reason a claim failed, or None; ``main`` alone writes the outputs,
-# reports on stderr and picks the exit code.
+# failure (OSError). Each handler returns its (path, text chunks) outputs and
+# the reason a claim failed, or None; ``main`` alone writes the outputs, with
+# ``hamsearch._write_outputs``, reports on stderr and picks the exit code.
 #
 # Output is deterministic given (arguments, seed): CSV uses '.' decimals
 # and 17 significant digits; no timestamps. Config files are flat
@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from . import _on_forks, _shares, amplify, decompose, search, statevector, trotter
+from . import _on_forks, _shares, _write_outputs, amplify, decompose, search, statevector, trotter
 from .pauli import bloch_point
 
 EXIT_OK = 0
@@ -70,41 +69,6 @@ def float_list(text: str) -> list:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _write_outputs(*outputs) -> None:
-    # All or nothing over (path, content) pairs, content being text or a
-    # function that writes the file at the path it is given. Targets that are
-    # not regular files, such as /dev/null, are written first; files go under
-    # temporary names next to their targets and are renamed once all are
-    # written; stdout ('-') comes last. Two files with one real path are
-    # rejected before anything is written.
-    def write(path, content):
-        if callable(content):
-            return content(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
-
-    devices = [k for k, (path, _) in enumerate(outputs)
-               if os.path.exists(path) and not os.path.isfile(path)]
-    staged = [(f"{path}.{os.getpid()}-{k}.tmp", path, content)
-              for k, (path, content) in enumerate(outputs) if path != "-" and k not in devices]
-    seen = set()
-    for _, path, _ in staged:
-        if os.path.realpath(path) in seen:
-            raise ValueError(f"two outputs go to the same file {path}")
-        seen.add(os.path.realpath(path))
-    for k in devices:
-        write(*outputs[k])
-    try:
-        for tmp, _, content in staged:
-            write(tmp, content)
-        for tmp, path, _ in staged:
-            os.replace(tmp, path)
-    finally:
-        for tmp in [tmp for tmp, _, _ in staged if os.path.exists(tmp)]:
-            os.remove(tmp)
-    sys.stdout.writelines(content for path, content in outputs if path == "-")
-
-
 # Rows per % operation, and the fewest rows per share of a CSV table that a
 # forked worker computes or formats. On a 2-vCPU Xeon VM two shares of a
 # 4096 x 7 table (25 ms) took as long as one: a fork and join (2-4 ms) and the
@@ -120,25 +84,25 @@ def _csv_chunks(rows: np.ndarray) -> list[str]:
 
 
 def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None,
-                lines: list[str] | None = None) -> str:
-    # rows: a 2-D array or a list of equal-length rows of numbers. CSV rows are the
-    # given lines, or are formatted in chunks, in shares on every CPU for large tables.
+                lines: list[str] | None = None) -> list[str]:
+    # The table's text chunks: rows, a 2-D array or equal-length number rows, as one JSON
+    # chunk, or as CSV lines given or formatted in chunks, in shares for large tables.
     rows = np.asarray(rows, dtype=float)
     if fmt == "json":
         doc = {"columns": columns, "rows": rows.tolist()}
         if extra:
             doc.update(extra)
-        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+        return [json.dumps(doc, indent=1, allow_nan=False) + "\n"]
     if lines is None:
         shares = _shares(rows, len(rows) // SHARE_ROWS)
         lines = [c for chunks in _on_forks(_csv_chunks, shares) for c in chunks]
     footer = "# " + json.dumps(extra, sort_keys=True, allow_nan=False) + "\n" if extra else ""
-    return "".join([",".join(columns) + "\n", *lines, footer])
+    return [",".join(columns) + "\n", *lines, footer]
 
 
-def _report_text(report: dict) -> str:
-    # A non-finite number fails here: JSON has no Infinity or NaN.
-    return json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n"
+def _report_text(report: dict) -> list[str]:
+    # One chunk. A non-finite number fails here: JSON has no Infinity or NaN.
+    return [json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +319,7 @@ def cmd_decompose(args) -> tuple[list, str | None]:
         if failure is None and not spectrum_err <= SPECTRUM_LIMIT:
             failure = f"spectrum residual {spectrum_err:.3e} above {SPECTRUM_LIMIT:.0e}"
     report["pass"] = failure is None
-    terms = [(args.out, lambda p: trotter.save_term_set(p, term_set))] if args.out != "-" else []
+    terms = [(args.out, trotter._term_set_chunks(term_set))] if args.out != "-" else []
     return [*terms, (args.report, _report_text(report))], failure
 
 

@@ -17,6 +17,7 @@ from math import ceil
 
 import numpy as np
 
+from . import _write_outputs
 from .linalg import assert_hermitian, spectral_norm
 
 __all__ = [
@@ -454,20 +455,25 @@ def term_set_from_json(doc) -> HermitianTermSet:
 _ENTRY = "    [\n     %d,\n     %d,\n     %r,\n     %r\n    ]"
 
 
+def _term_set_chunks(terms: HermitianTermSet):
+    # The term-set document as text chunks, byte for byte json.dump(doc, indent=1)
+    # and a newline: the head, one chunk per term from one template per entry, the tail.
+    yield f'{{\n "dimension": {terms.dimension},\n "terms": ['
+    for k, (label, h) in enumerate(zip(terms.labels, terms.terms)):
+        rows, cols, values = _nonzero_entries(h)
+        entries = ",\n".join([_ENTRY % e for e in zip(rows.tolist(), cols.tolist(),
+                                                         values.real.tolist(),
+                                                         values.imag.tolist())])
+        body = f"[\n{entries}\n   ]" if entries else "[]"
+        yield (f'{"," if k else ""}\n  {{\n   "label": {json.dumps(label)},\n'
+               f'   "entries": {body}\n  }}')
+    yield "\n ]\n}\n"
+
+
 def save_term_set(path, terms: HermitianTermSet) -> None:
-    """Write the term-set document, byte for byte as json.dump(doc,
-    indent=1) followed by a newline, one template per entry."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n "dimension": {terms.dimension},\n "terms": [')
-        for k, (label, h) in enumerate(zip(terms.labels, terms.terms)):
-            rows, cols, values = _nonzero_entries(h)
-            entries = ",\n".join([_ENTRY % e for e in zip(rows.tolist(), cols.tolist(),
-                                                             values.real.tolist(),
-                                                             values.imag.tolist())])
-            body = f"[\n{entries}\n   ]" if entries else "[]"
-            fh.write(f'{"," if k else ""}\n  {{\n   "label": {json.dumps(label)},\n'
-                     f'   "entries": {body}\n  }}')
-        fh.write("\n ]\n}\n")
+    """Write the term-set document, byte for byte as json.dump(doc, indent=1)
+    followed by a newline, all or nothing (through a temporary file)."""
+    _write_outputs((path, _term_set_chunks(terms)))
 
 
 def load_term_set(path) -> HermitianTermSet:

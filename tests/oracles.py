@@ -5,12 +5,13 @@
 # product-formula error scan on dense d x d matrices, the term-set document
 # as json.dump writes it, the majority Monte Carlo and single binomial
 # draws as numpy's Generator.binomial makes them, the success curve of the
-# full-space step with a carried mean, the graph layer as scalar loops, and
-# the CSV table one row at a time.
+# full-space step with a carried mean, the graph layer as scalar loops, the
+# CSV table one row at a time, and a CLI run that reports its own peak memory.
 
 import ctypes
 import json
 import math
+import textwrap
 import threading
 from collections import deque
 from functools import reduce
@@ -276,3 +277,18 @@ def table_text_reference(columns, rows, extra=None):
     if extra:
         lines.append("# " + json.dumps(extra, sort_keys=True, allow_nan=False))
     return "\n".join(lines) + "\n"
+
+
+# Runs hamsearch.cli.main on its arguments and prints, as JSON, [exit code,
+# this process's peak resident set (VmHWM: ru_maxrss would carry the peak of
+# the process that started it across fork and exec), the largest ru_maxrss
+# of the workers it forked], the two peaks in MiB.
+PEAK_SCRIPT = textwrap.dedent("""
+    import json, resource, sys
+    from hamsearch.cli import main
+    rc = main(sys.argv[1:])
+    with open("/proc/self/status") as fh:
+        hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    print(json.dumps([rc, hwm / 1024.0,
+                      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0]))
+""")

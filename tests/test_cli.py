@@ -4,7 +4,6 @@
 import argparse
 import json
 import os
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +18,7 @@ from hamsearch import amplify, cli, decompose, statevector, trotter
 from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from hamsearch.decompose import honeycomb_lattice
 from hamsearch.trotter import load_term_set
-from oracles import save_graph
+from oracles import PEAK_SCRIPT, save_graph
 
 
 # Invocations that between them take every branch that reads an option.
@@ -418,22 +417,39 @@ class TestDecompose:
 
     def test_8192_site_torus_stays_small(self, tmp_path):
         # 64 x 64 periodic honeycomb: dense d x d terms would need 1 GiB
-        # each. RUSAGE_CHILDREN reports the largest child waited for, and
-        # this test starts exactly one.
+        # each. The peak is read in the run's own process.
         src = os.path.dirname(os.path.dirname(hamsearch.__file__))
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
         report_path = tmp_path / "report.json"
         argv = ["decompose", "--lattice", "honeycomb", "--cells-x", "64", "--cells-y", "64",
                 "--periodic", "--out", str(tmp_path / "terms.json"), "--report", str(report_path)]
-        proc = subprocess.run([sys.executable, "-m", "hamsearch.cli", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=env,
                               capture_output=True, text=True, timeout=300)
-        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        rc, peak_mib, _ = json.loads(proc.stdout)
+        assert rc == EXIT_OK
         report = json.loads(report_path.read_text())
         assert report["pass"] is True
         assert report["vertices"] == 8192 and report["color_count"] == 3
-        peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
         assert peak_mib < 200.0
+
+    def test_term_file_and_report_are_written_together(self, tmp_path):
+        # The term file streams into its temporary file; a report that cannot
+        # be written leaves neither behind.
+        out_dir = tmp_path / "D"
+        out_dir.mkdir()
+        rc = main(["decompose", "--lattice", "honeycomb", "--cells-x", "4", "--cells-y", "4",
+                   "--periodic", "--out", str(out_dir / "t.json"),
+                   "--report", str(out_dir / "missing" / "r.json")])
+        assert rc == EXIT_IO
+        assert list(out_dir.iterdir()) == []
+
+    def test_term_file_to_a_device(self, capsys):
+        rc = main(["decompose", "--lattice", "honeycomb", "--cells-x", "4", "--cells-y", "4",
+                   "--periodic", "--out", os.devnull])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     @pytest.mark.parametrize("lattice, bipartite", [("ring", True), ("chain", True),
                                                     ("graph", False)])

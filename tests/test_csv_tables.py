@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import hamsearch
 from hamsearch import cli
-from oracles import table_text_reference
+from oracles import PEAK_SCRIPT, table_text_reference
 from test_golden import SUBSPACE
 
 THRESHOLD = 4  # rows per worker share while a test runs
@@ -71,7 +71,7 @@ def tables(draw):
 def test_bytes_match_the_per_row_reference(forks, table):
     columns, rows, extra = table
     forks.clear()
-    text = cli._table_text("csv", columns, rows, extra)
+    text = "".join(cli._table_text("csv", columns, rows, extra))
     assert text.encode() == table_text_reference(columns, rows, extra).encode()
     shares = min(CPUS, len(rows) // THRESHOLD)
     assert len(forks) == (shares - 1 if shares > 1 else 0)
@@ -101,10 +101,10 @@ def _equivalence(ns, samples):
     # cmd_equivalence's CSV text, and the reference: the serially
     # concatenated _equivalence_rows one '%.17g' row at a time, same footer.
     args = argparse.Namespace(n_list=ns, samples=samples, format="csv", out="-")
-    (output,), _ = cli.cmd_equivalence(args)
+    ((path, chunks),), _ = cli.cmd_equivalence(args)
     rows = np.concatenate([cli._equivalence_rows(n, samples) for n in ns])
     extra = {"max_residual": float(rows[:, 4].max()), "limit": cli.RESIDUAL_LIMIT}
-    return output, ("-", table_text_reference(EQUIVALENCE, rows.tolist(), extra))
+    return (path, "".join(chunks)), ("-", table_text_reference(EQUIVALENCE, rows.tolist(), extra))
 
 
 @pytest.mark.parametrize("how", ["raise", "signal", "short"])
@@ -112,7 +112,7 @@ def test_a_failed_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd, h
     rows = [[k / 7.0, -k * 1e300, 5e-324 * k] for k in range(3 * THRESHOLD + 1)]
     expected = table_text_reference(["a", "b", "c"], rows, {"n": 1})
     _misbehave(monkeypatch, how)
-    assert cli._table_text("csv", ["a", "b", "c"], rows, {"n": 1}) == expected
+    assert "".join(cli._table_text("csv", ["a", "b", "c"], rows, {"n": 1})) == expected
     assert len(forks) == CPUS - 1
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -178,22 +178,16 @@ def test_large_pin_runs_through_workers_and_leaves_none(name):
 
 
 def test_grover_curve_at_the_step_cap_stays_under_160_mib(tmp_path):
-    # 2^20 + 1 rows (a 27 MiB CSV); the peaks of a fresh process and of its
-    # workers, read in that process.
-    script = textwrap.dedent("""
-        import json, resource, sys
-        from hamsearch.cli import main
-        rc = main(sys.argv[1:])
-        print(json.dumps([rc] + [resource.getrusage(who).ru_maxrss / 1024.0 for who in
-                                 (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]))
-    """)
+    # 2^20 + 1 rows (a 27 MiB CSV) in a fresh process. Its own peak stays under
+    # 96 MiB, as no whole-table string is built (it read 109-113 MiB with one),
+    # and each worker's under 160 MiB.
     out = tmp_path / "curve.csv"
     argv = ["grover", "--n", "16", "--max-steps", "1048576", "--out", str(out)]
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_env(),
+    proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rc, self_mib, children_mib = json.loads(proc.stdout)
+    rc, self_mib, workers_mib = json.loads(proc.stdout)
     assert rc == cli.EXIT_OK
-    assert self_mib < 160.0 and children_mib < 160.0
+    assert self_mib < 96.0 and workers_mib < 160.0
     with open(out, "rb") as fh:
         assert sum(1 for _ in fh) == 1 + 2**20 + 1 + 1  # header, rows, footer

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamsearch import trotter
 from hamsearch.decompose import (
     decompose,
     decompose_matrix,
@@ -490,6 +491,27 @@ class TestJsonInterchange:
         path = tmp_path_factory.mktemp("terms") / "terms.json"
         save_term_set(path, terms)
         assert path.read_text(encoding="utf-8") == term_set_json(terms)
+
+    def test_a_failed_save_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
+        # The document is written under a temporary name and renamed over the
+        # target only once whole: a term that fails partway changes nothing.
+        _, terms = _chain_split(8)
+        path = tmp_path / "terms.json"
+        path.write_bytes(b"earlier bytes")
+        entries, calls = trotter._nonzero_entries, []
+
+        def fail_on_the_second_term(h):
+            calls.append(h)
+            if len(calls) == 2:
+                raise RuntimeError("term fails")
+            return entries(h)
+
+        monkeypatch.setattr(trotter, "_nonzero_entries", fail_on_the_second_term)
+        with pytest.raises(RuntimeError, match="term fails"):
+            save_term_set(path, terms)
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"earlier bytes"
 
     def test_rejects_non_hermitian_document(self):
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": [[0, 1, 1.0, 0.0]]}]}
