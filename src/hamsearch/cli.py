@@ -137,7 +137,7 @@ def _equivalence_rows(n: int, samples: int) -> np.ndarray:
     inst = search.SearchInstance(n)
     t = np.linspace(0.0, inst.total_time, samples)
     params = search.equivalence_params(inst, t)
-    residual = search.equivalence_residual(inst, t)
+    residual = search.equivalence_residual(inst, t, params)
     return np.column_stack([np.full(samples, n), t, params.q_t, params.beta, residual])
 
 
@@ -301,7 +301,7 @@ def cmd_decompose(args) -> tuple[list, str | None]:
     }
     report = {
         "vertices": graph.vertex_count,
-        "edges": len(graph.edges),
+        "edges": graph.edge_arrays()[0].size,
         "max_degree": graph.max_degree,
         "color_count": coloring.color_count,
         "bipartite": coloring.bipartite,

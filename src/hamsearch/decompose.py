@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -75,9 +74,9 @@ def _check_edge(row, n: int) -> tuple:
 
 
 def _columns(rows: tuple) -> tuple:
-    # (u, v, weight) arrays, u < v, of [u, v, weight] lists or tuples with integer
-    # endpoints and int or float weights, or a TypeError or ValueError. A bool reads
-    # as 0 or 1 in an integer column: only those rows' endpoint types are read.
+    # The (u, v, weight) columns numpy reads from [u, v, weight] lists or tuples with
+    # integer endpoints and int or float weights, or a TypeError or ValueError. A bool
+    # reads as 0 or 1 in an integer column: only those rows' endpoint types are read.
     if set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {3}:
         raise TypeError("a row is not a list or tuple of three")
     cu, cv, cw = zip(*rows) if rows else ((), (), ())
@@ -88,31 +87,54 @@ def _columns(rows: tuple) -> tuple:
         raise TypeError("an endpoint is not an integer")
     if set(map(type, cw)) - {int, float}:  # a bool, a str or a numpy scalar among them
         raise TypeError("a weight is not an int or a float")
-    return np.minimum(u, v).astype(np.intp), np.maximum(u, v).astype(np.intp), np.array(cw, float)
+    return u, v, np.array(cw, float)
 
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Simple undirected weighted graph; edges stored sorted with u < v, as
-    (int, int, float) tuples and as read-only arrays with a CSR adjacency."""
+    """Simple undirected weighted graph, held as read-only (u, v, weight) arrays
+    sorted with u < v and a CSR adjacency; ``edges`` holds the same edges as
+    (int, int, float) tuples, built when first read."""
 
     vertex_count: int
     edges: tuple  # of (u, v, weight)
 
     def __post_init__(self) -> None:
-        n = int(self.vertex_count)
+        rows = tuple(self.edges)
+        object.__delattr__(self, "edges")
+        try:
+            columns = _columns(rows)
+        except (TypeError, ValueError, OverflowError):
+            columns = None
+        self._hold(self.vertex_count, columns, lambda: rows)
+
+    @classmethod
+    def from_arrays(cls, vertex_count: int, u, v, weight) -> InteractionGraph:
+        """The graph of the edges (u[k], v[k], weight[k]): the tuple form's
+        checks and messages on those rows, without building them."""
+        columns = [np.asarray(a) for a in (u, v, weight)]
+        if len({a.shape for a in columns}) > 1 or columns[0].ndim != 1:
+            raise ValueError("edge arrays u, v and weight must be 1-D and of one length")
+        graph = object.__new__(cls)
+        graph._hold(vertex_count, columns, lambda: zip(*(a.tolist() for a in columns)))
+        return graph
+
+    def _hold(self, n: int, columns, rows) -> None:
+        # Check, sort and hold the edges with their CSR. One mask checks integer
+        # columns; when they are not (or None) or the mask finds a bad edge, each
+        # of rows() goes through _check_edge in order, so the first bad row is named.
+        n = int(n)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         if n > MAX_SITES:
             raise ValueError(f"vertex count {n} above the site cap {MAX_SITES}")
-        rows = tuple(self.edges)
-        try:
-            u, v, w = _columns(rows)
-        except (TypeError, ValueError, OverflowError):
-            u = None
-        if u is None or not np.all((u < v) & (u >= 0) & (v < n) & (np.abs(w) <= MAX_WEIGHT)):
-            # A row numpy cannot read or finds bad: the scalar check names the first.
-            u, v, w = _columns([_check_edge(row, n) for row in rows])
+        readable = columns is not None and all(
+            a.dtype.kind in kinds for a, kinds in zip(columns, ("iu", "iu", "iuf")))
+        if readable:
+            a, b = (c.astype(np.intp) for c in columns[:2])  # past int64 wraps negative
+            u, v, w = np.minimum(a, b), np.maximum(a, b), columns[2].astype(float)
+        if not readable or not np.all((u < v) & (u >= 0) & (v < n) & (np.abs(w) <= MAX_WEIGHT)):
+            u, v, w = _columns([_check_edge(row, n) for row in rows()])
         order = np.argsort(u * n + v)
         u, v, w = u[order], v[order], w[order]
         parallel = np.flatnonzero((u[1:] == u[:-1]) & (v[1:] == v[:-1]))
@@ -127,8 +149,13 @@ class InteractionGraph:
         for a in (u, v, w, *adjacency):
             a.flags.writeable = False
         object.__setattr__(self, "vertex_count", n)
-        object.__setattr__(self, "edges", tuple(zip(u.tolist(), v.tolist(), w.tolist())))
         object.__setattr__(self, "_arrays", ((u, v, w), adjacency))
+
+    def __getattr__(self, name: str):  # edges, built the first time it is read
+        if name != "edges":
+            raise AttributeError(name)
+        object.__setattr__(self, "edges", tuple(zip(*(a.tolist() for a in self.edge_arrays()))))
+        return self.edges
 
     @property
     def max_degree(self) -> int:
@@ -195,41 +222,48 @@ def _verify_proper(graph: InteractionGraph, colors) -> None:
                              f"{vertex[k]}")
 
 
+class _Slots(dict):
+    # Color slots as a dict, for graphs whose degrees are too uneven for a list
+    # of vertex count x palette (a star's would grow as its degree squared).
+    def __missing__(self, key: int) -> int:
+        return -1
+
+
 class _ColorState:
-    """Mutable bookkeeping shared by both coloring passes."""
+    """Bookkeeping shared by both coloring passes: the endpoint lists, a color per
+    edge (-1 while uncolored) and one flat slot list, ``at[x * palette + c]`` the
+    edge of color c at vertex x or -1."""
 
     def __init__(self, graph: InteractionGraph, palette: int):
-        self.edges = graph.edges
+        self.us, self.vs = (a.tolist() for a in graph.edge_arrays()[:2])
         self.palette = palette
-        self.colors = [-1] * len(graph.edges)
-        self.by_vertex = [dict() for _ in range(graph.vertex_count)]  # color -> edge
+        self.colors = [-1] * len(self.us)
+        size = graph.vertex_count * palette
+        self.at = [-1] * size if size <= 8 * (graph.vertex_count + len(self.us)) else _Slots()
 
     def smallest_free(self, vertex: int) -> int:
+        base = vertex * self.palette
         for c in range(self.palette):
-            if c not in self.by_vertex[vertex]:
+            if self.at[base + c] == -1:
                 return c
         raise AssertionError(f"no free color at vertex {vertex} (palette {self.palette})")
 
     def recolor(self, edges: list, colors: list) -> None:
         """Give edges[i] colors[i]; all old colors go first, so colors may pass between edges."""
+        at, p, us, vs, now = self.at, self.palette, self.us, self.vs, self.colors
         for e in edges:
-            if self.colors[e] != -1:
-                u, v, _ = self.edges[e]
-                del self.by_vertex[u][self.colors[e]]
-                del self.by_vertex[v][self.colors[e]]
+            if now[e] != -1:
+                at[us[e] * p + now[e]] = at[vs[e] * p + now[e]] = -1
         for e, c in zip(edges, colors):
-            u, v, _ = self.edges[e]
-            self.colors[e] = c
-            self.by_vertex[u][c] = self.by_vertex[v][c] = e
+            now[e] = c
+            at[us[e] * p + c] = at[vs[e] * p + c] = e
 
     def flip_chain(self, start: int, a: int, b: int) -> None:
         """Swap a and b along the maximal path from `start` alternating colors (a, b)."""
         chain, z, want = [], start, a
-        while want in self.by_vertex[z]:
-            e = self.by_vertex[z][want]
+        while (e := self.at[z * self.palette + want]) != -1:
             chain.append(e)
-            u, v, _ = self.edges[e]
-            z = v if z == u else u
+            z = self.vs[e] if z == self.us[e] else self.us[e]
             want = b if want == a else a
         self.recolor(chain, [b if self.colors[e] == a else a for e in chain])
 
@@ -239,54 +273,57 @@ def _color_bipartite(graph: InteractionGraph) -> list:
     # u's smallest free color c with v's along the alternating chain from v;
     # in a bipartite graph it cannot reach u, so the flip frees c at v.
     state = _ColorState(graph, max(1, graph.max_degree))
-    for k, (u, v, _) in enumerate(graph.edges):
-        shared = [c for c in range(state.palette)
-                  if c not in state.by_vertex[u] and c not in state.by_vertex[v]]
-        if shared:
-            c = shared[0]
+    at, p, colors = state.at, state.palette, state.colors
+    for k, (u, v) in enumerate(zip(state.us, state.vs)):
+        for c in range(p):
+            if at[u * p + c] == -1 and at[v * p + c] == -1:
+                break
         else:
             c = state.smallest_free(u)
             state.flip_chain(v, c, state.smallest_free(v))
-        state.colors[k] = c
-        state.by_vertex[u][c] = state.by_vertex[v][c] = k
-    return state.colors
+        colors[k] = c
+        at[u * p + c] = at[v * p + c] = k
+    return colors
 
 
 def _color_misra_gries(graph: InteractionGraph) -> list:
     state = _ColorState(graph, graph.max_degree + 1)
+    at, p, colors = state.at, state.palette, state.colors
     start, other, edge = (a.tolist() for a in graph.neighbors())
 
-    for k, (u, v, _) in enumerate(graph.edges):
+    for k, (u, v) in enumerate(zip(state.us, state.vs)):
+        if k == 0 or u != state.us[k - 1]:  # edges come sorted by u
+            around = list(zip(other[start[u]:start[u + 1]], edge[start[u]:start[u + 1]]))
         # Maximal fan of u anchored at v, as (vertex, edge) pairs: the color
-        # of each added edge is free at the previous fan vertex.
-        fan = [(v, k)]
-        in_fan = {v}
-        around = list(zip(other[start[u]:start[u + 1]], edge[start[u]:start[u + 1]]))
+        # of each added edge is free at the previous fan vertex, the last x.
+        fan, in_fan, x = [(v, k)], {v}, v
         grown = True
         while grown:
             grown = False
             for y, e in around:
-                if y in in_fan or state.colors[e] == -1:
-                    continue
-                if state.colors[e] not in state.by_vertex[fan[-1][0]]:
+                if y not in in_fan and colors[e] != -1 and at[x * p + colors[e]] == -1:
                     fan.append((y, e))
                     in_fan.add(y)
-                    grown = True
+                    x, grown = y, True
                     break
         c = state.smallest_free(u)
-        d = state.smallest_free(fan[-1][0])
-        if d in state.by_vertex[u]:
+        d = state.smallest_free(x)
+        if at[u * p + d] != -1:
             # Flip the maximal dc-path from u; afterwards d is free at u (the
             # path cannot loop back, c being free at u).
             state.flip_chain(u, d, c)
         # Rotate the fan up to its first vertex where d is free: each edge
         # takes the next one's color and the last takes d.
         w = 0
-        while d in state.by_vertex[fan[w][0]]:
+        while at[fan[w][0] * p + d] != -1:
             w += 1
-        edges = [e for _, e in fan[:w + 1]]
-        state.recolor(edges, [state.colors[e] for e in edges[1:]] + [d])
-    return state.colors
+        if w:
+            edges = [e for _, e in fan[:w + 1]]
+            state.recolor(edges, [colors[e] for e in edges[1:]] + [d])
+        else:
+            colors[k] = d
+            at[u * p + d] = at[v * p + d] = k
+    return colors
 
 
 def color_edges(graph: InteractionGraph) -> EdgeColoring:
@@ -327,16 +364,16 @@ def decompose(
     off the diagonal, and to round-off on it.
     """
     n = graph.vertex_count
+    us, vs, _ = graph.edge_arrays()
     values = np.asarray(values, dtype=complex)
     residual = np.array(diagonal, dtype=float)
-    if values.shape != (len(graph.edges),) or residual.shape != (n,):
+    if values.shape != us.shape or residual.shape != (n,):
         raise ValueError(f"need one value per edge and a diagonal of {n} vertices")
     if coloring is None:
         coloring = color_edges(graph)
-    if len(coloring.colors) != len(graph.edges):
+    if len(coloring.colors) != us.size:
         raise ValueError("coloring does not match the graph's edge list")
 
-    us, vs, _ = graph.edge_arrays()
     colors = np.array(coloring.colors, dtype=np.intp)
     terms, labels = [], []
     for color in range(coloring.color_count):
@@ -366,8 +403,7 @@ def decompose_matrix(h: np.ndarray, graph: InteractionGraph | None = None) -> He
     assert_hermitian(h, what="input matrix")
     rows, cols = np.nonzero(np.triu(h, 1))
     if graph is None:
-        weights = np.abs(h[rows, cols]).tolist()
-        graph = InteractionGraph(n, tuple(zip(rows.tolist(), cols.tolist(), weights)))
+        graph = InteractionGraph.from_arrays(n, rows, cols, np.abs(h[rows, cols]))
     us, vs, _ = graph.edge_arrays()
     missing = np.setdiff1d(rows * n + cols, us * n + vs)
     if missing.size:
@@ -389,8 +425,8 @@ def laplacian_chain(length: int, periodic: bool = False):
         raise ValueError("periodic 2-site chain is a multigraph")
     if length > MAX_SITES:
         raise ValueError(f"chain length {length} above the site cap {MAX_SITES}")
-    edges = tuple(zip(range(length - 1), range(1, length), repeat(1.0)))
-    graph = InteractionGraph(length, edges + ((0, length - 1, 1.0),) * periodic)
+    u = np.arange(length - 1 + periodic)  # a ring's last edge is (L - 1, 0)
+    graph = InteractionGraph.from_arrays(length, u, (u + 1) % length, np.ones(u.size))
     return graph, graph_laplacian(graph)[0], np.full(length, 2.0)
 
 
@@ -417,8 +453,7 @@ def honeycomb_lattice(cells_x: int, cells_y: int, periodic: bool = False) -> Int
     us = np.concatenate([a.ravel(), a[cut].ravel(), a[:, cut].ravel()])
     vs = np.concatenate([(a + 1).ravel(), np.roll(a + 1, 1, axis=0)[cut].ravel(),
                          np.roll(a + 1, 1, axis=1)[:, cut].ravel()])
-    edges = tuple(zip(us.tolist(), vs.tolist(), repeat(1.0)))
-    return InteractionGraph(2 * cells_x * cells_y, edges)
+    return InteractionGraph.from_arrays(2 * cells_x * cells_y, us, vs, np.ones(us.size))
 
 
 def load_graph(path) -> InteractionGraph:

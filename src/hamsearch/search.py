@@ -165,15 +165,17 @@ def equivalence_params(inst: SearchInstance, t: float | np.ndarray) -> Equivalen
     return EquivalenceParams(q_t=q_t, beta=beta)
 
 
-def equivalence_residual(inst: SearchInstance, t: float | np.ndarray) -> float | np.ndarray:
+def equivalence_residual(inst: SearchInstance, t: float | np.ndarray,
+                         params: EquivalenceParams | None = None) -> float | np.ndarray:
     """Phase-aligned distance between the two routes at time t.
 
     Left side: the continuous evolution at t. Right side:
     exp(i beta s3) U^{Q_t} exp(i (pi/2 + beta) s3) built from the fractional
     Grover power. Exact equality is expected up to floating round-off. For
-    an array of times the result holds one distance per time.
+    an array of times the result holds one distance per time. ``params``,
+    if given, are equivalence_params(inst, t), which are then not computed again.
     """
-    params = equivalence_params(inst, t)
+    params = equivalence_params(inst, t) if params is None else params
     lhs = evolve_continuous(inst, t)
     rhs = (
         phase_rotation(params.beta)

@@ -451,8 +451,9 @@ def term_set_from_json(doc) -> HermitianTermSet:
     return HermitianTermSet(dimension=dim, terms=tuple(terms), labels=tuple(labels))
 
 
-# One entry of the document as json.dump(..., indent=1) lays it out.
-_ENTRY = "    [\n     %d,\n     %d,\n     %r,\n     %r\n    ]"
+# One entry of the document as json.dump(..., indent=1) lays it out; %s of a float
+# is its repr, and so is %s of the repr.
+_ENTRY = "    [\n     %d,\n     %d,\n     %s,\n     %s\n    ]"
 
 
 def _term_set_chunks(terms: HermitianTermSet):
@@ -461,9 +462,13 @@ def _term_set_chunks(terms: HermitianTermSet):
     yield f'{{\n "dimension": {terms.dimension},\n "terms": ['
     for k, (label, h) in enumerate(zip(terms.labels, terms.terms)):
         rows, cols, values = _nonzero_entries(h)
+        parts = np.concatenate([values.real, values.imag])
+        if isinstance(h, BlockTerm):  # few distinct values: the repr of each bit pattern once
+            keys, inverse = np.unique(parts.view(np.int64), return_inverse=True)
+            parts = np.array(list(map(repr, keys.view(float).tolist())), object)[inverse]
+        parts = parts.tolist()
         entries = ",\n".join([_ENTRY % e for e in zip(rows.tolist(), cols.tolist(),
-                                                         values.real.tolist(),
-                                                         values.imag.tolist())])
+                                                         parts[:len(values)], parts[len(values):])])
         body = f"[\n{entries}\n   ]" if entries else "[]"
         yield (f'{"," if k else ""}\n  {{\n   "label": {json.dumps(label)},\n'
                f'   "entries": {body}\n  }}')

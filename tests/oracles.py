@@ -5,8 +5,9 @@
 # product-formula error scan on dense d x d matrices, the term-set document
 # as json.dump writes it, the majority Monte Carlo and single binomial
 # draws as numpy's Generator.binomial makes them, the success curve of the
-# full-space step with a carried mean, the graph layer as scalar loops, the
-# CSV table one row at a time, and a CLI run that reports its own peak memory.
+# full-space step with a carried mean, the graph layer as scalar loops (the
+# edge coloring with one dict per vertex), the CSV table one row at a time,
+# and a CLI run that reports its own peak memory.
 
 import ctypes
 import json
@@ -268,6 +269,91 @@ def scalar_verify_proper(edges, colors):
                     f"improper coloring: color {colors[k]} repeated at vertex {vertex}"
                 )
             seen.add(key)
+
+
+class _DictColorState:
+    # The coloring passes' bookkeeping as one dict per vertex (color -> edge).
+    def __init__(self, edges, vertex_count, palette):
+        self.edges, self.palette = edges, palette
+        self.colors = [-1] * len(edges)
+        self.by_vertex = [dict() for _ in range(vertex_count)]
+
+    def smallest_free(self, vertex):
+        for c in range(self.palette):
+            if c not in self.by_vertex[vertex]:
+                return c
+        raise AssertionError(f"no free color at vertex {vertex} (palette {self.palette})")
+
+    def recolor(self, edges, colors):
+        for e in edges:
+            if self.colors[e] != -1:
+                u, v, _ = self.edges[e]
+                del self.by_vertex[u][self.colors[e]]
+                del self.by_vertex[v][self.colors[e]]
+        for e, c in zip(edges, colors):
+            u, v, _ = self.edges[e]
+            self.colors[e] = c
+            self.by_vertex[u][c] = self.by_vertex[v][c] = e
+
+    def flip_chain(self, start, a, b):
+        chain, z, want = [], start, a
+        while want in self.by_vertex[z]:
+            e = self.by_vertex[z][want]
+            chain.append(e)
+            u, v, _ = self.edges[e]
+            z = v if z == u else u
+            want = b if want == a else a
+        self.recolor(chain, [b if self.colors[e] == a else a for e in chain])
+
+
+def scalar_coloring(vertex_count, edges, short=0):
+    # Colors of normalized edges as the dict-based passes chose them: Koenig on
+    # max(1, max degree - short) colors when the BFS finds two sides, Misra-Gries
+    # on max degree + 1 - short colors otherwise, the fan taken from the sorted
+    # adjacency. Raises the passes' AssertionError when a vertex has no free color.
+    degree = [0] * vertex_count
+    for u, v, _ in edges:
+        degree[u] += 1
+        degree[v] += 1
+    top = max(degree) - short
+    if scalar_bipartition(vertex_count, edges) is not None:
+        state = _DictColorState(edges, vertex_count, max(1, top))
+        for k, (u, v, _) in enumerate(edges):
+            shared = [c for c in range(state.palette)
+                      if c not in state.by_vertex[u] and c not in state.by_vertex[v]]
+            if shared:
+                c = shared[0]
+            else:
+                c = state.smallest_free(u)
+                state.flip_chain(v, c, state.smallest_free(v))
+            state.colors[k] = c
+            state.by_vertex[u][c] = state.by_vertex[v][c] = k
+        return state.colors
+    state = _DictColorState(edges, vertex_count, top + 1)
+    adj = scalar_adjacency(vertex_count, edges)
+    for k, (u, v, _) in enumerate(edges):
+        fan, in_fan = [(v, k)], {v}
+        grown = True
+        while grown:
+            grown = False
+            for y, e in adj[u]:
+                if y in in_fan or state.colors[e] == -1:
+                    continue
+                if state.colors[e] not in state.by_vertex[fan[-1][0]]:
+                    fan.append((y, e))
+                    in_fan.add(y)
+                    grown = True
+                    break
+        c = state.smallest_free(u)
+        d = state.smallest_free(fan[-1][0])
+        if d in state.by_vertex[u]:
+            state.flip_chain(u, d, c)
+        w = 0
+        while d in state.by_vertex[fan[w][0]]:
+            w += 1
+        chosen = [e for _, e in fan[:w + 1]]
+        state.recolor(chosen, [state.colors[e] for e in chosen[1:]] + [d])
+    return state.colors
 
 
 def table_text_reference(columns, rows, extra=None):

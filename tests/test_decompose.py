@@ -24,13 +24,14 @@ from hamsearch.decompose import (
     laplacian_chain,
     load_graph,
 )
-from hamsearch.decompose import _verify_proper
+from hamsearch.decompose import _ColorState, _Slots, _verify_proper
 from hamsearch.trotter import MAX_SITES, BlockTerm, exact_term_exponential
 from oracles import (
     laplacian_matrix,
     save_graph,
     scalar_adjacency,
     scalar_bipartition,
+    scalar_coloring,
     scalar_graph,
     scalar_verify_proper,
     seeds,
@@ -140,6 +141,34 @@ def edge_lists(draw, faults=True, numpy=True):
         rows = [tuple(np.asarray(x)[()] for x in row) if isinstance(row, tuple) else row
                 for row in rows]
     return n, tuple(rows)
+
+
+@st.composite
+def coloring_graphs(draw):
+    # Graphs of up to 48 vertices in up to four components (vertex x is in
+    # component x mod k), each vertex of degree up to 8, some vertices isolated;
+    # for half of them, only edges across two drawn sides are kept, so the graph
+    # is bipartite. numpy draws them, from a seed that hypothesis picks.
+    rng = np.random.default_rng(draw(seeds))
+    n, parts, cap = (int(rng.integers(1, top + 1)) for top in (48, 4, 8))
+    across, side = rng.random() < 0.5, rng.integers(0, 2, n)
+    candidates = [(u, v) for u, v in rng.integers(0, n, (rng.integers(n, 8 * n + 1), 2)).tolist()
+                  if (u - v) % parts == 0 and not (across and side[u] == side[v])]
+    return _bounded_graph(n, cap, candidates)
+
+
+class _OneColorShort(InteractionGraph):
+    # A graph whose coloring passes get one color fewer than they need.
+    @property
+    def max_degree(self):
+        return super().max_degree - 1
+
+
+def _coloring_outcome(color):
+    try:
+        return list(color())
+    except AssertionError as exc:
+        return str(exc)
 
 
 def _assert_proper(graph, coloring):
@@ -267,6 +296,91 @@ class TestScalarReference:
         for a in (*g.edge_arrays(), *g.neighbors()):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+
+
+class TestColoringOracle:
+    # The slot-list passes against the dict-per-vertex passes they replaced (oracles).
+    @settings(max_examples=300, deadline=None)
+    @given(coloring_graphs())
+    def test_colors_match_the_dict_passes(self, g):
+        event("bipartite" if bipartition(g) is not None else "odd cycle")
+        event("several components" if len(set(_components(g))) > 1 else "one component")
+        assert list(color_edges(g).colors) == scalar_coloring(g.vertex_count, g.edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coloring_graphs())
+    def test_a_palette_that_runs_out_fails_as_the_dict_passes_do(self, g):
+        short = _OneColorShort.from_arrays(g.vertex_count, *g.edge_arrays())
+        ours = _coloring_outcome(lambda: color_edges(short).colors)
+        event("ran out" if isinstance(ours, str) else "colored")
+        assert ours == _coloring_outcome(lambda: scalar_coloring(g.vertex_count, g.edges, 1))
+
+    @pytest.mark.parametrize("extra", [(), ((1, 2, 1.0),)])  # a triangle takes Misra-Gries
+    def test_uneven_degrees_keep_the_slots_in_a_dict(self, extra):
+        # A star's list of vertex count x palette slots would grow as its degree
+        # squared; with isolated vertices beside it the slots go in a dict.
+        g = InteractionGraph(60, tuple((0, leaf, 1.0) for leaf in range(1, 41)) + extra)
+        assert isinstance(_ColorState(g, g.max_degree + 1).at, _Slots)
+        assert isinstance(_ColorState(honeycomb_lattice(3, 4), 3).at, list)
+        assert list(color_edges(g).colors) == scalar_coloring(g.vertex_count, g.edges)
+
+
+def _components(g):
+    # A component label per vertex: the smallest vertex it reaches.
+    label = list(range(g.vertex_count))
+    for _ in range(g.vertex_count):
+        for u, v, _ in g.edges:
+            label[u] = label[v] = min(label[u], label[v])
+    return label
+
+
+class TestArrayConstructor:
+    # InteractionGraph.from_arrays against the tuple form on the arrays' own rows.
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists(), st.data())
+    @example((3, ((0, 1, 1.0), (0, 2**70, 1.0))), None)  # an object column
+    @example((3, ((True, 2, 1.0),)), None)  # numpy reads the bool as the integer 1
+    def test_arrays_build_the_graph_their_rows_build(self, case, data):
+        n, rows = case
+        rows = [row for row in rows if isinstance(row, tuple)]
+        columns = [np.array(c) for c in zip(*rows)] or [np.zeros(0, int)] * 3
+        if data is not None and columns[0].dtype == np.int64 and columns[1].dtype == np.int64:
+            kind = data.draw(st.sampled_from([np.int64, np.int32, np.int16, np.uint64]))
+            if all(np.array_equal(c.astype(kind).astype(np.int64), c) for c in columns[:2]):
+                columns[:2] = [c.astype(kind) for c in columns[:2]]
+        rows = tuple(zip(*(c.tolist() for c in columns)))
+        event("columns of kinds " + "".join(c.dtype.kind for c in columns))
+        try:
+            expected = InteractionGraph(n, rows)
+        except ValueError as exc:
+            event(re.sub(r"-?[\d.]+|\(.*?\)", "_", str(exc))[:28])
+            with pytest.raises(ValueError) as raised:
+                InteractionGraph.from_arrays(n, *columns)
+            assert str(raised.value) == str(exc)
+            return
+        event("a graph")
+        g = InteractionGraph.from_arrays(n, *columns)
+        assert g == expected and repr(g.edges) == repr(expected.edges)
+        assert g.max_degree == expected.max_degree
+        for ours, theirs in zip((*g.edge_arrays(), *g.neighbors()),
+                                (*expected.edge_arrays(), *expected.neighbors())):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("columns", [
+        ([0, 1], [1, 2], [1.0]),
+        ([[0, 1]], [[1, 2]], [[1.0, 1.0]]),
+        (0, 1, 1.0),
+    ])
+    def test_columns_must_be_one_dimensional_and_of_one_length(self, columns):
+        with pytest.raises(ValueError, match="must be 1-D and of one length"):
+            InteractionGraph.from_arrays(3, *columns)
+
+    def test_the_generators_build_their_edge_tuples_only_when_read(self):
+        g = honeycomb_lattice(3, 4, periodic=True)
+        assert "edges" not in vars(g)
+        assert InteractionGraph(g.vertex_count, g.edges) == g and "edges" in vars(g)
+        chain, _, _ = laplacian_chain(6, periodic=True)
+        assert chain.edges == tuple(sorted([(i, i + 1, 1.0) for i in range(5)] + [(0, 5, 1.0)]))
 
 
 class TestSiteCap:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamsearch import trotter
@@ -88,6 +88,44 @@ def _term_sets(draw):
         terms.append(draw(_star_terms(d)))
     labels = draw(st.lists(st.text(max_size=6), min_size=len(terms), max_size=len(terms)))
     return HermitianTermSet(d, tuple(terms), tuple(labels))
+
+
+# Floats at the edges of repr's forms: signed zeros, the subnormal range, and
+# both sides of the switch to exponent notation at 1e16 and below 1e-4.
+EDGE_FLOATS = (0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-05,
+               9.999999999999999e-05, 0.0001, 0.1, 1.0, 9999999999999998.0, 1e16,
+               1.0000000000000002e16)
+
+
+@st.composite
+def _text_term_sets(draw):
+    # Dense terms and BlockTerms with complex entries whose values repeat (a pool of
+    # up to three) or are drawn apart, from EDGE_FLOATS of either sign or anywhere.
+    finite = st.one_of(st.sampled_from(EDGE_FLOATS).flatmap(lambda x: st.sampled_from([x, -x])),
+                       st.floats(min_value=-1e300, max_value=1e300))
+    value = st.sampled_from(draw(st.lists(finite, min_size=1, max_size=3)))
+    value = draw(st.sampled_from([value, finite]))
+
+    def entry():
+        return complex(draw(value), draw(value))
+
+    d, terms = draw(st.integers(min_value=1, max_value=6)), []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            h = np.diag([draw(value) for _ in range(d)]).astype(complex)
+            for r, c in zip(*np.triu_indices(d, 1)):
+                h[r, c] = entry()
+                h[c, r] = h[r, c].conjugate()
+            terms.append(h)
+            continue
+        order = draw(st.permutations(range(d)))
+        k = draw(st.integers(min_value=0, max_value=d // 2))
+        blocks = [[[draw(value), z], [z.conjugate(), draw(value)]] for z in
+                  (entry() for _ in range(k))]
+        diagonal = np.zeros(d)
+        diagonal[order[2 * k:]] = [draw(value) for _ in order[2 * k:]]
+        terms.append(BlockTerm(np.reshape(order[:2 * k], (k, 2)), blocks, diagonal))
+    return HermitianTermSet(d, tuple(terms), tuple(f"t{k}" for k in range(len(terms))))
 
 
 def _is_matching(h):
@@ -491,6 +529,15 @@ class TestJsonInterchange:
         path = tmp_path_factory.mktemp("terms") / "terms.json"
         save_term_set(path, terms)
         assert path.read_text(encoding="utf-8") == term_set_json(terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_text_term_sets())
+    @example(HermitianTermSet(2, (BlockTerm([[0, 1]], [[[1.0, -0.0 + 1j], [-0.0 - 1j, 1.0]]],
+                                            np.zeros(2)),), ("zeros of both signs",)))
+    def test_each_distinct_value_formats_as_json_dump_does(self, terms):
+        # A BlockTerm's values are formatted once per bit pattern (0.0 and -0.0
+        # apart), a dense term's one by one; both give json.dump's bytes.
+        assert "".join(trotter._term_set_chunks(terms)) == term_set_json(terms)
 
     def test_a_failed_save_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
         # The document is written under a temporary name and renamed over the
