@@ -14,13 +14,13 @@
 # exactly max-degree colors; everything else takes Misra-Gries with at most
 # max-degree + 1 colors. Edges are processed in sorted order and every
 # choice takes the smallest available color, so the coloring is a pure
-# function of the graph. Both passes change colors only through
-# _ColorState.recolor, which flip_chain uses to swap two colors along an
-# alternating path. Misra-Gries rotates the fan of u up to its first vertex
-# where d is free, and that prefix is always a fan (Misra & Gries 1992): a
-# c/d flip from u turns only the fan edge f_j that held d into c, and d stays
-# free at f_{j-1}, with no c or d edge before it, unless the flip ends at
-# f_{j-1}; then its c edge became d, c is free there, and d is free at f_k.
+# function of the graph. Both passes swap two colors along an alternating
+# path with _ColorState.flip_chain. Misra-Gries rotates the fan of u up to
+# its first vertex where d is free, and that prefix is always a fan (Misra &
+# Gries 1992): a c/d flip from u turns only the fan edge f_j that held d into
+# c, and d stays free at f_{j-1}, with no c or d edge before it, unless the
+# flip ends at f_{j-1}; then its c edge became d, c is free there, and d is
+# free at f_k.
 
 from __future__ import annotations
 
@@ -222,50 +222,37 @@ def _verify_proper(graph: InteractionGraph, colors) -> None:
                              f"{vertex[k]}")
 
 
-class _Slots(dict):
-    # Color slots as a dict, for graphs whose degrees are too uneven for a list
-    # of vertex count x palette (a star's would grow as its degree squared).
-    def __missing__(self, key: int) -> int:
-        return -1
-
-
 class _ColorState:
     """Bookkeeping shared by both coloring passes: the endpoint lists, a color per
-    edge (-1 while uncolored) and one flat slot list, ``at[x * palette + c]`` the
-    edge of color c at vertex x or -1."""
+    edge (-1 while uncolored) and one flat dict of the filled slots, ``at[x *
+    palette + c]`` the edge of color c at vertex x (a free slot has no key)."""
 
     def __init__(self, graph: InteractionGraph, palette: int):
         self.us, self.vs = (a.tolist() for a in graph.edge_arrays()[:2])
         self.palette = palette
         self.colors = [-1] * len(self.us)
-        size = graph.vertex_count * palette
-        self.at = [-1] * size if size <= 8 * (graph.vertex_count + len(self.us)) else _Slots()
+        self.at = {}
 
     def smallest_free(self, vertex: int) -> int:
         base = vertex * self.palette
         for c in range(self.palette):
-            if self.at[base + c] == -1:
+            if base + c not in self.at:
                 return c
         raise AssertionError(f"no free color at vertex {vertex} (palette {self.palette})")
 
-    def recolor(self, edges: list, colors: list) -> None:
-        """Give edges[i] colors[i]; all old colors go first, so colors may pass between edges."""
-        at, p, us, vs, now = self.at, self.palette, self.us, self.vs, self.colors
-        for e in edges:
-            if now[e] != -1:
-                at[us[e] * p + now[e]] = at[vs[e] * p + now[e]] = -1
-        for e, c in zip(edges, colors):
-            now[e] = c
-            at[us[e] * p + c] = at[vs[e] * p + c] = e
-
     def flip_chain(self, start: int, a: int, b: int) -> None:
         """Swap a and b along the maximal path from `start` alternating colors (a, b)."""
+        at, p, us, vs, now = self.at, self.palette, self.us, self.vs, self.colors
         chain, z, want = [], start, a
-        while (e := self.at[z * self.palette + want]) != -1:
+        while (e := at.get(z * p + want)) is not None:
             chain.append(e)
-            z = self.vs[e] if z == self.us[e] else self.us[e]
+            z = vs[e] if z == us[e] else us[e]
             want = b if want == a else a
-        self.recolor(chain, [b if self.colors[e] == a else a for e in chain])
+        for e in chain:  # every old slot goes first: neighbours trade their colors
+            del at[us[e] * p + now[e]], at[vs[e] * p + now[e]]
+        for e in chain:
+            now[e] = b if now[e] == a else a
+            at[us[e] * p + now[e]] = at[vs[e] * p + now[e]] = e
 
 
 def _color_bipartite(graph: InteractionGraph) -> list:
@@ -276,7 +263,7 @@ def _color_bipartite(graph: InteractionGraph) -> list:
     at, p, colors = state.at, state.palette, state.colors
     for k, (u, v) in enumerate(zip(state.us, state.vs)):
         for c in range(p):
-            if at[u * p + c] == -1 and at[v * p + c] == -1:
+            if u * p + c not in at and v * p + c not in at:
                 break
         else:
             c = state.smallest_free(u)
@@ -301,28 +288,28 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
         while grown:
             grown = False
             for y, e in around:
-                if y not in in_fan and colors[e] != -1 and at[x * p + colors[e]] == -1:
+                if y not in in_fan and colors[e] != -1 and x * p + colors[e] not in at:
                     fan.append((y, e))
                     in_fan.add(y)
                     x, grown = y, True
                     break
         c = state.smallest_free(u)
         d = state.smallest_free(x)
-        if at[u * p + d] != -1:
+        if u * p + d in at:
             # Flip the maximal dc-path from u; afterwards d is free at u (the
             # path cannot loop back, c being free at u).
             state.flip_chain(u, d, c)
         # Rotate the fan up to its first vertex where d is free: each edge
-        # takes the next one's color and the last takes d.
+        # takes the next one's color and the last takes d. From the last edge
+        # back, each new color's slot at u is the one the later edge left.
         w = 0
-        while at[fan[w][0] * p + d] != -1:
+        while fan[w][0] * p + d in at:
             w += 1
-        if w:
-            edges = [e for _, e in fan[:w + 1]]
-            state.recolor(edges, [colors[e] for e in edges[1:]] + [d])
-        else:
-            colors[k] = d
-            at[u * p + d] = at[v * p + d] = k
+        for y, e in reversed(fan[:w + 1]):
+            if colors[e] != -1:
+                del at[y * p + colors[e]]
+            colors[e], d = d, colors[e]
+            at[u * p + colors[e]] = at[y * p + colors[e]] = e
     return colors
 
 

@@ -24,7 +24,7 @@ from hamsearch.decompose import (
     laplacian_chain,
     load_graph,
 )
-from hamsearch.decompose import _ColorState, _Slots, _verify_proper
+from hamsearch.decompose import _verify_proper
 from hamsearch.trotter import MAX_SITES, BlockTerm, exact_term_exponential
 from oracles import (
     laplacian_matrix,
@@ -299,7 +299,7 @@ class TestScalarReference:
 
 
 class TestColoringOracle:
-    # The slot-list passes against the dict-per-vertex passes they replaced (oracles).
+    # The flat-slot passes against the dict-per-vertex passes they replaced (oracles).
     @settings(max_examples=300, deadline=None)
     @given(coloring_graphs())
     def test_colors_match_the_dict_passes(self, g):
@@ -316,13 +316,18 @@ class TestColoringOracle:
         assert ours == _coloring_outcome(lambda: scalar_coloring(g.vertex_count, g.edges, 1))
 
     @pytest.mark.parametrize("extra", [(), ((1, 2, 1.0),)])  # a triangle takes Misra-Gries
-    def test_uneven_degrees_keep_the_slots_in_a_dict(self, extra):
-        # A star's list of vertex count x palette slots would grow as its degree
-        # squared; with isolated vertices beside it the slots go in a dict.
-        g = InteractionGraph(60, tuple((0, leaf, 1.0) for leaf in range(1, 41)) + extra)
-        assert isinstance(_ColorState(g, g.max_degree + 1).at, _Slots)
-        assert isinstance(_ColorState(honeycomb_lattice(3, 4), 3).at, list)
-        assert list(color_edges(g).colors) == scalar_coloring(g.vertex_count, g.edges)
+    def test_a_star_colors_in_memory_linear_in_its_edges(self, extra):
+        # A slot list of vertex count x palette would take a 1000-leaf star's
+        # 1001 x 1001 x 8 bytes (8 MB); the slots hold only the filled ones.
+        g = InteractionGraph(1001, tuple((0, leaf, 1.0) for leaf in range(1, 1001)) + extra)
+        tracemalloc.start()
+        try:
+            colors = color_edges(g).colors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert list(colors) == scalar_coloring(g.vertex_count, g.edges)
 
 
 def _components(g):
