@@ -76,6 +76,20 @@ def _on_forks(work, parts: list) -> list:
             for k, part in enumerate(parts)]
 
 
+CHUNK_ROWS = 64  # rows per % operation of _format_rows
+
+
+def _format_rows(template: str, rows) -> list[str]:
+    # The one row formatter: each row of a 2-D array through the % template, by chunks.
+    return [(template * len(c)) % tuple(c.ravel().tolist())
+            for c in (rows[k:k + CHUNK_ROWS] for k in range(0, len(rows), CHUNK_ROWS))]
+
+
+def _json_array(chunks: list, indent: str) -> list[str]:
+    # The ",\n"-led items as json.dumps(..., indent=1) lays out a list closing at indent.
+    return ["[" + chunks[0][1:], *chunks[1:], "\n" + indent + "]"] if chunks else ["[]"]
+
+
 def _write_outputs(*outputs) -> None:
     # The package's one writer of output files, all or nothing over (path, text
     # chunks) pairs. Targets that are not regular files, such as /dev/null, are

@@ -23,7 +23,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import _on_forks, _shares, _write_outputs, amplify, decompose, search, statevector, trotter
+from . import (_format_rows, _json_array, _on_forks, _shares, _write_outputs, amplify, decompose,
+               search, statevector, trotter)
 from .pauli import bloch_point
 
 EXIT_OK = 0
@@ -69,33 +70,34 @@ def float_list(text: str) -> list:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-# Rows per % operation, and the fewest rows per share of a CSV table that a
-# forked worker computes or formats. On a 2-vCPU Xeon VM two shares of a
-# 4096 x 7 table (25 ms) took as long as one: a fork and join (2-4 ms) and the
-# copy-on-write faults they bring ate the saving. Two of 4096 rows took 41 ms, not 49.
-CHUNK_ROWS, SHARE_ROWS = 64, 4096
+# The fewest rows per share of a table that a forked worker computes or
+# formats. On a 2-vCPU Xeon VM two shares of a 4096 x 7 CSV table (25 ms) took
+# as long as one: a fork and join (2-4 ms) and the copy-on-write faults they
+# bring ate the saving. Two of 4096 rows took 41 ms, not 49.
+SHARE_ROWS = 4096
 
 
-def _csv_chunks(rows: np.ndarray) -> list[str]:
-    # The rows' '%.17g' lines, each ending in a newline, as one string per chunk of rows.
-    row_format = ",".join(["%.17g"] * rows.shape[-1]) + "\n"
-    return [(row_format * len(c)) % tuple(c.ravel().tolist())
-            for c in np.split(rows, range(CHUNK_ROWS, len(rows), CHUNK_ROWS))]
+def _row_template(fmt: str, width: int) -> str:
+    # A '%.17g' CSV line, or a row as json.dumps(doc, indent=1) lays it out, led by ",\n".
+    return (",".join(["%.17g"] * width) + "\n" if fmt == "csv"
+            else ",\n  [\n" + ",\n".join(["   %r"] * width) + "\n  ]")
 
 
 def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None,
                 lines: list[str] | None = None) -> list[str]:
-    # The table's text chunks: rows, a 2-D array or equal-length number rows, as one JSON
-    # chunk, or as CSV lines given or formatted in chunks, in shares for large tables.
+    # The table's text chunks: rows (a 2-D array or equal-length number rows) formatted in
+    # shares, or their given text ``lines``; CSV with a '# ' JSON footer, or JSON in its envelope.
     rows = np.asarray(rows, dtype=float)
-    if fmt == "json":
-        doc = {"columns": columns, "rows": rows.tolist()}
-        if extra:
-            doc.update(extra)
-        return [json.dumps(doc, indent=1, allow_nan=False) + "\n"]
+    if fmt == "json" and not np.isfinite(rows).all():  # as json.dumps(allow_nan=False)
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         f"{rows[~np.isfinite(rows)][0].item()!r}")
     if lines is None:
-        shares = _shares(rows, len(rows) // SHARE_ROWS)
-        lines = [c for chunks in _on_forks(_csv_chunks, shares) for c in chunks]
+        work = functools.partial(_format_rows, _row_template(fmt, rows.shape[-1]))
+        lines = [c for cs in _on_forks(work, _shares(rows, len(rows) // SHARE_ROWS)) for c in cs]
+    if fmt == "json":
+        head, tail = json.dumps({"columns": columns, "rows": [], **(extra or {})}, indent=1,
+                                allow_nan=False).split('"rows": []')
+        return [head + '"rows": ', *_json_array(lines, " "), tail + "\n"]
     footer = "# " + json.dumps(extra, sort_keys=True, allow_nan=False) + "\n" if extra else ""
     return [",".join(columns) + "\n", *lines, footer]
 
@@ -149,15 +151,12 @@ def cmd_equivalence(args) -> tuple[list, str | None]:
     if len(args.n_list) * args.samples > MAX_ROWS:
         raise ValueError(f"--n-list x --samples = {len(args.n_list)} x {args.samples} table rows, "
                          f"above the cap of {MAX_ROWS}")
-    csv = args.format == "csv"
 
-    def part(ns):  # (rows, their CSV text or "") of a group of whole N blocks
+    def part(ns):  # (rows, their text) of a group of whole N blocks, one group per share
         rows = np.concatenate([_equivalence_rows(n, args.samples) for n in ns])
-        return rows, "".join(_csv_chunks(rows)) if csv else ""
+        return rows, "".join(_format_rows(_row_template(args.format, 5), rows))
 
-    # One group per share of a CSV table; the JSON table is one group.
-    shares = _shares(args.n_list, len(args.n_list) * args.samples // SHARE_ROWS if csv else 0)
-    parts = _on_forks(part, shares)
+    parts = _on_forks(part, _shares(args.n_list, len(args.n_list) * args.samples // SHARE_ROWS))
     rows = np.concatenate([part_rows for part_rows, _ in parts])
     n_worst, t_worst, _, _, worst = rows[np.argmax(rows[:, 4])].tolist()
     text = _table_text(args.format, ["N", "t", "Q_t", "beta", "residual"], rows,

@@ -17,7 +17,7 @@ from math import ceil
 
 import numpy as np
 
-from . import _write_outputs
+from . import _format_rows, _json_array, _write_outputs
 from .linalg import assert_hermitian, spectral_norm
 
 __all__ = [
@@ -43,6 +43,15 @@ STEP_CAP = 10_000_000
 # Largest d of a dense d x d block term (256 MiB): the open-chain and odd-ring
 # scans and the ring spectrum stop here with a ValueError, not a MemoryError.
 MAX_DENSE_DIMENSION = 4096
+
+
+def _dense(d: int, rows, cols, values) -> np.ndarray:
+    # The d x d complex matrix with these entries, zero elsewhere; d up to the cap.
+    if d > MAX_DENSE_DIMENSION:
+        raise ValueError(f"dense term of d={d} exceeds the cap {MAX_DENSE_DIMENSION}")
+    h = np.zeros((d, d), dtype=complex)
+    h[rows, cols] = values
+    return h
 
 
 @dataclass(frozen=True)
@@ -89,13 +98,7 @@ class BlockTerm:
         return rows, cols, values
 
     def dense(self) -> np.ndarray:
-        d = self.dimension
-        if d > MAX_DENSE_DIMENSION:
-            raise ValueError(f"dense term of d={d} exceeds the cap {MAX_DENSE_DIMENSION}")
-        h = np.zeros((d, d), dtype=complex)
-        rows, cols, values = self.entries()
-        h[rows, cols] = values
-        return h
+        return _dense(self.dimension, *self.entries())
 
 
 @dataclass(frozen=True)
@@ -389,12 +392,8 @@ def _term_from_entries(dim: int, rows: list, where: str):
         diagonal[list(free)] = [v.real for v in free.values()]
         blocks = [[[entries.get((a, b), 0.0) for b in pair] for a in pair] for pair in pairs]
         return BlockTerm(pairs, blocks, diagonal)
-    if dim > MAX_DENSE_DIMENSION:
-        raise ValueError(f"dense term of d={dim} exceeds the cap {MAX_DENSE_DIMENSION}")
-    h = np.zeros((dim, dim), dtype=complex)
-    for (r, c), v in entries.items():
-        h[r, c] = v
-    return h
+    rows, cols = np.array(list(entries)).T
+    return _dense(dim, rows, cols, list(entries.values()))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -451,27 +450,24 @@ def term_set_from_json(doc) -> HermitianTermSet:
     return HermitianTermSet(dimension=dim, terms=tuple(terms), labels=tuple(labels))
 
 
-# One entry of the document as json.dump(..., indent=1) lays it out; %s of a float
-# is its repr, and so is %s of the repr.
-_ENTRY = "    [\n     %d,\n     %d,\n     %s,\n     %s\n    ]"
+# One entry as json.dump(..., indent=1) lays it out, led by ",\n"; %s of a repr is the repr.
+_ENTRY = ",\n    [\n     %d,\n     %d,\n     %s,\n     %s\n    ]"
 
 
 def _term_set_chunks(terms: HermitianTermSet):
     # The term-set document as text chunks, byte for byte json.dump(doc, indent=1)
-    # and a newline: the head, one chunk per term from one template per entry, the tail.
+    # and a newline: the head, each term's entries in chunks of rows, the tail. The
+    # repr of each distinct float is taken once, by bit pattern (0.0 and -0.0 apart).
     yield f'{{\n "dimension": {terms.dimension},\n "terms": ['
     for k, (label, h) in enumerate(zip(terms.labels, terms.terms)):
         rows, cols, values = _nonzero_entries(h)
-        parts = np.concatenate([values.real, values.imag])
-        if isinstance(h, BlockTerm):  # few distinct values: the repr of each bit pattern once
-            keys, inverse = np.unique(parts.view(np.int64), return_inverse=True)
-            parts = np.array(list(map(repr, keys.view(float).tolist())), object)[inverse]
-        parts = parts.tolist()
-        entries = ",\n".join([_ENTRY % e for e in zip(rows.tolist(), cols.tolist(),
-                                                         parts[:len(values)], parts[len(values):])])
-        body = f"[\n{entries}\n   ]" if entries else "[]"
-        yield (f'{"," if k else ""}\n  {{\n   "label": {json.dumps(label)},\n'
-               f'   "entries": {body}\n  }}')
+        parts = np.concatenate([values.real, values.imag]).view(np.int64)
+        keys, inverse = np.unique(parts, return_inverse=True)
+        reprs = np.array(list(map(repr, keys.view(float).tolist())), object)[inverse]
+        cells = np.column_stack([rows, cols, reprs.reshape(2, -1).T])
+        yield f'{"," if k else ""}\n  {{\n   "label": {json.dumps(label)},\n   "entries": '
+        yield from _json_array(_format_rows(_ENTRY, cells), "   ")
+        yield "\n  }"
     yield "\n ]\n}\n"
 
 

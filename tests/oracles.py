@@ -6,8 +6,9 @@
 # as json.dump writes it, the majority Monte Carlo and single binomial
 # draws as numpy's Generator.binomial makes them, the success curve of the
 # full-space step with a carried mean, the graph layer as scalar loops (the
-# edge coloring with one dict per vertex), the CSV table one row at a time,
-# and a CLI run that reports its own peak memory.
+# edge coloring with one dict per vertex), the CSV table one row at a time
+# and the JSON table as json.dumps writes it, and a CLI run that reports its
+# own peak memory.
 
 import ctypes
 import json
@@ -356,9 +357,13 @@ def scalar_coloring(vertex_count, edges, short=0):
     return state.colors
 
 
-def table_text_reference(columns, rows, extra=None):
+def table_text_reference(columns, rows, extra=None, fmt="csv"):
     # A CSV table as one '%.17g' row at a time makes it: the header, a line
     # per row, then the extra fields as a '# ' JSON line; a newline at the end.
+    # A JSON table as json.dumps lays out the whole document, and a newline.
+    if fmt == "json":
+        doc = {"columns": columns, "rows": rows, **(extra or {})}
+        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
     lines = [",".join(columns)] + [",".join("%.17g" % x for x in row) for row in rows]
     if extra:
         lines.append("# " + json.dumps(extra, sort_keys=True, allow_nan=False))

@@ -1,9 +1,9 @@
-# CSV tables computed and formatted on every usable CPU: the bytes against a
-# per-row '%.17g' reference, for generic tables and for equivalence, whose
-# shares compute their own rows, with forked workers that succeed and that
-# fail, no worker left after main, and the peak memory of the largest table. Any
-# warning fails these tests (pyproject.toml), the fork warning of Python 3.12
-# included.
+# Tables computed and formatted on every usable CPU, as CSV and as JSON: the
+# bytes against a per-row '%.17g' reference and against json.dumps, for generic
+# tables and for equivalence, whose shares compute their own rows, with forked
+# workers that succeed and that fail, no worker left after main, and the peak
+# memory of the largest table. Any warning fails these tests (pyproject.toml),
+# the fork warning of Python 3.12 included.
 
 import argparse
 import hashlib
@@ -27,6 +27,7 @@ from test_golden import SUBSPACE
 
 THRESHOLD = 4  # rows per worker share while a test runs
 CPUS = 3
+FORMATS = ("csv", "json")
 EQUIVALENCE = ["N", "t", "Q_t", "beta", "residual"]
 PIN_SHARES = {"trajectory": 2, "equivalence-sweep": 3}  # rows // 4096 of the large pins
 
@@ -46,7 +47,7 @@ def _env():
 def forks(monkeypatch):
     # Shares of THRESHOLD rows on CPUS CPUs, in chunks of two rows; counts the forks.
     monkeypatch.setattr(cli, "SHARE_ROWS", THRESHOLD)
-    monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+    monkeypatch.setattr(hamsearch, "CHUNK_ROWS", 2)
     monkeypatch.setattr(hamsearch, "usable_cpus", lambda: CPUS)
     made = []
     fork = os.fork
@@ -67,55 +68,80 @@ def tables(draw):
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(tables())
-def test_bytes_match_the_per_row_reference(forks, table):
+@given(tables(), st.sampled_from(FORMATS))
+@example(table=(["c0", "c1"], [], {"limit": 1e-9}), fmt="json")  # "rows": []
+def test_bytes_match_the_per_row_reference(forks, table, fmt):
     columns, rows, extra = table
     forks.clear()
-    text = "".join(cli._table_text("csv", columns, rows, extra))
-    assert text.encode() == table_text_reference(columns, rows, extra).encode()
+    text = "".join(cli._table_text(fmt, columns, rows, extra))
+    assert text.encode() == table_text_reference(columns, rows, extra, fmt).encode()
     shares = min(CPUS, len(rows) // THRESHOLD)
     assert len(forks) == (shares - 1 if shares > 1 else 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_json_row_exits_2_and_writes_nothing(monkeypatch, capsys, tmp_path, bad):
+    # A value JSON cannot hold fails the run before anything is written, with the
+    # message json.dumps(..., allow_nan=False) gives.
+    rows_of = cli._equivalence_rows
+
+    def spoilt(n, samples):
+        rows = rows_of(n, samples)
+        rows[1, 3] = bad  # a beta: no extra field and no claim reads it
+        return rows
+
+    monkeypatch.setattr(cli, "_equivalence_rows", spoilt)
+    out = tmp_path / "table.json"
+    argv = ["equivalence", "--n-list", "16", "--samples", "5", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == (
+        "", f"hamsearch: Out of range float values are not JSON compliant: {float(bad)!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _misbehave(monkeypatch, how):
     # Workers that fail as ``how`` says while this process runs as before:
-    # _csv_chunks raises or is killed in a worker, or a worker's pickle
+    # _format_rows raises or is killed in a worker, or a worker's pickle
     # stream stops short of its end (only workers pickle).
-    caller, chunks, dumps = os.getpid(), cli._csv_chunks, pickle.dumps
+    caller, format_rows, dumps = os.getpid(), cli._format_rows, pickle.dumps
 
-    def failing_chunks(rows):
+    def failing_format_rows(template, rows):
         if os.getpid() != caller:
             if how == "raise":
                 raise RuntimeError("worker fails")
             os.kill(os.getpid(), signal.SIGKILL)
-        return chunks(rows)
+        return format_rows(template, rows)
 
     if how == "short":
         monkeypatch.setattr(pickle, "dump", lambda obj, fh, protocol: fh.write(
             dumps(obj, protocol)[:-7]))
     else:
-        monkeypatch.setattr(cli, "_csv_chunks", failing_chunks)
+        monkeypatch.setattr(cli, "_format_rows", failing_format_rows)
 
 
-def _equivalence(ns, samples):
-    # cmd_equivalence's CSV text, and the reference: the serially
-    # concatenated _equivalence_rows one '%.17g' row at a time, same footer.
-    args = argparse.Namespace(n_list=ns, samples=samples, format="csv", out="-")
+def _equivalence(ns, samples, fmt):
+    # cmd_equivalence's text, and the reference: the serially concatenated
+    # _equivalence_rows one '%.17g' row at a time with the same footer, or
+    # json.dumps of the whole document.
+    args = argparse.Namespace(n_list=ns, samples=samples, format=fmt, out="-")
     ((path, chunks),), _ = cli.cmd_equivalence(args)
     rows = np.concatenate([cli._equivalence_rows(n, samples) for n in ns])
     extra = {"max_residual": float(rows[:, 4].max()), "limit": cli.RESIDUAL_LIMIT}
-    return (path, "".join(chunks)), ("-", table_text_reference(EQUIVALENCE, rows.tolist(), extra))
+    reference = table_text_reference(EQUIVALENCE, rows.tolist(), extra, fmt)
+    return (path, "".join(chunks)), ("-", reference)
 
 
 @pytest.mark.parametrize("how", ["raise", "signal", "short"])
 def test_a_failed_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd, how):
     rows = [[k / 7.0, -k * 1e300, 5e-324 * k] for k in range(3 * THRESHOLD + 1)]
-    expected = table_text_reference(["a", "b", "c"], rows, {"n": 1})
     _misbehave(monkeypatch, how)
-    assert "".join(cli._table_text("csv", ["a", "b", "c"], rows, {"n": 1})) == expected
-    assert len(forks) == CPUS - 1
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
+    for fmt in FORMATS:
+        forks.clear()
+        expected = table_text_reference(["a", "b", "c"], rows, {"n": 1}, fmt)
+        assert "".join(cli._table_text(fmt, ["a", "b", "c"], rows, {"n": 1})) == expected
+        assert len(forks) == CPUS - 1
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
     assert capfd.readouterr() == ("", "")  # a failing worker prints nothing
 
 
@@ -123,14 +149,16 @@ def test_a_failed_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd, h
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ns=st.lists(st.integers(min_value=2, max_value=2**20), min_size=1, max_size=8,
                    unique=True),
-       samples=st.integers(min_value=2, max_value=9), cpus=st.sampled_from([1, 2, CPUS]))
-@example(ns=[4], samples=9, cpus=CPUS)  # more shares by rows than N blocks
-def test_equivalence_shares_compute_the_serial_table(forks, monkeypatch, ns, samples, cpus):
+       samples=st.integers(min_value=2, max_value=9), cpus=st.sampled_from([1, 2, CPUS]),
+       fmt=st.sampled_from(FORMATS))
+@example(ns=[4], samples=9, cpus=CPUS, fmt="csv")  # more shares by rows than N blocks
+def test_equivalence_shares_compute_the_serial_table(forks, monkeypatch, ns, samples, cpus,
+                                                     fmt):
     # Contiguous groups of whole N blocks, each computed and formatted by
     # its own share: min(CPUs, len(ns), rows // THRESHOLD) groups.
     monkeypatch.setattr(hamsearch, "usable_cpus", lambda: cpus)
     forks.clear()
-    output, expected = _equivalence(ns, samples)
+    output, expected = _equivalence(ns, samples, fmt)
     assert output[1].encode() == expected[1].encode()
     assert len(forks) == max(1, min(cpus, len(ns), len(ns) * samples // THRESHOLD)) - 1
 
@@ -139,12 +167,14 @@ def test_equivalence_shares_compute_the_serial_table(forks, monkeypatch, ns, sam
 def test_a_failed_equivalence_worker_leaves_the_bytes_unchanged(forks, monkeypatch, capfd,
                                                                   how):
     _misbehave(monkeypatch, how)
-    # 15 rows: three groups, two of them in workers
-    output, expected = _equivalence([4, 16, 64, 256, 1024], 3)
-    assert output == expected
-    assert len(forks) == CPUS - 1
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
+    for fmt in FORMATS:
+        forks.clear()
+        # 15 rows: three groups, two of them in workers
+        output, expected = _equivalence([4, 16, 64, 256, 1024], 3, fmt)
+        assert output == expected
+        assert len(forks) == CPUS - 1
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
     assert capfd.readouterr() == ("", "")  # a failing worker prints nothing
 
 
@@ -177,17 +207,32 @@ def test_large_pin_runs_through_workers_and_leaves_none(name):
     assert proc.stderr.decode() == f"workers {workers}\natexit\n"
 
 
-def test_grover_curve_at_the_step_cap_stays_under_160_mib(tmp_path):
-    # 2^20 + 1 rows (a 27 MiB CSV) in a fresh process. Its own peak stays under
-    # 96 MiB, as no whole-table string is built (it read 109-113 MiB with one),
-    # and each worker's under 160 MiB.
-    out = tmp_path / "curve.csv"
-    argv = ["grover", "--n", "16", "--max-steps", "1048576", "--out", str(out)]
+# The step-cap curve's sha256 in each format, recorded before its JSON rows
+# were formatted in shares, and the MiB its own process may peak at.
+STEP_CAP_DIGESTS = {
+    "csv": "404d32432d53ce9bc9e81ac60ec141451347c28609b44a9196cdea34e0834b4d",
+    "json": "12780111d8cfd7f4d212aace320d5844989a50e4148f9c53c11cd60888a1c525",
+}
+STEP_CAP_SELF_MIB = {"csv": 96.0, "json": 128.0}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_grover_curve_at_the_step_cap_stays_under_160_mib(tmp_path, fmt):
+    # 2^20 + 1 rows (a 27 MiB CSV, a 47 MiB JSON file) in a fresh process, with
+    # the bytes recorded. Its own peak stays under 96 MiB as CSV, as no
+    # whole-table string is built (it read 109-113 MiB with one), and under
+    # 128 MiB as JSON (it read 506-512 MiB when json.dumps laid out the rows);
+    # each worker's stays under 160 MiB.
+    out = tmp_path / f"curve.{fmt}"
+    argv = ["grover", "--n", "16", "--max-steps", "1048576", "--format", fmt, "--out", str(out)]
     proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rc, self_mib, workers_mib = json.loads(proc.stdout)
     assert rc == cli.EXIT_OK
-    assert self_mib < 96.0 and workers_mib < 160.0
+    assert self_mib < STEP_CAP_SELF_MIB[fmt] and workers_mib < 160.0
     with open(out, "rb") as fh:
-        assert sum(1 for _ in fh) == 1 + 2**20 + 1 + 1  # header, rows, footer
+        assert hashlib.sha256(fh.read()).hexdigest() == STEP_CAP_DIGESTS[fmt]
+    if fmt == "csv":
+        with open(out, "rb") as fh:
+            assert sum(1 for _ in fh) == 1 + 2**20 + 1 + 1  # header, rows, footer

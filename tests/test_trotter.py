@@ -3,6 +3,7 @@
 # Independent oracle for exponentials: scipy's scaling-and-squaring expm.
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hamsearch
 from hamsearch import trotter
 from hamsearch.decompose import (
     decompose,
@@ -126,6 +128,15 @@ def _text_term_sets(draw):
         diagonal[order[2 * k:]] = [draw(value) for _ in order[2 * k:]]
         terms.append(BlockTerm(np.reshape(order[:2 * k], (k, 2)), blocks, diagonal))
     return HermitianTermSet(d, tuple(terms), tuple(f"t{k}" for k in range(len(terms))))
+
+
+# An all-zero term, dense and as a BlockTerm ("entries": []), and a dense 4 x 4
+# term of 15 nonzero entries, some values repeated, that spans chunks of two rows.
+ZERO_TERMS = HermitianTermSet(3, (np.zeros((3, 3)), BlockTerm(np.zeros((0, 2)), np.zeros(
+    (0, 2, 2)), np.zeros(3))), ("zero dense", "zero block"))
+DENSE_TERMS = HermitianTermSet(4, (np.add.outer(np.arange(4.0), np.arange(4.0))
+                                   + 1j * np.subtract.outer(np.arange(4.0), np.arange(4.0)),),
+                               ("dense",))
 
 
 def _is_matching(h):
@@ -525,19 +536,27 @@ class TestJsonInterchange:
 
     @settings(max_examples=60, deadline=None)
     @given(_term_sets())
+    @example(ZERO_TERMS)
+    @example(DENSE_TERMS)
     def test_writer_matches_json_dump(self, tmp_path_factory, terms):
+        # Entries formatted in chunks of two rows, so that most terms span several.
         path = tmp_path_factory.mktemp("terms") / "terms.json"
-        save_term_set(path, terms)
+        with mock.patch.object(hamsearch, "CHUNK_ROWS", 2):
+            save_term_set(path, terms)
         assert path.read_text(encoding="utf-8") == term_set_json(terms)
 
     @settings(max_examples=200, deadline=None)
     @given(_text_term_sets())
     @example(HermitianTermSet(2, (BlockTerm([[0, 1]], [[[1.0, -0.0 + 1j], [-0.0 - 1j, 1.0]]],
                                             np.zeros(2)),), ("zeros of both signs",)))
+    @example(ZERO_TERMS)
+    @example(DENSE_TERMS)
     def test_each_distinct_value_formats_as_json_dump_does(self, terms):
-        # A BlockTerm's values are formatted once per bit pattern (0.0 and -0.0
-        # apart), a dense term's one by one; both give json.dump's bytes.
-        assert "".join(trotter._term_set_chunks(terms)) == term_set_json(terms)
+        # Each term's values are formatted once per bit pattern (0.0 and -0.0
+        # apart), dense terms and BlockTerms alike, and its entries in chunks of
+        # two rows; the text is json.dump's bytes.
+        with mock.patch.object(hamsearch, "CHUNK_ROWS", 2):
+            assert "".join(trotter._term_set_chunks(terms)) == term_set_json(terms)
 
     def test_a_failed_save_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
         # The document is written under a temporary name and renamed over the
