@@ -16,6 +16,37 @@ import warnings
 __version__ = "0.1.0"
 
 
+class _Record:
+    """A frozen record: a subclass names its fields in ``_fields``, and its
+    ``__init__`` checks them and sets them with ``_set``. Equality, hash and
+    repr go by the field values, as a frozen dataclass's do."""
+
+    _fields: tuple = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, where there is one."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform

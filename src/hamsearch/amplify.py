@@ -27,12 +27,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, comb, exp, isfinite, log, log1p, log2, sqrt
 
 import numpy as np
 
-from . import _on_forks, _shares
+from . import _on_forks, _Record, _shares
 from .search import SearchInstance, search_split
 from .trotter import commutator_error
 
@@ -70,34 +69,30 @@ QUERIES_PER_TROTTER_STEP = 2
 QUERIES_PER_GROVER_STEP = 1
 
 
-@dataclass(frozen=True)
-class AmplificationPlan:
+class AmplificationPlan(_Record):
     """Per-run error, odd run count, Monte Carlo trial count, and seed."""
 
-    per_run_error: float
-    runs: int
-    trials: int
-    seed: int = 0
+    _fields = ("per_run_error", "runs", "trials", "seed")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.per_run_error <= 0.5:
+    def __init__(self, per_run_error: float, runs: int, trials: int, seed: int = 0) -> None:
+        if not 0.0 <= per_run_error <= 0.5:
             raise ValueError("per-run error must lie in [0, 1/2]")
-        _majority_threshold(self.runs)
-        if self.trials < 10_000:
+        _majority_threshold(runs)
+        if trials < 10_000:
             raise ValueError("need at least 1e4 trials for a meaningful estimate")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+        self._set(per_run_error, runs, trials, seed)
 
 
-@dataclass(frozen=True)
-class MajorityEstimate:
+class MajorityEstimate(_Record):
     """Empirical majority-failure rate with its Wilson 95% interval."""
 
-    rate: float
-    ci_low: float
-    ci_high: float
-    failures: int
-    trials: int
+    _fields = ("rate", "ci_low", "ci_high", "failures", "trials")
+
+    def __init__(self, rate: float, ci_low: float, ci_high: float, failures: int,
+                 trials: int) -> None:
+        self._set(rate, ci_low, ci_high, failures, trials)
 
     @property
     def ci_halfwidth(self) -> float:

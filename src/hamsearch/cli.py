@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -331,7 +330,8 @@ def cmd_grover(args) -> tuple[list, str | None]:
     plans = []
     if args.runs is not None:
         plan = amplify.AmplificationPlan(1.0 / args.n, args.runs, args.trials, args.seed)
-        plans = [replace(plan, runs=r) for r in range(1, plan.runs + 1, 2)]
+        plans = [amplify.AmplificationPlan(plan.per_run_error, r, plan.trials, plan.seed)
+                 for r in range(1, plan.runs + 1, 2)]
     max_steps = args.max_steps if args.max_steps is not None else max(1, 2 * expected)
     curve = statevector.success_curve(args.n, max_steps, target=args.target)
     rows = np.column_stack([np.arange(curve.size), curve])
@@ -339,7 +339,8 @@ def cmd_grover(args) -> tuple[list, str | None]:
     if args.measured_error:
         # Clipped into [0, 1/2]: at N = 2 the peak reads 1/2 less one rounding.
         per_run = min(0.5, max(0.0, 1.0 - float(curve[peak])))
-        plans = [replace(plan, per_run_error=per_run) for plan in plans]
+        plans = [amplify.AmplificationPlan(per_run, plan.runs, plan.trials, plan.seed)
+                 for plan in plans]
     extra = {
         "peak_step": peak,
         "expected_peak_step": expected,

@@ -25,10 +25,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Record
 from .linalg import assert_hermitian
 from .trotter import MAX_SITES, BlockTerm, HermitianTermSet, _number, read_document
 
@@ -90,23 +90,20 @@ def _columns(rows: tuple) -> tuple:
     return u, v, np.array(cw, float)
 
 
-@dataclass(frozen=True)
-class InteractionGraph:
+class InteractionGraph(_Record):
     """Simple undirected weighted graph, held as read-only (u, v, weight) arrays
     sorted with u < v and a CSR adjacency; ``edges`` holds the same edges as
     (int, int, float) tuples, built when first read."""
 
-    vertex_count: int
-    edges: tuple  # of (u, v, weight)
+    _fields = ("vertex_count", "edges")  # edges: (u, v, weight) tuples
 
-    def __post_init__(self) -> None:
-        rows = tuple(self.edges)
-        object.__delattr__(self, "edges")
+    def __init__(self, vertex_count: int, edges: tuple) -> None:
+        rows = tuple(edges)
         try:
             columns = _columns(rows)
         except (TypeError, ValueError, OverflowError):
             columns = None
-        self._hold(self.vertex_count, columns, lambda: rows)
+        self._hold(vertex_count, columns, lambda: rows)
 
     @classmethod
     def from_arrays(cls, vertex_count: int, u, v, weight) -> InteractionGraph:
@@ -171,19 +168,17 @@ class InteractionGraph:
         return self._arrays[1]
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(_Record):
     """Color index per edge, aligned with graph.edges, and whether the
     coloring pass found the graph bipartite."""
 
-    colors: tuple
-    bipartite: bool
+    _fields = ("colors", "bipartite")
 
-    def __post_init__(self) -> None:
-        colors = tuple(map(int, self.colors))
+    def __init__(self, colors: tuple, bipartite: bool) -> None:
+        colors = tuple(map(int, colors))
         if min(colors, default=0) < 0:
             raise ValueError("colors must be nonnegative")
-        object.__setattr__(self, "colors", colors)
+        self._set(colors, bipartite)
 
     @property
     def color_count(self) -> int:
@@ -279,20 +274,23 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
     start, other, edge = (a.tolist() for a in graph.neighbors())
 
     for k, (u, v) in enumerate(zip(state.us, state.vs)):
-        if k == 0 or u != state.us[k - 1]:  # edges come sorted by u
-            around = list(zip(other[start[u]:start[u + 1]], edge[start[u]:start[u + 1]]))
-        # Maximal fan of u anchored at v, as (vertex, edge) pairs: the color
-        # of each added edge is free at the previous fan vertex, the last x.
-        fan, in_fan, x = [(v, k)], {v}, v
-        grown = True
-        while grown:
-            grown = False
-            for y, e in around:
-                if y not in in_fan and colors[e] != -1 and x * p + colors[e] not in at:
-                    fan.append((y, e))
-                    in_fan.add(y)
-                    x, grown = y, True
+        # Maximal fan of u anchored at v, as (vertex, edge) pairs: each step adds
+        # the first colored edge of u not yet in the fan (those wait in rest, last
+        # first) whose color is free at the last fan vertex x. Edge indices rise
+        # along u's neighbours, so u's colored edges are those before v.
+        s, j = start[u], edge.index(k, start[u])
+        rest = list(zip(other[s:j], edge[s:j]))[::-1]
+        fan, x = [(v, k)], v
+        while rest:
+            i = 1
+            if x * p + colors[rest[-1][1]] in at:
+                for i, (_, e) in enumerate(reversed(rest), 1):
+                    if x * p + colors[e] not in at:
+                        break
+                else:
                     break
+            x = rest[-i][0]
+            fan.append(rest.pop(-i))
         c = state.smallest_free(u)
         d = state.smallest_free(x)
         if u * p + d in at:

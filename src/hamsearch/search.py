@@ -13,10 +13,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _Record
 from .pauli import phase_aligned_distance, rotation_unitary
 from .trotter import HermitianTermSet
 
@@ -40,18 +39,17 @@ __all__ = [
 GROVER_AXIS = np.array([0.0, -1.0, 0.0])
 
 
-@dataclass(frozen=True)
-class SearchInstance:
+class SearchInstance(_Record):
     """Database size N plus its derived 2D-subspace angles, times and step counts."""
 
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
+    def __init__(self, n: int) -> None:
+        if int(n) != n or n < 2:
             raise ValueError("database size must be an integer >= 2")
-        if self.n >= 2**64:  # numpy takes no integer past uint64 as a number
-            raise ValueError(f"database size N={self.n} is not below 2^64")
-        object.__setattr__(self, "n", int(self.n))
+        if n >= 2**64:  # numpy takes no integer past uint64 as a number
+            raise ValueError(f"database size N={n} is not below 2^64")
+        self._set(int(n))
 
     @property
     def overlap(self) -> float:
@@ -89,15 +87,16 @@ class SearchInstance:
         return np.array([s, np.sqrt(1.0 - s * s)], dtype=complex)
 
 
-@dataclass(frozen=True)
-class EquivalenceParams:
+class EquivalenceParams(_Record):
     """Fractional Grover power Q_t and phase angle beta at evolution time t.
 
     Both fields have the shape of the t they were computed for.
     """
 
-    q_t: float | np.ndarray
-    beta: float | np.ndarray
+    _fields = ("q_t", "beta")
+
+    def __init__(self, q_t: float | np.ndarray, beta: float | np.ndarray) -> None:
+        self._set(q_t, beta)
 
 
 def continuous_axis(inst: SearchInstance) -> np.ndarray:

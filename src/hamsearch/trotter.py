@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
 
-from . import _format_rows, _json_array, _write_outputs
+from . import _format_rows, _json_array, _Record, _write_outputs
 from .linalg import assert_hermitian, spectral_norm
 
 __all__ = [
@@ -54,8 +53,7 @@ def _dense(d: int, rows, cols, values) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class BlockTerm:
+class BlockTerm(_Record):
     """A direct sum of 2x2 blocks on disjoint index pairs plus a real diagonal.
 
     ``blocks[n]`` acts on rows and columns ``pairs[n]``; ``diagonal`` holds
@@ -63,14 +61,12 @@ class BlockTerm:
     pairs is purely diagonal. Nothing of size d x d is stored.
     """
 
-    pairs: np.ndarray  # (k, 2) ints
-    blocks: np.ndarray  # (k, 2, 2) complex
-    diagonal: np.ndarray  # (d,) float
+    _fields = ("pairs", "blocks", "diagonal")  # (k, 2) ints, (k, 2, 2) complex, (d,) float
 
-    def __post_init__(self) -> None:
-        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
-        blocks = np.array(self.blocks, dtype=complex).reshape(-1, 2, 2)
-        diagonal = np.array(self.diagonal, dtype=float)
+    def __init__(self, pairs, blocks, diagonal) -> None:
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        blocks = np.array(blocks, dtype=complex).reshape(-1, 2, 2)
+        diagonal = np.array(diagonal, dtype=float)
         sites = pairs.ravel()
         if diagonal.ndim != 1 or len(blocks) != len(pairs):
             raise ValueError("block term needs (k, 2) pairs, (k, 2, 2) blocks and a (d,) diagonal")
@@ -80,9 +76,9 @@ class BlockTerm:
             raise ValueError("block pairs must be disjoint")
         if np.any(diagonal[sites] != 0.0):
             raise ValueError("diagonal must vanish on sites covered by a block")
-        for name, value in (("pairs", pairs), ("blocks", blocks), ("diagonal", diagonal)):
+        for value in (pairs, blocks, diagonal):
             value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        self._set(pairs, blocks, diagonal)
 
     @property
     def dimension(self) -> int:
@@ -101,24 +97,21 @@ class BlockTerm:
         return _dense(self.dimension, *self.entries())
 
 
-@dataclass(frozen=True)
-class HermitianTermSet:
+class HermitianTermSet(_Record):
     """A Hamiltonian split H = sum_i H_i into labeled Hermitian terms.
 
     Each term is a dense (d, d) matrix or a ``BlockTerm``; block terms admit
     an exact closed-form exponential with zero fill-in.
     """
 
-    dimension: int
-    terms: tuple
-    labels: tuple
+    _fields = ("dimension", "terms", "labels")
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, dimension: int, terms: tuple, labels: tuple) -> None:
+        if not terms:
             raise ValueError("term set must contain at least one term")
-        d = int(self.dimension)
+        d = int(dimension)
         terms = tuple(t if isinstance(t, BlockTerm) else np.asarray(t, dtype=complex)
-                      for t in self.terms)
+                      for t in terms)
         for k, t in enumerate(terms):
             block = isinstance(t, BlockTerm)
             shape = (t.dimension,) * 2 if block else t.shape
@@ -127,12 +120,10 @@ class HermitianTermSet:
             assert_hermitian(t.blocks if block else t, what=f"term {k}")
             if not block:
                 t.flags.writeable = False
-        labels = tuple(str(x) for x in self.labels)
+        labels = tuple(str(x) for x in labels)
         if len(labels) != len(terms):
             raise ValueError("labels and terms must have equal length")
-        object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "labels", labels)
+        self._set(d, terms, labels)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -147,20 +138,17 @@ class HermitianTermSet:
         return np.sum([self.dense(k) for k in range(len(self))], axis=0)
 
 
-@dataclass(frozen=True)
-class TrotterPlan:
+class TrotterPlan(_Record):
     """Total time and step count; the step size is dt = total_time/steps."""
 
-    total_time: float
-    steps: int
+    _fields = ("total_time", "steps")
 
-    def __post_init__(self) -> None:
-        if self.steps < 1 or int(self.steps) != self.steps:
+    def __init__(self, total_time: float, steps: int) -> None:
+        if steps < 1 or int(steps) != steps:
             raise ValueError("steps must be a positive integer")
-        if not self.total_time > 0:
+        if not total_time > 0:
             raise ValueError("total_time must be positive")
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "total_time", float(self.total_time))
+        self._set(float(total_time), int(steps))
 
     @property
     def dt(self) -> float:

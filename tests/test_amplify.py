@@ -4,7 +4,6 @@
 import os
 import pickle
 import signal
-from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -229,8 +228,9 @@ class TestSimulateMajority:
                                               ("seed", 1)])
     def test_sweep_plans_share_all_but_the_runs(self, field, value):
         plan = AmplificationPlan(0.1, 3, 10_000, seed=0)
+        other = {"per_run_error": 0.1, "runs": 5, "trials": 10_000, "seed": 0, field: value}
         with pytest.raises(ValueError, match="share per_run_error, trials and seed"):
-            simulate_majorities([plan, replace(plan, runs=5, **{field: value})])
+            simulate_majorities([plan, AmplificationPlan(**other)])
         with pytest.raises(ValueError, match="one or more plans"):
             simulate_majorities([])
 

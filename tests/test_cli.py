@@ -864,6 +864,23 @@ class TestPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_cli_import_loads_no_dataclasses(self):
+        # setup_s: the records are plain classes on hamsearch._Record, so the
+        # import loads no dataclasses module and builds no dataclass (0.5-1 ms each).
+        src = os.path.dirname(os.path.dirname(hamsearch.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def loads_dataclasses(module):
+            probe = f"import sys, {module}\nprint('dataclasses' in sys.modules)\n"
+            proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout == "True\n"
+
+        if loads_dataclasses("numpy"):
+            pytest.skip("a bare import numpy already loads dataclasses")
+        assert not loads_dataclasses("hamsearch.cli")
+
     @pytest.mark.parametrize("spelling", ["dotted", "symlink"])
     def test_two_outputs_to_one_file_are_rejected(self, tmp_path, capsys, spelling):
         # The second table would silently replace the first.

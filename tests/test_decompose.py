@@ -458,6 +458,15 @@ class TestColorEdges:
         g = InteractionGraph(3, ())
         assert color_edges(g).color_count == 0
 
+    def test_a_hub_with_an_odd_cycle_colors_without_rescanning_its_fan(self):
+        # Misra-Gries builds a fan of up to all the hub's colored edges for each
+        # new edge; a fan loop that rescans the hub per step is cubic in its
+        # degree, and took about 40 s on this graph on a 2-vCPU VM.
+        g = InteractionGraph(2001, tuple((0, leaf, 1.0) for leaf in range(1, 2001)) + ((1, 2, 1.0),))
+        coloring = color_edges(g)
+        _assert_proper(g, coloring)
+        assert not coloring.bipartite and coloring.color_count <= g.max_degree + 1
+
 
 class TestDecompose:
     def test_ring_splits_into_even_and_odd_projector_terms(self):
