@@ -21,8 +21,6 @@ class _Record:
     ``__init__`` checks them and sets them with ``_set``. Equality, hash and
     repr go by the field values, as a frozen dataclass's do."""
 
-    _fields: tuple = ()
-
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)

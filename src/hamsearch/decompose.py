@@ -274,12 +274,14 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
     start, other, edge = (a.tolist() for a in graph.neighbors())
 
     for k, (u, v) in enumerate(zip(state.us, state.vs)):
-        # Maximal fan of u anchored at v, as (vertex, edge) pairs: each step adds
-        # the first colored edge of u not yet in the fan (those wait in rest, last
-        # first) whose color is free at the last fan vertex x. Edge indices rise
-        # along u's neighbours, so u's colored edges are those before v.
-        s, j = start[u], edge.index(k, start[u])
-        rest = list(zip(other[s:j], edge[s:j]))[::-1]
+        if k == 0 or u != state.us[k - 1]:  # edges come sorted by u
+            around = list(zip(other[start[u]:start[u + 1]], edge[start[u]:start[u + 1]]))
+            j = edge.index(k, start[u]) - start[u]  # v's place among u's neighbours
+        # Maximal fan of u anchored at v, as (vertex, edge) pairs. u's colored edges
+        # are those before v (edge indices rise along u's neighbours); each step adds
+        # the first of them not yet in the fan (rest, last first) whose color is free
+        # at the last fan vertex x, and scans on only when the first one's is not.
+        rest, j = around[:j][::-1], j + 1
         fan, x = [(v, k)], v
         while rest:
             i = 1
