@@ -280,19 +280,17 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
         # Maximal fan of u anchored at v, as (vertex, edge) pairs. u's colored edges
         # are those before v (edge indices rise along u's neighbours); each step adds
         # the first of them not yet in the fan (rest, last first) whose color is free
-        # at the last fan vertex x, and scans on only when the first one's is not.
+        # at the last fan vertex x.
         rest, j = around[:j][::-1], j + 1
         fan, x = [(v, k)], v
         while rest:
-            i = 1
-            if x * p + colors[rest[-1][1]] in at:
-                for i, (_, e) in enumerate(reversed(rest), 1):
-                    if x * p + colors[e] not in at:
-                        break
-                else:
-                    break
-            x = rest[-i][0]
-            fan.append(rest.pop(-i))
+            i = len(rest) - 1
+            while i >= 0 and x * p + colors[rest[i][1]] in at:
+                i -= 1
+            if i < 0:
+                break
+            x = rest[i][0]
+            fan.append(rest.pop(i))
         c = state.smallest_free(u)
         d = state.smallest_free(x)
         if u * p + d in at:
