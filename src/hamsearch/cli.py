@@ -258,6 +258,7 @@ def _decompose_input(args):
     if lattice == "chain" and not args.periodic:
         return (*decompose.laplacian_chain(args.length), None)
     ring = decompose.laplacian_chain(args.length, periodic=True)
+    trotter._check_dense_cap(args.length)  # the spectrum check needs H dense
     spectrum = np.sort(4.0 * np.sin(np.pi * np.arange(args.length) / args.length) ** 2)
     return (*ring, spectrum)
 
@@ -311,7 +312,7 @@ def cmd_decompose(args) -> tuple[list, str | None]:
     if not reconstruction <= RECONSTRUCTION_LIMIT:
         failure = f"reconstruction residual {reconstruction:.3e} above {RECONSTRUCTION_LIMIT:.0e}"
     if expected_spectrum is not None:
-        observed = np.sort(np.linalg.eigvalsh(term_set.total()))
+        observed = np.linalg.eigvalsh(term_set.total())
         spectrum_err = float(np.max(np.abs(observed - expected_spectrum)))
         report["spectrum_residual"] = spectrum_err
         if failure is None and not spectrum_err <= SPECTRUM_LIMIT:
@@ -327,20 +328,18 @@ def cmd_grover(args) -> tuple[list, str | None]:
         if value is not None and value > cap:
             raise ValueError(f"{option} {value} above the cap of {cap}")
     expected = statevector.expected_peak_step(args.n)
-    plans = []
-    if args.runs is not None:
-        plan = amplify.AmplificationPlan(1.0 / args.n, args.runs, args.trials, args.seed)
-        plans = [amplify.AmplificationPlan(plan.per_run_error, r, plan.trials, plan.seed)
-                 for r in range(1, plan.runs + 1, 2)]
+    if args.runs is not None:  # a bad --runs, --trials or --seed fails before the curve
+        amplify.AmplificationPlan(1.0 / args.n, args.runs, args.trials, args.seed)
     max_steps = args.max_steps if args.max_steps is not None else max(1, 2 * expected)
     curve = statevector.success_curve(args.n, max_steps, target=args.target)
     rows = np.column_stack([np.arange(curve.size), curve])
     peak = statevector.peak_step(curve)
+    per_run = 1.0 / args.n
     if args.measured_error:
         # Clipped into [0, 1/2]: at N = 2 the peak reads 1/2 less one rounding.
         per_run = min(0.5, max(0.0, 1.0 - float(curve[peak])))
-        plans = [amplify.AmplificationPlan(per_run, plan.runs, plan.trials, plan.seed)
-                 for plan in plans]
+    plans = [amplify.AmplificationPlan(per_run, r, args.trials, args.seed)
+             for r in range(1, (args.runs or 0) + 1, 2)]
     extra = {
         "peak_step": peak,
         "expected_peak_step": expected,

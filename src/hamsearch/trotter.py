@@ -44,10 +44,14 @@ STEP_CAP = 10_000_000
 MAX_DENSE_DIMENSION = 4096
 
 
-def _dense(d: int, rows, cols, values) -> np.ndarray:
-    # The d x d complex matrix with these entries, zero elsewhere; d up to the cap.
+def _check_dense_cap(d: int) -> None:
     if d > MAX_DENSE_DIMENSION:
         raise ValueError(f"dense term of d={d} exceeds the cap {MAX_DENSE_DIMENSION}")
+
+
+def _dense(d: int, rows, cols, values) -> np.ndarray:
+    # The d x d complex matrix with these entries, zero elsewhere; d up to the cap.
+    _check_dense_cap(d)
     h = np.zeros((d, d), dtype=complex)
     h[rows, cols] = values
     return h
@@ -85,13 +89,15 @@ class BlockTerm(_Record):
         return len(self.diagonal)
 
     def entries(self) -> tuple:
-        """(rows, cols, values): every block entry, then the nonzero bare diagonal."""
+        """(rows, cols, values) of the nonzero entries, in (row, col) order."""
         i, j = self.pairs.T
         free = np.flatnonzero(self.diagonal)
         rows = np.concatenate([i, i, j, j, free])
         cols = np.concatenate([i, j, i, j, free])
         values = np.concatenate([self.blocks.reshape(-1, 4).T.ravel(), self.diagonal[free]])
-        return rows, cols, values
+        order = np.argsort(rows * self.dimension + cols)
+        order = order[values[order] != 0]
+        return rows[order], cols[order], values[order]
 
     def dense(self) -> np.ndarray:
         return _dense(self.dimension, *self.entries())
@@ -110,7 +116,7 @@ class HermitianTermSet(_Record):
         if not terms:
             raise ValueError("term set must contain at least one term")
         d = int(dimension)
-        terms = tuple(t if isinstance(t, BlockTerm) else np.asarray(t, dtype=complex)
+        terms = tuple(t if isinstance(t, BlockTerm) else np.array(t, dtype=complex)
                       for t in terms)
         for k, t in enumerate(terms):
             block = isinstance(t, BlockTerm)
@@ -231,13 +237,10 @@ def bloch_sectors(terms: HermitianTermSet):
     sectors = []
     for term in terms.terms:
         rows, cols, values = term.entries()
-        keep = values != 0
-        rows, cols, values = rows[keep], cols[keep], values[keep]
-        keys = rows * d + cols
         shifted = (rows + 2) % d * d + (cols + 2) % d
-        here, there = np.argsort(keys), np.argsort(shifted)
-        if not (np.array_equal(keys[here], shifted[there])
-                and np.array_equal(values[here], values[there])):
+        there = np.argsort(shifted)
+        if not (np.array_equal(rows * d + cols, shifted[there])
+                and np.array_equal(values, values[there])):
             return None
         # Entry H[2n + a, b] of the column of cell 0 adds its value times
         # exp(-2 pi i q n / M) to entry (a, b) of every sector q.
@@ -342,13 +345,10 @@ _ENTRY_FIELDS = ("row", "column", "entry ({}, {}) real part", "entry ({}, {}) im
 
 def _nonzero_entries(h) -> tuple:
     # (rows, cols, values) of the nonzero entries of a term, in (row, col) order.
-    if not isinstance(h, BlockTerm):
-        rows, cols = np.nonzero(h)
-        return rows, cols, h[rows, cols]
-    rows, cols, values = h.entries()
-    keep = np.flatnonzero(values)
-    order = keep[np.lexsort((cols[keep], rows[keep]))]
-    return rows[order], cols[order], values[order]
+    if isinstance(h, BlockTerm):
+        return h.entries()
+    rows, cols = np.nonzero(h)
+    return rows, cols, h[rows, cols]
 
 
 def _term_from_entries(dim: int, rows: list, where: str):

@@ -929,6 +929,7 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("argv, d", [
         ("decompose --lattice ring --length 4098", 4098),
+        ("decompose --lattice ring --length 65536", 65536),
         ("trotter-scan --problem chain --length 4097", 4097),
         ("trotter-scan --problem chain --length 4099 --periodic", 4099)])
     def test_dense_cap_stops_before_allocating(self, capsys, argv, d):

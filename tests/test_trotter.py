@@ -190,6 +190,29 @@ class TestTermSetValidation:
         expected = np.array([[3.0, 0, -2j], [0, -4.0, 0], [2j, 0, 1.0]])
         assert np.array_equal(term.dense(), expected)
 
+    def test_dense_terms_are_copied(self):
+        # The term set freezes its own copy of a dense term, not the caller's array.
+        h = np.eye(2, dtype=complex)
+        terms = HermitianTermSet(2, (h,), ("a",))
+        h[0, 0] = 2
+        assert np.array_equal(terms.dense(0), np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            terms.dense(0)[0, 0] = 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(_term_sets())
+    @example(HermitianTermSet(3, (BlockTerm([[2, 0]], [[[0.0, 1.0], [1.0, 0.0]]],
+                                            [0.0, 5.0, 0.0]),), ("zeros inside a block",)))
+    def test_entries_are_the_nonzero_entries_in_row_major_order(self, terms):
+        # The order the term file lists them in: by row, then column, zeros left out.
+        for h in terms.terms:
+            block = isinstance(h, BlockTerm)
+            dense = h.dense() if block else h
+            rows, cols = np.nonzero(dense)
+            got = h.entries() if block else trotter._nonzero_entries(h)
+            for a, b in zip(got, (rows, cols, dense[rows, cols]), strict=True):
+                assert np.array_equal(a, b)
+
     def test_dense_block_term_is_capped(self):
         # Above the cap the term stays block-sparse; only densifying fails.
         d = MAX_DENSE_DIMENSION + 1
