@@ -335,8 +335,7 @@ def cmd_grover(args) -> tuple[list, str | None]:
     rows = np.column_stack([np.arange(curve.size), curve])
     peak = statevector.peak_step(curve)
     per_run = 1.0 / args.n
-    if args.measured_error:
-        # Clipped into [0, 1/2]: at N = 2 the peak reads 1/2 less one rounding.
+    if args.measured_error:  # clipped into [0, 1/2]: at N = 2 the peak reads 1/2 less a rounding
         per_run = min(0.5, max(0.0, 1.0 - float(curve[peak])))
     plans = [amplify.AmplificationPlan(per_run, r, args.trials, args.seed)
              for r in range(1, (args.runs or 0) + 1, 2)]
