@@ -218,36 +218,38 @@ def _verify_proper(graph: InteractionGraph, colors) -> None:
 
 
 class _ColorState:
-    """Bookkeeping shared by both coloring passes: the endpoint lists, a color per
-    edge (-1 while uncolored) and one flat dict of the filled slots, ``at[x *
-    palette + c]`` the edge of color c at vertex x (a free slot has no key)."""
+    """Bookkeeping shared by both coloring passes: the endpoint and CSR lists, a
+    color per edge (-1 while uncolored) and one bit mask per vertex, ``used[x]``,
+    whose bit c is set while an edge of color c meets x."""
 
     def __init__(self, graph: InteractionGraph, palette: int):
         self.us, self.vs = (a.tolist() for a in graph.edge_arrays()[:2])
+        self.start, self.other, self.edge = (a.tolist() for a in graph.neighbors())
         self.palette = palette
         self.colors = [-1] * len(self.us)
-        self.at = {}
+        self.used = [0] * graph.vertex_count
 
     def smallest_free(self, vertex: int) -> int:
-        base = vertex * self.palette
-        for c in range(self.palette):
-            if base + c not in self.at:
-                return c
-        raise AssertionError(f"no free color at vertex {vertex} (palette {self.palette})")
+        m = self.used[vertex]
+        c = (~m & (m + 1)).bit_length() - 1  # the lowest clear bit
+        if c >= self.palette:
+            raise AssertionError(f"no free color at vertex {vertex} (palette {self.palette})")
+        return c
 
     def flip_chain(self, start: int, a: int, b: int) -> None:
-        """Swap a and b along the maximal path from `start` alternating colors (a, b)."""
-        at, p, us, vs, now = self.at, self.palette, self.us, self.vs, self.colors
+        """Swap a and b along the maximal path from `start` alternating colors
+        (a, b); b is free at `start`, so the path cannot come back to it."""
+        used, now, first, other, edge = self.used, self.colors, self.start, self.other, self.edge
         chain, z, want = [], start, a
-        while (e := at.get(z * p + want)) is not None:
-            chain.append(e)
-            z = vs[e] if z == us[e] else us[e]
-            want = b if want == a else a
-        for e in chain:  # every old slot goes first: neighbours trade their colors
-            del at[us[e] * p + now[e]], at[vs[e] * p + now[e]]
+        while used[z] >> want & 1:  # z's one edge of color want, from its CSR row
+            i = next(i for i in range(first[z], first[z + 1]) if now[edge[i]] == want)
+            chain.append(edge[i])
+            z, want = other[i], b if want == a else a
         for e in chain:
             now[e] = b if now[e] == a else a
-            at[us[e] * p + now[e]] = at[vs[e] * p + now[e]] = e
+        if chain:  # inner vertices keep both colors; each end trades one for the other
+            used[start] ^= 1 << a | 1 << b
+            used[z] ^= 1 << a | 1 << b
 
 
 def _color_bipartite(graph: InteractionGraph) -> list:
@@ -255,23 +257,23 @@ def _color_bipartite(graph: InteractionGraph) -> list:
     # u's smallest free color c with v's along the alternating chain from v;
     # in a bipartite graph it cannot reach u, so the flip frees c at v.
     state = _ColorState(graph, max(1, graph.max_degree))
-    at, p, colors = state.at, state.palette, state.colors
+    used, colors = state.used, state.colors
     for k, (u, v) in enumerate(zip(state.us, state.vs)):
-        for c in range(p):
-            if u * p + c not in at and v * p + c not in at:
-                break
-        else:
+        both = used[u] | used[v]
+        c = (~both & (both + 1)).bit_length() - 1  # the smallest color free at both ends
+        if c >= state.palette:
             c = state.smallest_free(u)
             state.flip_chain(v, c, state.smallest_free(v))
         colors[k] = c
-        at[u * p + c] = at[v * p + c] = k
+        used[u] |= 1 << c
+        used[v] |= 1 << c
     return colors
 
 
 def _color_misra_gries(graph: InteractionGraph) -> list:
     state = _ColorState(graph, graph.max_degree + 1)
-    at, p, colors = state.at, state.palette, state.colors
-    start, other, edge = (a.tolist() for a in graph.neighbors())
+    used, colors = state.used, state.colors
+    start, other, edge = state.start, state.other, state.edge
 
     for k, (u, v) in enumerate(zip(state.us, state.vs)):
         if k == 0 or u != state.us[k - 1]:  # edges come sorted by u
@@ -285,7 +287,7 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
         fan, x = [(v, k)], v
         while rest:
             i = len(rest) - 1
-            while i >= 0 and x * p + colors[rest[i][1]] in at:
+            while i >= 0 and used[x] >> colors[rest[i][1]] & 1:
                 i -= 1
             if i < 0:
                 break
@@ -293,21 +295,22 @@ def _color_misra_gries(graph: InteractionGraph) -> list:
             fan.append(rest.pop(i))
         c = state.smallest_free(u)
         d = state.smallest_free(x)
-        if u * p + d in at:
+        if used[u] >> d & 1:
             # Flip the maximal dc-path from u; afterwards d is free at u (the
             # path cannot loop back, c being free at u).
             state.flip_chain(u, d, c)
         # Rotate the fan up to its first vertex where d is free: each edge
-        # takes the next one's color and the last takes d. From the last edge
-        # back, each new color's slot at u is the one the later edge left.
+        # takes the next one's color and the last takes d. At u only d is new;
+        # every other color passes from one fan edge to the one before it.
         w = 0
-        while fan[w][0] * p + d in at:
+        while used[fan[w][0]] >> d & 1:
             w += 1
+        used[u] |= 1 << d
         for y, e in reversed(fan[:w + 1]):
             if colors[e] != -1:
-                del at[y * p + colors[e]]
+                used[y] ^= 1 << colors[e]
             colors[e], d = d, colors[e]
-            at[u * p + colors[e]] = at[y * p + colors[e]] = e
+            used[y] |= 1 << colors[e]
     return colors
 
 

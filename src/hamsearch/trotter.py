@@ -32,7 +32,6 @@ __all__ = [
     "plan_for_budget",
     "telescoping_bound_check",
     "read_document",
-    "term_set_from_json",
     "save_term_set",
     "load_term_set",
 ]
@@ -427,7 +426,7 @@ def read_document(doc, size_key: str, key: str) -> tuple:
     return size, items
 
 
-def term_set_from_json(doc) -> HermitianTermSet:
+def load_term_set(doc) -> HermitianTermSet:
     """The term set of a document, given parsed or as a path."""
     dim, items = read_document(doc, "dimension", "terms")
     terms = []
@@ -464,7 +463,3 @@ def save_term_set(path, terms: HermitianTermSet) -> None:
     """Write the term-set document, byte for byte as json.dump(doc, indent=1)
     followed by a newline, all or nothing (through a temporary file)."""
     _write_outputs((path, _term_set_chunks(terms)))
-
-
-def load_term_set(path) -> HermitianTermSet:
-    return term_set_from_json(path)

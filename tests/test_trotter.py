@@ -36,7 +36,6 @@ from hamsearch.trotter import (
     plan_for_budget,
     save_term_set,
     telescoping_bound_check,
-    term_set_from_json,
     trotter_evolve,
     trotter_scan,
 )
@@ -605,16 +604,16 @@ class TestJsonInterchange:
     def test_rejects_non_hermitian_document(self):
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": [[0, 1, 1.0, 0.0]]}]}
         with pytest.raises(ValueError):
-            term_set_from_json(doc)
+            load_term_set(doc)
 
     def test_rejects_out_of_range_entries(self):
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": [[0, 5, 1.0, 0.0]]}]}
         with pytest.raises(ValueError):
-            term_set_from_json(doc)
+            load_term_set(doc)
 
     def test_rejects_malformed_document(self):
         with pytest.raises(ValueError):
-            term_set_from_json({"terms": []})
+            load_term_set({"terms": []})
 
     @pytest.mark.parametrize("dimension, entry, match", [
         (2.5, [0, 0, 1.0, 0.0], r"dimension 2\.5 is not an integer"),
@@ -625,7 +624,7 @@ class TestJsonInterchange:
     def test_rejects_non_integer_indices(self, dimension, entry, match):
         doc = {"dimension": dimension, "terms": [{"label": "x", "entries": [entry]}]}
         with pytest.raises(ValueError, match=match):
-            term_set_from_json(doc)
+            load_term_set(doc)
 
     @pytest.mark.parametrize("term", [5, [], "x", {"label": "x"}, {"entries": 5}])
     def test_rejects_a_term_without_entries(self, term):
@@ -633,7 +632,7 @@ class TestJsonInterchange:
         # as an all-zero term, and a term that is no object raised AttributeError.
         doc = {"dimension": 2, "terms": [{"label": "a", "entries": []}, term]}
         with pytest.raises(ValueError, match='term 1 is not an object with an "entries" list'):
-            term_set_from_json(doc)
+            load_term_set(doc)
 
     @pytest.mark.parametrize("terms, match", [
         (5, "terms 5 is not a list"),
@@ -643,7 +642,7 @@ class TestJsonInterchange:
     def test_rejects_misshapen_terms_and_entries(self, terms, match):
         # Each raised TypeError, or a ValueError that named no term.
         with pytest.raises(ValueError, match=match):
-            term_set_from_json({"dimension": 2, "terms": terms})
+            load_term_set({"dimension": 2, "terms": terms})
 
     @pytest.mark.parametrize("value, match", [
         (("1.5", 0.0), r"term 0: entry \(1, 1\) real part '1\.5' is not a float"),
@@ -653,11 +652,11 @@ class TestJsonInterchange:
     def test_rejects_entries_that_are_not_numbers(self, value, match):
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": [[1, 1, *value]]}]}
         with pytest.raises(ValueError, match=match):
-            term_set_from_json(doc)
+            load_term_set(doc)
 
     def test_integral_floats_are_indices(self):
         doc = {"dimension": 2.0, "terms": [{"label": "x", "entries": [[1.0, 1, 3.0, 0.0]]}]}
-        assert np.array_equal(term_set_from_json(doc).dense(0), np.diag([0.0, 3.0]))
+        assert np.array_equal(load_term_set(doc).dense(0), np.diag([0.0, 3.0]))
 
     @pytest.mark.parametrize("text, key", [
         ('{"dimension": 2, "dimension": 3, "terms": []}', "dimension"),
@@ -681,7 +680,7 @@ class TestJsonInterchange:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=match):
-                term_set_from_json(doc)
+                load_term_set(doc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -691,7 +690,7 @@ class TestJsonInterchange:
         # A file that is not JSON is named in the error.
         path = tmp_path / "terms.json"
         path.write_text('{"dimension": 2, "terms": [{"entries": [[0, 0, 1.0, 0.0]]}]}')
-        assert term_set_from_json(path).labels == ("term0",)
+        assert load_term_set(path).labels == ("term0",)
         path.write_text('{"dimension": 2, "terms": [')
         with pytest.raises(ValueError, match=f"{path}: Expecting value"):
             load_term_set(path)
@@ -700,7 +699,7 @@ class TestJsonInterchange:
         entries = [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0], [0, 0, 5.0, 0.0]]
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": entries}]}
         with pytest.raises(ValueError, match=r"term 0: duplicate entry \(0, 0\)"):
-            term_set_from_json(doc)
+            load_term_set(doc)
 
     @pytest.mark.parametrize("value", [(float("nan"), 0.0), (1.0, float("inf")),
                                        (-float("inf"), 0.0)])
@@ -708,4 +707,4 @@ class TestJsonInterchange:
         entries = [[0, 1, *value], [1, 0, 1.0, 0.0]]
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": entries}]}
         with pytest.raises(ValueError, match=r"term 0: entry \(0, 1\) is non-finite"):
-            term_set_from_json(doc)
+            load_term_set(doc)
