@@ -70,9 +70,12 @@ def float_list(text: str) -> list:
 
 
 # The fewest rows per share of a table that a forked worker computes or
-# formats. On a 2-vCPU Xeon VM two shares of a 4096 x 7 CSV table (25 ms) took
-# as long as one: a fork and join (2-4 ms) and the copy-on-write faults they
-# bring ate the saving. Two of 4096 rows took 41 ms, not 49.
+# formats. On a 2-vCPU Xeon VM, with CSV cells from the numpy kernel, a
+# 4096 x 7 CSV table took 4.8-4.9 ms in one share and 6.3-7.2 ms in two: a
+# fork and join (2-4 ms) and the copy-on-write faults they bring cost more than
+# they save. 8192 x 7 took 9.0-9.5 ms in one and 8.8-9.3 ms in two, so for
+# formatting alone shares of 4096 rows break even (medians of 41 calls in
+# process, two runs of each). Equivalence shares also compute their rows.
 SHARE_ROWS = 4096
 
 

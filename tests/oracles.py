@@ -333,18 +333,29 @@ def scalar_coloring(vertex_count, edges, short=0):
     state = _DictColorState(edges, vertex_count, top + 1)
     adj = scalar_adjacency(vertex_count, edges)
     for k, (u, v, _) in enumerate(edges):
-        fan, in_fan = [(v, k)], {v}
-        grown = True
-        while grown:
-            grown = False
-            for y, e in adj[u]:
-                if y in in_fan or state.colors[e] == -1:
-                    continue
-                if state.colors[e] not in state.by_vertex[fan[-1][0]]:
-                    fan.append((y, e))
-                    in_fan.add(y)
-                    grown = True
-                    break
+        # The fan grows by the first (y, e) of adj[u], y new and e colored, whose color is
+        # free at the fan's last vertex. Colors hold while it grows, so an entry passed over
+        # for a color taken there stays in `passed`, in adj[u] order, to be tried at the next
+        # vertex before the scan goes on from where it stopped.
+        fan, in_fan, passed, rest = [(v, k)], {v}, [], iter(adj[u])
+        while True:
+            taken = state.by_vertex[fan[-1][0]]
+            grow = next((p for p in passed
+                         if p[0] not in in_fan and state.colors[p[1]] not in taken), None)
+            if grow is not None:
+                passed.remove(grow)
+            else:
+                for y, e in rest:
+                    if y in in_fan or state.colors[e] == -1:
+                        continue
+                    if state.colors[e] not in taken:
+                        grow = (y, e)
+                        break
+                    passed.append((y, e))
+            if grow is None:
+                break
+            fan.append(grow)
+            in_fan.add(grow[0])
         c = state.smallest_free(u)
         d = state.smallest_free(fan[-1][0])
         if d in state.by_vertex[u]:

@@ -2,8 +2,9 @@
 # bytes against a per-row '%.17g' reference and against json.dumps, for generic
 # tables and for equivalence, whose shares compute their own rows, with forked
 # workers that succeed and that fail, no worker left after main, and the peak
-# memory of the largest table. Any warning fails these tests (pyproject.toml),
-# the fork warning of Python 3.12 included.
+# memory of the largest table; and the CSV kernel against '%.17g' cell by cell.
+# Any warning fails these tests (pyproject.toml), the fork warning of Python
+# 3.12 included.
 
 import argparse
 import hashlib
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hamsearch
-from hamsearch import cli
+from hamsearch import cli, csvcells
 from oracles import PEAK_SCRIPT, table_text_reference
 from test_golden import SUBSPACE
 
@@ -38,6 +39,15 @@ CELLS = st.one_of(
                      1.7976931348623157e308, -1e300, 1e-300, 0.1, 1.0, 65536.0]))
 
 
+# Any double, drawn as its 64 bits or from the range the CSV kernel spells itself, and
+# the special values CSV also writes.
+DOUBLES = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1).map(
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64))),
+    st.floats(min_value=-1e16, max_value=1e16))
+NON_FINITE = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
 def _env():
     src = os.path.dirname(os.path.dirname(hamsearch.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -45,9 +55,11 @@ def _env():
 
 @pytest.fixture
 def forks(monkeypatch):
-    # Shares of THRESHOLD rows on CPUS CPUs, in chunks of two rows; counts the forks.
+    # Shares of THRESHOLD rows on CPUS CPUs, in chunks of two rows, CSV tables of 6 cells
+    # or more through the kernel in blocks of 6 cells; counts the forks.
     monkeypatch.setattr(cli, "SHARE_ROWS", THRESHOLD)
     monkeypatch.setattr(hamsearch, "CHUNK_ROWS", 2)
+    monkeypatch.setattr(hamsearch, "CSV_CELLS", 6)
     monkeypatch.setattr(hamsearch, "usable_cpus", lambda: CPUS)
     made = []
     fork = os.fork
@@ -56,11 +68,11 @@ def forks(monkeypatch):
 
 
 @st.composite
-def tables(draw):
+def tables(draw, cells=CELLS):
     # (columns, rows, extra) of 0 to 3 x THRESHOLD rows and 1 to 7 columns.
     width = draw(st.integers(min_value=1, max_value=7))
     count = draw(st.integers(min_value=0, max_value=3 * THRESHOLD))
-    rows = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width),
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width),
                          min_size=count, max_size=count))
     extra = draw(st.one_of(st.none(), st.just({"limit": 1e-9, "max": -0.0})))
     return [f"c{k}" for k in range(width)], rows, extra
@@ -77,6 +89,63 @@ def test_bytes_match_the_per_row_reference(forks, table, fmt):
     assert text.encode() == table_text_reference(columns, rows, extra, fmt).encode()
     shares = min(CPUS, len(rows) // THRESHOLD)
     assert len(forks) == (shares - 1 if shares > 1 else 0)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables(st.one_of(CELLS, NON_FINITE)))
+def test_non_finite_csv_cells_match_the_per_row_reference(forks, table):
+    columns, rows, extra = table
+    text = "".join(cli._table_text("csv", columns, rows, extra))
+    assert text == table_text_reference(columns, rows, extra, "csv")
+
+
+def test_a_non_finite_cell_of_a_kernel_sized_table_matches_the_reference():
+    # 3000 x 3 cells: at least CSV_CELLS, so the kernel writes them unpatched, in two blocks.
+    rows = np.random.default_rng(5).standard_normal((3000, 3))
+    rows[::7, 0], rows[3::11, 1], rows[5::13, 2] = np.inf, -np.inf, np.nan
+    assert rows.size >= hamsearch.CSV_CELLS
+    text = "".join(cli._table_text("csv", ["a", "b", "c"], rows, {"n": 2}))
+    assert text == table_text_reference(["a", "b", "c"], rows.tolist(), {"n": 2}, "csv")
+
+
+def _kernel_text(values):
+    # The kernel's text of values, a ',' after each, and '%.17g' % value's.
+    values = np.asarray(values, dtype=float)
+    text = csvcells._csv_block(values, np.full(len(values), ord(","), np.uint8))
+    return text, "".join("%.17g," % v for v in values.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(DOUBLES, CELLS), min_size=1, max_size=40))
+@example([9.9999999999999995e-5, 99999999999999999.0, 0.0, -0.0, 5e-324, -2.2250738585072e-308])
+def test_the_csv_kernel_writes_each_double_as_percent_does(values):
+    got, expected = _kernel_text(values)
+    assert got == expected
+
+
+def test_the_csv_kernel_at_powers_of_ten_and_ties():
+    # 10^k and its neighbours for every k a double reaches, and (k + 1/2) x 2^-j, whose
+    # last digit can sit on a tie of the 17th.
+    tens = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    ties = (np.arange(64)[:, None] + 0.5) * 2.0 ** -np.arange(100.0)
+    for values in (tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf), ties.ravel()):
+        for sign in (1.0, -1.0):
+            got, expected = _kernel_text(sign * values)
+            assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(min_value=1, max_value=7), count=st.integers(min_value=1, max_value=30),
+       block=st.integers(min_value=1, max_value=40), data=st.data())
+def test_csv_rows_in_any_block_size_match_the_per_row_reference(width, count, block, data):
+    # Blocks of max(1, block // width) rows, so the last is often short, and 1-row tables.
+    rows = np.array(data.draw(st.lists(st.lists(st.one_of(DOUBLES, NON_FINITE), min_size=width,
+                                                max_size=width), min_size=count, max_size=count)))
+    template = ",".join(["%.17g"] * width) + "\n"
+    chunks = csvcells.csv_rows(rows, block)
+    assert len(chunks) == -(-count // max(1, block // width))
+    assert "".join(chunks) == "".join(template % tuple(row) for row in rows.tolist())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,8 +1,9 @@
 # The package's nine records are plain frozen classes on hamsearch._Record:
 # each builds by position or by keyword, refuses to set or delete a field,
 # and compares, hashes and prints by its field values as a frozen dataclass
-# does.
+# does, array fields by their elements.
 
+import numpy as np
 import pytest
 
 from hamsearch.amplify import AmplificationPlan, MajorityEstimate
@@ -53,3 +54,14 @@ def test_a_record_is_a_frozen_value(cls, fields, text):
             hash(by_position)
     else:
         assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+
+
+def test_records_that_hold_arrays_compare_by_their_elements():
+    # Equal inputs give equal records, not numpy's "truth value ... is ambiguous".
+    pairs, blocks = [(0, 1)], [[[1.0, -1.0], [-1.0, 1.0]]]
+    assert BlockTerm(pairs, blocks, [0.0, 0.0, 2.0]) == BlockTerm(pairs, blocks, [0.0, 0.0, 2.0])
+    assert BlockTerm(pairs, blocks, [0.0, 0.0, 2.0]) != BlockTerm(pairs, blocks, [0.0, 0.0, 3.0])
+    dense = HermitianTermSet(2, (np.eye(2),), ("a",))
+    assert dense == HermitianTermSet(2, (np.eye(2),), ("a",))
+    assert dense != HermitianTermSet(2, (2 * np.eye(2),), ("a",))
+    assert dense != HermitianTermSet(2, (np.eye(2), np.eye(2)), ("a", "b"))
