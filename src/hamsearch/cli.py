@@ -271,18 +271,22 @@ def _max_abs(x) -> float:
 
 
 def _reconstruction_residual(term_set, graph, values, diagonal) -> float:
-    # max |sum_k H_k - H| entry by entry, summing the terms' block and
-    # diagonal entries per position and then subtracting H's.
+    # max |sum_k H_k - H| entry by entry: the terms are added in order onto H's entries,
+    # edge k's (u, v) at k and (v, u) at m + k (k from the sorted keys u * n + v) and site
+    # x at 2m + x, then H is subtracted. A block entry off every edge counts at its size.
     n = graph.vertex_count
     us, vs, _ = graph.edge_arrays()
-    sites = np.arange(n)
-    h = (np.concatenate([us, vs, sites]), np.concatenate([vs, us, sites]),
-         -np.concatenate([values, values.conj(), diagonal]))
-    rows, cols, vals = (np.concatenate(x) for x in zip(*(t.entries() for t in term_set.terms), h))
-    keys, position = np.unique(rows * n + cols, return_inverse=True)
-    total = np.zeros(keys.size, dtype=complex)
-    np.add.at(total, position, vals)
-    return _max_abs(total)
+    m, keys = us.size, np.append(us * n + vs, n * n)  # n * n: past every key
+    total, stray = np.zeros(2 * m + n, dtype=complex), 0.0
+    for t in term_set.terms:
+        (i, j), b = t.pairs.T, t.blocks.reshape(-1, 4)
+        k = np.searchsorted(keys, key := np.minimum(i, j) * n + np.maximum(i, j))
+        on = keys[k] == key
+        total[2 * m:] += t.diagonal
+        total[2 * m + t.pairs] += b[:, [0, 3]]
+        total[np.stack([k + m * (i > j), k + m * (i < j)], axis=1)[on]] += b[on, 1:3]
+        stray = max(stray, _max_abs(b[~on, 1:3]))
+    return max(_max_abs(total - np.concatenate([values, values.conj(), diagonal])), stray)
 
 
 def _squaring_residual(term) -> float:

@@ -362,19 +362,17 @@ def decompose(
     if len(coloring.colors) != us.size:
         raise ValueError("coloring does not match the graph's edge list")
 
+    # Each color's edges, in edge order, from one stable sort of the colors and their counts.
     colors = np.array(coloring.colors, dtype=np.intp)
-    terms, labels = [], []
-    for color in range(coloring.color_count):
-        k = np.flatnonzero(colors == color)
-        val = values[k]
-        mag = np.hypot(val.real, val.imag)  # abs() bit for bit; np.abs may differ
-        blocks = np.stack([mag, val, val.conj(), mag], axis=1)
-        # A color is a matching, so these subtract once per vertex, in the
-        # same order as a pass over the colors and their edges.
-        residual[us[k]] -= mag
-        residual[vs[k]] -= mag
-        terms.append(BlockTerm(np.stack([us[k], vs[k]], axis=1), blocks, np.zeros(n)))
-        labels.append(f"color{color}")
+    order = np.argsort(colors, kind="stable")
+    mag = np.hypot(values.real, values.imag)  # abs() bit for bit; np.abs may differ
+    pairs, blocks = np.stack([us, vs], axis=1), np.stack([mag, values, values.conj(), mag], axis=1)
+    # A color is a matching, so each site meets it at most once: subtracting in color
+    # order keeps the order of a pass over the colors and their edges.
+    np.subtract.at(residual, pairs[order].ravel(), np.repeat(mag[order], 2))
+    terms = [BlockTerm(pairs[k], blocks[k], np.zeros(n))
+             for k in np.split(order, np.cumsum(np.bincount(colors)))[:-1]]
+    labels = [f"color{color}" for color in range(len(terms))]
     if np.any(residual != 0.0) or not terms:
         terms.append(BlockTerm((), (), residual))
         labels.append("diagonal")

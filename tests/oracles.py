@@ -3,8 +3,10 @@
 # search split of a given database size, Haar random unitaries, the graph
 # JSON writer, the Rodrigues rotation of the Bloch sphere, the
 # product-formula error scan on dense d x d matrices, the term-set document
-# as json.dump writes it, the majority Monte Carlo and single binomial
-# draws as numpy's Generator.binomial makes them, the success curve of the
+# as json.dump writes it, the color terms of a decomposition one color at a
+# time and their reconstruction residual as one sum over all entries, the
+# majority Monte Carlo and single binomial draws as numpy's
+# Generator.binomial makes them, the success curve of the
 # full-space step with a carried mean, the graph layer as scalar loops (the
 # edge coloring with one dict per vertex), the CSV table one row at a time
 # and the JSON table as json.dumps writes it, and a CLI run that reports its
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from hamsearch.amplify import SHARD_SIZE
 from hamsearch.decompose import MAX_WEIGHT
 from hamsearch.search import SearchInstance, search_split
+from hamsearch.trotter import BlockTerm, HermitianTermSet
 
 # Seeds for np.random.default_rng, so that a property test draws its arrays
 # from numpy while hypothesis picks, shrinks and replays the seed.
@@ -114,6 +117,45 @@ def term_set_json(terms):
                    for r, c, v in zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist())]
         doc_terms.append({"label": label, "entries": entries})
     return json.dumps({"dimension": terms.dimension, "terms": doc_terms}, indent=1) + "\n"
+
+
+def per_color_terms(graph, values, diagonal, coloring):
+    # decompose's term set from one pass per color: the color's edges by a scan of
+    # every edge's color, their blocks, and their |h| taken off the diagonal.
+    n = graph.vertex_count
+    us, vs, _ = graph.edge_arrays()
+    residual = np.array(diagonal, dtype=float)
+    colors = np.array(coloring.colors, dtype=np.intp)
+    terms, labels = [], []
+    for color in range(coloring.color_count):
+        k = np.flatnonzero(colors == color)
+        val = values[k]
+        mag = np.hypot(val.real, val.imag)
+        residual[us[k]] -= mag
+        residual[vs[k]] -= mag
+        terms.append(BlockTerm(np.stack([us[k], vs[k]], axis=1),
+                               np.stack([mag, val, val.conj(), mag], axis=1), np.zeros(n)))
+        labels.append(f"color{color}")
+    if np.any(residual != 0.0) or not terms:
+        terms.append(BlockTerm((), (), residual))
+        labels.append("diagonal")
+    return HermitianTermSet(dimension=n, terms=tuple(terms), labels=tuple(labels))
+
+
+def reconstruction_residual(term_set, graph, values, diagonal):
+    # max |sum_k H_k - H| entry by entry, as one sum over all entries: every term's
+    # nonzero entries and H's negated ones joined, summed per position by np.unique
+    # and np.add.at. Entries off every edge are summed with each other.
+    n = graph.vertex_count
+    us, vs, _ = graph.edge_arrays()
+    sites = np.arange(n)
+    h = (np.concatenate([us, vs, sites]), np.concatenate([vs, us, sites]),
+         -np.concatenate([values, values.conj(), diagonal]))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*(t.entries() for t in term_set.terms), h))
+    keys, position = np.unique(rows * n + cols, return_inverse=True)
+    total = np.zeros(keys.size, dtype=complex)
+    np.add.at(total, position, vals)
+    return float(np.max(np.abs(total), initial=0.0))
 
 
 def binomial_majority_failures(plan):

@@ -12,13 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import hamsearch
 from hamsearch import amplify, cli, decompose, statevector, trotter
 from hamsearch.cli import EXIT_CLAIM, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from hamsearch.decompose import honeycomb_lattice
 from hamsearch.trotter import load_term_set
-from oracles import PEAK_SCRIPT, save_graph
+from oracles import PEAK_SCRIPT, reconstruction_residual, save_graph, seeds
 
 
 # Invocations that between them take every branch that reads an option.
@@ -414,6 +415,44 @@ class TestDecompose:
         assert report["reconstruction_residual"] == 0.0
         h = load_term_set(out).total()
         assert np.array_equal(np.diag(h).real, [2.0] * 5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seeds)
+    def test_reconstruction_residual_is_the_reference(self, seed):
+        # Graphs with complex edge values (some zero) and diagonals that are drawn,
+        # zero or the exact sums |h| per site: the check's residual is the one sum
+        # over all entries, bit for bit.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        u, v = rng.integers(0, n, (2, 3 * n))
+        keys = np.unique((np.minimum(u, v) * n + np.maximum(u, v))[u != v])
+        graph = decompose.InteractionGraph.from_arrays(n, keys // n, keys % n, np.ones(keys.size))
+        size = keys.size
+        values = ((rng.normal(size=size) + 1j * rng.normal(size=size)) * (rng.random(size) < 0.8)
+                  * 10.0 ** rng.integers(-3, 4, size))
+        kind = int(rng.integers(0, 3))  # a drawn diagonal, a zero one, or the sums |h|
+        diagonal = rng.normal(size=n) * 5 if kind == 0 else np.zeros(n)
+        if kind == 2:
+            np.add.at(diagonal, keys // n, np.abs(values))
+            np.add.at(diagonal, keys % n, np.abs(values))
+        terms = decompose.decompose(graph, values, diagonal)
+        residual = cli._reconstruction_residual(terms, graph, values, diagonal)
+        assert residual.hex() == reconstruction_residual(terms, graph, values, diagonal).hex()
+
+    def test_a_block_off_every_edge_shows_in_the_residual(self):
+        # The path 0-1 of value h and diagonal (1, 3, 0), matched exactly by a block
+        # given on the pair (1, 0). A block on (2, 0), which is no edge, counts at its
+        # entries' size, even where another such block cancels it in the terms' sum.
+        h = 2.0 + 1.0j
+        graph = decompose.InteractionGraph.from_arrays(3, [0], [1], [1.0])
+        values, diagonal = np.array([h]), np.array([1.0, 3.0, 0.0])
+        edge = trotter.BlockTerm([[1, 0]], [[[3.0, h.conjugate()], [h, 1.0]]], np.zeros(3))
+        stray = [trotter.BlockTerm([[2, 0]], [[[0, s], [-s, 0]]], np.zeros(3)) for s in (0.5j, -0.5j)]
+        for terms, check, reference in [([edge], 0.0, 0.0), ([edge, stray[0]], 0.5, 0.5),
+                                        ([edge, *stray], 0.5, 0.0)]:
+            term_set = trotter.HermitianTermSet(3, terms, [f"t{k}" for k in range(len(terms))])
+            assert cli._reconstruction_residual(term_set, graph, values, diagonal) == check
+            assert reconstruction_residual(term_set, graph, values, diagonal) == reference
 
     def test_8192_site_torus_stays_small(self, tmp_path):
         # 64 x 64 periodic honeycomb: dense d x d terms would need 1 GiB

@@ -2,8 +2,11 @@
 # flags or config lines, and over graph documents of any shape, main exits
 # 0, 2 or 3; exits 2 and 3 print exactly one "hamsearch:" line; an exit 2
 # writes no file; and nothing escapes as an exception or a warning (pytest
-# turns warnings into errors). Sizes are drawn from small ranges or beyond
-# the CLI's caps, so that no case allocates much: the test checks that too.
+# turns warnings into errors). Sizes are drawn from small ranges or as values
+# meant to lie beyond the CLI's caps, so that few cases allocate much: the
+# test checks that too. Not every such value is past its cap: a honeycomb of
+# 10^5 cells one way and fewer than 6 the other is under the site cap, from
+# 200000 sites (1 x 10^5) up to 800000 (10^5 x 4).
 
 import contextlib
 import io
@@ -12,7 +15,7 @@ import os
 import tempfile
 import tracemalloc
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from hamsearch import amplify, cli, statevector, trotter
@@ -130,6 +133,8 @@ def invocations(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
+# 200000 sites, under the site cap: the run must still peak under the bound.
+@example((["decompose", "--lattice=honeycomb", "--cells-x=1", "--cells-y=100000"], [], None))
 def test_every_invocation_keeps_the_contract(invocation):
     argv, config, graph = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -29,6 +29,7 @@ from hamsearch.decompose import _verify_proper
 from hamsearch.trotter import MAX_SITES, BlockTerm, exact_term_exponential
 from oracles import (
     laplacian_matrix,
+    per_color_terms,
     save_graph,
     scalar_adjacency,
     scalar_bipartition,
@@ -516,6 +517,23 @@ class TestDecompose:
             term = terms.dense(k)
             assert np.max(np.abs(term @ term - 2.0 * term)) < 1e-12
         assert np.max(np.abs(terms.total() - laplacian_matrix(g))) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(coloring_graphs(), seeds)
+    def test_terms_are_the_per_color_pass_bit_for_bit(self, g, seed):
+        # Complex edge values (some zero) with a drawn diagonal, or the Laplacian.
+        rng = np.random.default_rng(seed)
+        m, coloring = g.edge_arrays()[0].size, color_edges(g)
+        values = (rng.normal(size=m) + 1j * rng.normal(size=m)) * (rng.random(m) < 0.8)
+        diagonal = 3.0 * rng.normal(size=g.vertex_count)
+        if rng.random() < 0.5:
+            values, diagonal = graph_laplacian(g)
+        got = decompose(g, values, diagonal, coloring)
+        want = per_color_terms(g, values, diagonal, coloring)
+        assert got.labels == want.labels
+        for a, b in zip(got.terms, want.terms):
+            for x, y in zip((a.pairs, a.blocks, a.diagonal), (b.pairs, b.blocks, b.diagonal)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
     def test_rejects_support_mismatch(self):
         h, _, _ = _chain(4, periodic=False)
