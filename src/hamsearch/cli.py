@@ -282,7 +282,7 @@ def _reconstruction_residual(term_set, graph, values, diagonal) -> float:
         (i, j), b = t.pairs.T, t.blocks.reshape(-1, 4)
         k = np.searchsorted(keys, key := np.minimum(i, j) * n + np.maximum(i, j))
         on = keys[k] == key
-        total[2 * m:] += t.diagonal
+        total[2 * m + t.sites] += t.values
         total[2 * m + t.pairs] += b[:, [0, 3]]
         total[np.stack([k + m * (i > j), k + m * (i < j)], axis=1)[on]] += b[on, 1:3]
         stray = max(stray, _max_abs(b[~on, 1:3]))
@@ -290,9 +290,9 @@ def _reconstruction_residual(term_set, graph, values, diagonal) -> float:
 
 
 def _squaring_residual(term) -> float:
-    # max |T^2 - 2T| of a block term: block by block, then on the bare diagonal.
-    b, d = term.blocks, term.diagonal
-    return max(_max_abs(b @ b - 2.0 * b), _max_abs(d * d - 2.0 * d))
+    # max |T^2 - 2T| of a block term: block by block, then on its diagonal values.
+    b, v = term.blocks, term.values
+    return max(_max_abs(b @ b - 2.0 * b), _max_abs(v * v - 2.0 * v))
 
 
 def cmd_decompose(args) -> tuple[list, str | None]:

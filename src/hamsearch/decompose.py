@@ -370,11 +370,12 @@ def decompose(
     # A color is a matching, so each site meets it at most once: subtracting in color
     # order keeps the order of a pass over the colors and their edges.
     np.subtract.at(residual, pairs[order].ravel(), np.repeat(mag[order], 2))
-    terms = [BlockTerm(pairs[k], blocks[k], np.zeros(n))
+    terms = [BlockTerm(n, pairs[k], blocks[k])
              for k in np.split(order, np.cumsum(np.bincount(colors)))[:-1]]
     labels = [f"color{color}" for color in range(len(terms))]
     if np.any(residual != 0.0) or not terms:
-        terms.append(BlockTerm((), (), residual))
+        sites = np.flatnonzero(residual)
+        terms.append(BlockTerm(n, (), (), sites, residual[sites]))
         labels.append("diagonal")
     return HermitianTermSet(dimension=n, terms=tuple(terms), labels=tuple(labels))
 

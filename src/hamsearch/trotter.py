@@ -38,8 +38,8 @@ __all__ = [
 
 # Most steps plan_for_budget will plan; also trotter-scan's cap.
 STEP_CAP = 10_000_000
-# Largest d of a dense d x d block term (256 MiB): the open-chain and odd-ring
-# scans and the ring spectrum stop here with a ValueError, not a MemoryError.
+# Largest d of a dense d x d block term or its exponential (256 MiB): the open-chain
+# and odd-ring scans and the ring spectrum stop here with a ValueError, not a MemoryError.
 MAX_DENSE_DIMENSION = 4096
 
 
@@ -57,43 +57,39 @@ def _dense(d: int, rows, cols, values) -> np.ndarray:
 
 
 class BlockTerm(_Record):
-    """A direct sum of 2x2 blocks on disjoint index pairs plus a real diagonal.
+    """A direct sum of 2x2 blocks on disjoint index pairs plus real diagonal entries.
 
-    ``blocks[n]`` acts on rows and columns ``pairs[n]``; ``diagonal`` holds
-    the sites no pair covers and is zero on covered ones. A term without
-    pairs is purely diagonal. Nothing of size d x d is stored.
+    ``blocks[n]`` acts on rows and columns ``pairs[n]``; ``values[n]`` is the
+    diagonal entry at ``sites[n]``, a site no pair covers. Every other entry
+    is zero, and a term without pairs is purely diagonal. Nothing of size d
+    is stored.
     """
 
-    _fields = ("pairs", "blocks", "diagonal")  # (k, 2) ints, (k, 2, 2) complex, (d,) float
+    # int, (k, 2) ints, (k, 2, 2) complex, (s,) ints, (s,) float
+    _fields = ("dimension", "pairs", "blocks", "sites", "values")
 
-    def __init__(self, pairs, blocks, diagonal) -> None:
+    def __init__(self, dimension: int, pairs, blocks, sites=(), values=()) -> None:
+        d = int(dimension)
         pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
         blocks = np.array(blocks, dtype=complex).reshape(-1, 2, 2)
-        diagonal = np.array(diagonal, dtype=float)
-        sites = pairs.ravel()
-        if diagonal.ndim != 1 or len(blocks) != len(pairs):
-            raise ValueError("block term needs (k, 2) pairs, (k, 2, 2) blocks and a (d,) diagonal")
-        if sites.size and not (0 <= sites.min() and sites.max() < len(diagonal)):
-            raise ValueError(f"block index outside dimension {len(diagonal)}")
-        if np.any(np.bincount(sites, minlength=len(diagonal)) > 1):
-            raise ValueError("block pairs must be disjoint")
-        if np.any(diagonal[sites] != 0.0):
-            raise ValueError("diagonal must vanish on sites covered by a block")
-        for value in (pairs, blocks, diagonal):
+        sites, values = np.array(sites, dtype=np.intp), np.array(values, dtype=float)
+        if len(blocks) != len(pairs) or sites.ndim != 1 or values.shape != sites.shape:
+            raise ValueError("block term needs (k, 2) pairs, (k, 2, 2) blocks and a value per site")
+        used = np.sort(np.concatenate([pairs.ravel(), sites]))
+        if used.size and not (0 <= used[0] and used[-1] < d):
+            raise ValueError(f"block index outside dimension {d}")
+        if np.any(used[1:] == used[:-1]):
+            raise ValueError("block pairs and diagonal sites must be disjoint")
+        for value in (pairs, blocks, sites, values):
             value.flags.writeable = False
-        self._set(pairs, blocks, diagonal)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.diagonal)
+        self._set(d, pairs, blocks, sites, values)
 
     def entries(self) -> tuple:
         """(rows, cols, values) of the nonzero entries, in (row, col) order."""
         i, j = self.pairs.T
-        free = np.flatnonzero(self.diagonal)
-        rows = np.concatenate([i, i, j, j, free])
-        cols = np.concatenate([i, j, i, j, free])
-        values = np.concatenate([self.blocks.reshape(-1, 4).T.ravel(), self.diagonal[free]])
+        rows = np.concatenate([i, i, j, j, self.sites])
+        cols = np.concatenate([i, j, i, j, self.sites])
+        values = np.concatenate([self.blocks.reshape(-1, 4).T.ravel(), self.values])
         # Merge sort (stable): 11 us on a 32 x 32 torus term's 4096 keys, quicksort 52 (2-vCPU VM).
         order = np.argsort(rows * self.dimension + cols, kind="stable")
         order = order[values[order] != 0]
@@ -192,7 +188,9 @@ def exact_term_exponential(h, tau: float) -> np.ndarray:
         assert_hermitian(h, what="term")
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w * tau)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    u = np.diag(np.exp(-1j * h.diagonal * tau))
+    _check_dense_cap(h.dimension)
+    u = np.eye(h.dimension, dtype=complex)
+    u[h.sites, h.sites] = np.exp(-1j * h.values * tau)
     i, j = h.pairs.T
     u[np.r_[i, i, j, j], np.r_[i, j, i, j]] = _block_exponentials(h.blocks, tau).T.ravel()
     return u
@@ -376,10 +374,9 @@ def _term_from_entries(dim: int, rows: list, where: str):
     covered = {site for pair in pairs for site in pair}
     free = {r: v for (r, c), v in entries.items() if r == c and r not in covered}
     if len(covered) == 2 * len(pairs) and not any(v.imag for v in free.values()):
-        diagonal = np.zeros(dim)
-        diagonal[list(free)] = [v.real for v in free.values()]
+        sites = sorted(r for r, v in free.items() if v)
         blocks = [[[entries.get((a, b), 0.0) for b in pair] for a in pair] for pair in pairs]
-        return BlockTerm(pairs, blocks, diagonal)
+        return BlockTerm(dim, pairs, blocks, sites, [free[r].real for r in sites])
     rows, cols = np.array(list(entries)).T
     return _dense(dim, rows, cols, list(entries.values()))
 

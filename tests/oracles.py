@@ -133,11 +133,12 @@ def per_color_terms(graph, values, diagonal, coloring):
         mag = np.hypot(val.real, val.imag)
         residual[us[k]] -= mag
         residual[vs[k]] -= mag
-        terms.append(BlockTerm(np.stack([us[k], vs[k]], axis=1),
-                               np.stack([mag, val, val.conj(), mag], axis=1), np.zeros(n)))
+        terms.append(BlockTerm(n, np.stack([us[k], vs[k]], axis=1),
+                               np.stack([mag, val, val.conj(), mag], axis=1)))
         labels.append(f"color{color}")
     if np.any(residual != 0.0) or not terms:
-        terms.append(BlockTerm((), (), residual))
+        sites = np.flatnonzero(residual)
+        terms.append(BlockTerm(n, (), (), sites, residual[sites]))
         labels.append("diagonal")
     return HermitianTermSet(dimension=n, terms=tuple(terms), labels=tuple(labels))
 

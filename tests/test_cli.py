@@ -446,23 +446,34 @@ class TestDecompose:
         h = 2.0 + 1.0j
         graph = decompose.InteractionGraph.from_arrays(3, [0], [1], [1.0])
         values, diagonal = np.array([h]), np.array([1.0, 3.0, 0.0])
-        edge = trotter.BlockTerm([[1, 0]], [[[3.0, h.conjugate()], [h, 1.0]]], np.zeros(3))
-        stray = [trotter.BlockTerm([[2, 0]], [[[0, s], [-s, 0]]], np.zeros(3)) for s in (0.5j, -0.5j)]
+        edge = trotter.BlockTerm(3, [[1, 0]], [[[3.0, h.conjugate()], [h, 1.0]]])
+        stray = [trotter.BlockTerm(3, [[2, 0]], [[[0, s], [-s, 0]]]) for s in (0.5j, -0.5j)]
         for terms, check, reference in [([edge], 0.0, 0.0), ([edge, stray[0]], 0.5, 0.5),
                                         ([edge, *stray], 0.5, 0.0)]:
             term_set = trotter.HermitianTermSet(3, terms, [f"t{k}" for k in range(len(terms))])
             assert cli._reconstruction_residual(term_set, graph, values, diagonal) == check
             assert reconstruction_residual(term_set, graph, values, diagonal) == reference
 
-    def test_8192_site_torus_stays_small(self, tmp_path):
-        # 64 x 64 periodic honeycomb: dense d x d terms would need 1 GiB
-        # each. The peak is read in the run's own process.
+    @pytest.mark.parametrize("case, vertices, colors, bound_mib",
+                             [("torus", 8192, 3, 200.0), ("star", 8001, 8000, 100.0)],
+                             ids=["torus", "star"])
+    def test_large_decompositions_stay_small(self, tmp_path, case, vertices, colors, bound_mib):
+        # The 64 x 64 periodic honeycomb, whose dense d x d terms would need 1 GiB
+        # each, and an 8000-leaf star, whose 8000 color terms would need 500 MiB
+        # with a (d,) diagonal each. The peak is read in the run's own process.
         src = os.path.dirname(os.path.dirname(hamsearch.__file__))
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
         report_path = tmp_path / "report.json"
-        argv = ["decompose", "--lattice", "honeycomb", "--cells-x", "64", "--cells-y", "64",
-                "--periodic", "--out", str(tmp_path / "terms.json"), "--report", str(report_path)]
+        if case == "torus":
+            source = ["--lattice", "honeycomb", "--cells-x", "64", "--cells-y", "64", "--periodic"]
+        else:
+            leaves = np.arange(1, vertices)
+            save_graph(tmp_path / "star.json", decompose.InteractionGraph.from_arrays(
+                vertices, np.zeros_like(leaves), leaves, np.ones(leaves.size)))
+            source = ["--graph", str(tmp_path / "star.json")]
+        argv = ["decompose", *source, "--out", str(tmp_path / "terms.json"),
+                "--report", str(report_path)]
         proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -470,8 +481,8 @@ class TestDecompose:
         assert rc == EXIT_OK
         report = json.loads(report_path.read_text())
         assert report["pass"] is True
-        assert report["vertices"] == 8192 and report["color_count"] == 3
-        assert peak_mib < 200.0
+        assert report["vertices"] == vertices and report["color_count"] == colors
+        assert peak_mib < bound_mib
 
     def test_term_file_and_report_are_written_together(self, tmp_path):
         # The term file streams into its temporary file; a report that cannot

@@ -532,7 +532,8 @@ class TestDecompose:
         want = per_color_terms(g, values, diagonal, coloring)
         assert got.labels == want.labels
         for a, b in zip(got.terms, want.terms):
-            for x, y in zip((a.pairs, a.blocks, a.diagonal), (b.pairs, b.blocks, b.diagonal)):
+            for x, y in zip((a.pairs, a.blocks, a.sites, a.values),
+                            (b.pairs, b.blocks, b.sites, b.values)):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
     def test_rejects_support_mismatch(self):
@@ -556,7 +557,7 @@ class TestDecompose:
         dense = decompose_matrix(laplacian_matrix(g), g)
         assert sparse.labels == dense.labels
         for a, b in zip(sparse.terms, dense.terms):
-            for field in ("pairs", "blocks", "diagonal"):
+            for field in ("pairs", "blocks", "sites", "values"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_graph_laplacian_sums_weights_in_edge_order(self):

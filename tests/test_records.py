@@ -11,7 +11,7 @@ from hamsearch.decompose import EdgeColoring, InteractionGraph
 from hamsearch.search import EquivalenceParams, SearchInstance
 from hamsearch.trotter import BlockTerm, HermitianTermSet, TrotterPlan
 
-_HOP = BlockTerm([(0, 1)], [[[1.0, -1.0], [-1.0, 1.0]]], [0.0, 0.0, 2.0])
+_HOP = BlockTerm(3, [(0, 1)], [[[1.0, -1.0], [-1.0, 1.0]]], [2], [2.0])
 
 # (record class, its fields by name in order, its repr)
 RECORDS = [
@@ -27,10 +27,10 @@ RECORDS = [
      "EdgeColoring(colors=(0, 1), bipartite=True)"),
     (InteractionGraph, {"vertex_count": 3, "edges": ((0, 1, 1.0), (1, 2, -2.0))},
      "InteractionGraph(vertex_count=3, edges=((0, 1, 1.0), (1, 2, -2.0)))"),
-    (BlockTerm, {"pairs": [(0, 1)], "blocks": [[[1.0, -1.0], [-1.0, 1.0]]],
-                 "diagonal": [0.0, 0.0, 2.0]},
-     "BlockTerm(pairs=array([[0, 1]]), blocks=array([[[ 1.+0.j, -1.+0.j],\n"
-     "        [-1.+0.j,  1.+0.j]]]), diagonal=array([0., 0., 2.]))"),
+    (BlockTerm, {"dimension": 3, "pairs": [(0, 1)], "blocks": [[[1.0, -1.0], [-1.0, 1.0]]],
+                 "sites": [2], "values": [2.0]},
+     "BlockTerm(dimension=3, pairs=array([[0, 1]]), blocks=array([[[ 1.+0.j, -1.+0.j],\n"
+     "        [-1.+0.j,  1.+0.j]]]), sites=array([2]), values=array([2.]))"),
     (HermitianTermSet, {"dimension": 3, "terms": (_HOP,), "labels": ("hop",)},
      f"HermitianTermSet(dimension=3, terms=({_HOP!r},), labels=('hop',))"),
 ]
@@ -59,8 +59,8 @@ def test_a_record_is_a_frozen_value(cls, fields, text):
 def test_records_that_hold_arrays_compare_by_their_elements():
     # Equal inputs give equal records, not numpy's "truth value ... is ambiguous".
     pairs, blocks = [(0, 1)], [[[1.0, -1.0], [-1.0, 1.0]]]
-    assert BlockTerm(pairs, blocks, [0.0, 0.0, 2.0]) == BlockTerm(pairs, blocks, [0.0, 0.0, 2.0])
-    assert BlockTerm(pairs, blocks, [0.0, 0.0, 2.0]) != BlockTerm(pairs, blocks, [0.0, 0.0, 3.0])
+    assert BlockTerm(3, pairs, blocks, [2], [2.0]) == BlockTerm(3, pairs, blocks, [2], [2.0])
+    assert BlockTerm(3, pairs, blocks, [2], [2.0]) != BlockTerm(3, pairs, blocks, [2], [3.0])
     dense = HermitianTermSet(2, (np.eye(2),), ("a",))
     assert dense == HermitianTermSet(2, (np.eye(2),), ("a",))
     assert dense != HermitianTermSet(2, (2 * np.eye(2),), ("a",))
