@@ -127,20 +127,24 @@ CHUNK_ROWS = 64  # rows per % operation of _format_rows
 CSV_CELLS = 8192
 
 
-def _format_rows(template: str, rows) -> list[str]:
-    # The one row formatter: each row of a 2-D array through the % template, by chunks.
-    # CSV rows ('%.17g' cells joined by ',', then '\n') of CSV_CELLS cells or more go to
-    # the numpy kernel in csvcells instead, which writes the same bytes.
+def _format_rows(template: str, rows):
+    # The one row formatter: each row of a 2-D array through the % template, yielded by
+    # chunks. CSV rows ('%.17g' cells joined by ',', then '\n') of CSV_CELLS cells or more
+    # go to the numpy kernel in csvcells instead, which writes the same bytes.
     if rows.size >= CSV_CELLS and template == ",".join(["%.17g"] * rows.shape[-1]) + "\n":
         from . import csvcells
         return csvcells.csv_rows(rows, CSV_CELLS)
-    return [(template * len(c)) % tuple(c.ravel().tolist())
-            for c in (rows[k:k + CHUNK_ROWS] for k in range(0, len(rows), CHUNK_ROWS))]
+    return ((template * len(c)) % tuple(c.ravel().tolist())
+            for c in (rows[k:k + CHUNK_ROWS] for k in range(0, len(rows), CHUNK_ROWS)))
 
 
-def _json_array(chunks: list, indent: str) -> list[str]:
+def _json_array(chunks, indent: str):
     # The ",\n"-led items as json.dumps(..., indent=1) lays out a list closing at indent.
-    return ["[" + chunks[0][1:], *chunks[1:], "\n" + indent + "]"] if chunks else ["[]"]
+    first = True
+    for chunk in chunks:
+        yield "[" + chunk[1:] if first else chunk
+        first = False
+    yield "[]" if first else "\n" + indent + "]"
 
 
 def _write_outputs(*outputs) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -69,13 +70,10 @@ def float_list(text: str) -> list:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-# The fewest rows per share of a table that a forked worker computes or
-# formats. On a 2-vCPU Xeon VM, with CSV cells from the numpy kernel, a
-# 4096 x 7 CSV table took 4.8-4.9 ms in one share and 6.3-7.2 ms in two: a
-# fork and join (2-4 ms) and the copy-on-write faults they bring cost more than
-# they save. 8192 x 7 took 9.0-9.5 ms in one and 8.8-9.3 ms in two, so for
-# formatting alone shares of 4096 rows break even (medians of 41 calls in
-# process, two runs of each). Equivalence shares also compute their rows.
+# The fewest rows per share of equivalence, whose forked shares compute and format their
+# rows. On a 2-vCPU Xeon VM, in process (CSV, two N, medians of 41 calls, 2-4 runs), one
+# share against two took 13.7-22.4 ms and 16.3-21.3 ms at 4096 rows, 37-45 ms and 27-29 ms
+# at 8192 and 64-78 ms and 45-48 ms at 16000: a second CPU pays from 2 x 4096 rows.
 SHARE_ROWS = 4096
 
 
@@ -85,23 +83,21 @@ def _row_template(fmt: str, width: int) -> str:
             else ",\n  [\n" + ",\n".join(["   %r"] * width) + "\n  ]")
 
 
-def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None,
-                lines: list[str] | None = None) -> list[str]:
-    # The table's text chunks: rows (a 2-D array or equal-length number rows) formatted in
-    # shares, or their given text ``lines``; CSV with a '# ' JSON footer, or JSON in its envelope.
+def _table_text(fmt: str, columns: list[str], rows, extra: dict | None = None, lines=None):
+    # The table's text chunks, made as the writer takes them: rows (a 2-D array or equal-length
+    # number rows) formatted here, or their given text ``lines``; CSV with a '# ' JSON footer,
+    # or JSON in its envelope. Every check runs on the call, before any chunk is made.
     rows = np.asarray(rows, dtype=float)
     if fmt == "json" and not np.isfinite(rows).all():  # as json.dumps(allow_nan=False)
         raise ValueError("Out of range float values are not JSON compliant: "
                          f"{rows[~np.isfinite(rows)][0].item()!r}")
-    if lines is None:
-        work = functools.partial(_format_rows, _row_template(fmt, rows.shape[-1]))
-        lines = [c for cs in _on_forks(work, _shares(rows, len(rows) // SHARE_ROWS)) for c in cs]
+    lines = _format_rows(_row_template(fmt, rows.shape[-1]), rows) if lines is None else lines
     if fmt == "json":
         head, tail = json.dumps({"columns": columns, "rows": [], **(extra or {})}, indent=1,
                                 allow_nan=False).split('"rows": []')
-        return [head + '"rows": ', *_json_array(lines, " "), tail + "\n"]
+        return itertools.chain([head + '"rows": '], _json_array(lines, " "), [tail + "\n"])
     footer = "# " + json.dumps(extra, sort_keys=True, allow_nan=False) + "\n" if extra else ""
-    return [",".join(columns) + "\n", *lines, footer]
+    return itertools.chain([",".join(columns) + "\n"], lines, [footer])
 
 
 def _report_text(report: dict) -> list[str]:
@@ -361,7 +357,7 @@ def cmd_grover(args) -> tuple[list, str | None]:
         amp_text = _table_text(args.format, ["R", "bound", "exact", "empirical", "ci95"], amp_rows)
         amp_out = args.amplification_out
         if amp_out is None:
-            amp_out = "-" if args.out == "-" else args.out + ".amplification.csv"
+            amp_out = "-" if args.out == "-" else f"{args.out}.amplification.{args.format}"
         outputs.append((amp_out, amp_text))
     # The allowance keeps round-off from failing N = 2, where the peak is
     # exactly 1 - 1/N = 1/2.

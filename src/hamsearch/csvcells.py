@@ -7,14 +7,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def csv_rows(rows, block_cells: int) -> list[str]:
-    """The CSV lines of a 2-D array's rows, one string per block of whole rows,
-    about ``block_cells`` cells each."""
+def csv_rows(rows, block_cells: int):
+    """The CSV lines of a 2-D array's rows, yielded as one string per block of
+    whole rows, about ``block_cells`` cells each."""
     width = rows.shape[1]
     step = max(1, block_cells // width)
     seps = np.tile(np.frombuffer(b"," * (width - 1) + b"\n", np.uint8), step)
-    return [_csv_block(c.ravel(), seps[:c.size])
-            for c in (np.asarray(rows[k:k + step], float) for k in range(0, len(rows), step))]
+    return (_csv_block(c.ravel(), seps[:c.size])
+            for c in (np.asarray(rows[k:k + step], float) for k in range(0, len(rows), step)))
 
 
 def _split(x):

@@ -188,7 +188,7 @@ class EdgeColoring(_Record):
 
 def bipartition(graph: InteractionGraph):
     """Two-coloring of the vertices by BFS, or None if an odd cycle exists."""
-    start, other, _ = (a.tolist() for a in graph.neighbors())
+    start, other = (a.tolist() for a in graph.neighbors()[:2])
     side = [-1] * graph.vertex_count
     for root in range(graph.vertex_count):
         if side[root] == -1:

@@ -441,21 +441,25 @@ _ENTRY = ",\n    [\n     %d,\n     %d,\n     %s,\n     %s\n    ]"
 
 def _term_set_chunks(terms: HermitianTermSet):
     # The term-set document as text chunks, byte for byte json.dump(doc, indent=1)
-    # and a newline: the head, each term's entries in chunks of rows, the tail. The repr
-    # of each distinct float is taken once a block, by bit pattern (0.0 and -0.0 apart).
+    # and a newline: the head, each term's entries in chunks of rows, the tail.
     yield f'{{\n "dimension": {terms.dimension},\n "terms": ['
     for k, (label, h) in enumerate(zip(terms.labels, terms.terms)):
-        entries, chunks = _nonzero_entries(h), []
-        for s in range(0, len(entries[0]), CSV_CELLS // 4):  # CSV_CELLS cells at a time
-            rows, cols, values = (a[s:s + CSV_CELLS // 4] for a in entries)
-            parts = np.concatenate([values.real, values.imag]).view(np.int64)
-            keys, inverse = np.unique(parts, return_inverse=True)
-            reprs = np.array(list(map(repr, keys.view(float).tolist())), object)[inverse]
-            chunks += _format_rows(_ENTRY, np.column_stack([rows, cols, reprs.reshape(2, -1).T]))
         yield f'{"," if k else ""}\n  {{\n   "label": {json.dumps(label)},\n   "entries": '
-        yield from _json_array(chunks, "   ")
+        yield from _json_array(_entry_chunks(h), "   ")
         yield "\n  }"
     yield "\n ]\n}\n"
+
+
+def _entry_chunks(h):
+    # A term's entries, yielded CSV_CELLS cells at a time. The repr of each distinct
+    # float is taken once a block, by bit pattern (0.0 and -0.0 apart).
+    entries = _nonzero_entries(h)
+    for s in range(0, len(entries[0]), CSV_CELLS // 4):
+        rows, cols, values = (a[s:s + CSV_CELLS // 4] for a in entries)
+        parts = np.concatenate([values.real, values.imag]).view(np.int64)
+        keys, inverse = np.unique(parts, return_inverse=True)
+        reprs = np.array(list(map(repr, keys.view(float).tolist())), object)[inverse]
+        yield from _format_rows(_ENTRY, np.column_stack([rows, cols, reprs.reshape(2, -1).T]))
 
 
 def save_term_set(path, terms: HermitianTermSet) -> None:

@@ -550,6 +550,18 @@ class TestGrover:
         assert [row[0] for row in amp_rows] == [1.0, 3.0]
         assert amp_rows[1][1] == pytest.approx(1.0 / 64.0)
 
+    def test_the_amplification_report_is_named_after_its_format(self, tmp_path):
+        # Under --format json the default report name ends in .json, as its text is JSON.
+        out = tmp_path / "curve.json"
+        rc = main(["grover", "--n", "16", "--max-steps", "8", "--runs", "3", "--trials",
+                   "20000", "--format", "json", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curve.json", "curve.json.amplification.json"]
+        report = json.loads((tmp_path / "curve.json.amplification.json").read_text())
+        assert report["columns"] == ["R", "bound", "exact", "empirical", "ci95"]
+        assert [row[0] for row in report["rows"]] == [1.0, 3.0]
+
     def test_measured_error_substitution(self, tmp_path):
         # With --measured-error the amplified per-run error is 1 - peak
         # probability (<= 1/N), so the exact column drops below the bound's.
@@ -903,7 +915,7 @@ class TestPlumbing:
 
     def test_cli_import_loads_no_pool_modules(self):
         # setup_s: concurrent.futures alone costs about 6 ms and 0.65 MiB on
-        # every import; the CSV formatter and the Monte Carlo fork with plain
+        # every import; equivalence's shares and the Monte Carlo fork with plain
         # os.fork (hamsearch._on_forks).
         probe = ("import sys, hamsearch.cli\n"
                  "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
