@@ -119,23 +119,24 @@ def _on_forks(work, parts: list) -> list:
             for k, part in enumerate(parts)]
 
 
-CHUNK_ROWS = 64  # rows per % operation of _format_rows
-# Cells per block of the CSV kernel in csvcells, and the fewest it takes. A block's
-# temporaries stay under 1 MiB. Loading the kernel, on first use, takes about 1.5 ms
-# (its source compiled and its tables built) and 0.8 MiB (numpy code paged in), and it
-# saves about 0.2 us a cell, so it pays from about 8000 cells.
+# Cells per block of output text, and the fewest that go to the CSV kernel in csvcells.
+# A block's temporaries stay under 1 MiB. Loading the kernel, on first use, takes about
+# 1.5 ms (its source compiled and its tables built) and 0.8 MiB (numpy code paged in),
+# and it saves about 0.2 us a cell, so it pays from about 8000 cells.
 CSV_CELLS = 8192
 
 
 def _format_rows(template: str, rows):
-    # The one row formatter: each row of a 2-D array through the % template, yielded by
-    # chunks. CSV rows ('%.17g' cells joined by ',', then '\n') of CSV_CELLS cells or more
-    # go to the numpy kernel in csvcells instead, which writes the same bytes.
+    # The one row formatter, and the one cutter of table text: blocks of max(1, CSV_CELLS
+    # // width) whole rows of a 2-D array, each yielded as one % operation of the template.
+    # CSV rows ('%.17g' cells joined by ',', then '\n') of CSV_CELLS cells or more go block
+    # by block to the numpy kernel in csvcells instead, which writes the same bytes.
+    step = max(1, CSV_CELLS // (rows.shape[-1] or 1))  # an empty table may be 1-D
+    blocks = (rows[k:k + step] for k in range(0, len(rows), step))
     if rows.size >= CSV_CELLS and template == ",".join(["%.17g"] * rows.shape[-1]) + "\n":
         from . import csvcells
-        return csvcells.csv_rows(rows, CSV_CELLS)
-    return ((template * len(c)) % tuple(c.ravel().tolist())
-            for c in (rows[k:k + CHUNK_ROWS] for k in range(0, len(rows), CHUNK_ROWS)))
+        return map(csvcells.csv_block, blocks)
+    return ((template * len(c)) % tuple(c.ravel().tolist()) for c in blocks)
 
 
 def _json_array(chunks, indent: str):

@@ -451,9 +451,9 @@ def build_parser():
 
 def _config_tokens(path: str, options: dict) -> list:
     # Each "key = value" line as the token "--key=value", so that argparse
-    # checks it like the flag it names; a flag becomes a bare "--key" only
-    # when its value is 1/true/yes/on. ``options`` maps the subcommand's
-    # option names to their parsed values.
+    # checks it like the flag it names; a flag is "--key" for 1/true/yes/on,
+    # no token for 0/false/no/off and rejected for any other value. ``options``
+    # maps the subcommand's option names to their parsed values.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -477,6 +477,9 @@ def _config_tokens(path: str, options: dict) -> list:
             tokens.append(f"{option}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
             tokens.append(option)
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is a flag: {value!r} is "
+                             "not one of 1/true/yes/on or 0/false/no/off")
     return tokens
 
 

@@ -1,20 +1,29 @@
 # CSV text from numpy: each float64 cell as Python's '%.17g' writes it, byte for
-# byte, for blocks of whole rows. hamsearch._format_rows sends every CSV table
-# of hamsearch.CSV_CELLS cells or more here and imports this module on first use.
+# byte, for a block of whole rows. hamsearch._format_rows cuts every CSV table of
+# hamsearch.CSV_CELLS cells or more into blocks of that many cells, sends each
+# block here, and imports this module on first use.
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def csv_rows(rows, block_cells: int):
-    """The CSV lines of a 2-D array's rows, yielded as one string per block of
-    whole rows, about ``block_cells`` cells each."""
-    width = rows.shape[1]
-    step = max(1, block_cells // width)
-    seps = np.tile(np.frombuffer(b"," * (width - 1) + b"\n", np.uint8), step)
-    return (_csv_block(c.ravel(), seps[:c.size])
-            for c in (np.asarray(rows[k:k + step], float) for k in range(0, len(rows), step)))
+def csv_block(rows) -> str:
+    """The CSV lines of a 2-D array's rows: '%.17g' cells joined by ',', each row
+    ended by a newline."""
+    values = np.asarray(rows, float).ravel()
+    seps = np.frombuffer((b"," * (rows.shape[1] - 1) + b"\n") * len(rows), np.uint8)
+    # A cell whose digits are not shown exact, or that lies outside the kernel's range,
+    # is marked and takes Python's '%.17g'. Each phase is a function of its own, so its
+    # temporaries go when it returns.
+    ok, x, digits = _digits(values)
+    bad = np.flatnonzero(~ok)
+    text = _slots(values, x, digits, seps, bad).T.tobytes().translate(None, b"\0")
+    if len(bad):
+        parts = text.split(b"\1")
+        spelt = [b"%.17g" % v for v in values[bad].tolist()]
+        text = b"".join(p for pair in zip(parts, spelt + [b""]) for p in pair)
+    return text.decode("ascii")
 
 
 def _split(x):
@@ -53,20 +62,6 @@ _INT = np.maximum(_X + 1, 0).astype(np.uint8)  # digits before the point: they s
 # The place of the digit that "." follows: 17 (none) for a "0.000" lead.
 _POINT = np.where(_X < -4, 1, np.where(_X < 0, 17, _X + 1)).astype(np.uint8)
 _PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]
-
-
-def _csv_block(values, seps) -> str:
-    # '%.17g' % v + sep for each value v and byte sep, in order. A cell whose digits are not
-    # shown exact, or that lies outside the kernel's range, is marked and takes Python's
-    # '%.17g'. Each phase is a function of its own, so its temporaries go when it returns.
-    ok, x, digits = _digits(values)
-    bad = np.flatnonzero(~ok)
-    text = _slots(values, x, digits, seps, bad).T.tobytes().translate(None, b"\0")
-    if len(bad):
-        parts = text.split(b"\1")
-        spelt = [b"%.17g" % v for v in values[bad].tolist()]
-        text = b"".join(p for pair in zip(parts, spelt + [b""]) for p in pair)
-    return text.decode("ascii")
 
 
 def _digits(values):

@@ -24,6 +24,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -148,11 +149,9 @@ class InteractionGraph(_Record):
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "_arrays", ((u, v, w), adjacency))
 
-    def __getattr__(self, name: str):  # edges, built the first time it is read
-        if name != "edges":
-            raise AttributeError(name)
-        object.__setattr__(self, "edges", tuple(zip(*(a.tolist() for a in self.edge_arrays()))))
-        return self.edges
+    @functools.cached_property
+    def edges(self) -> tuple:
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays())))
 
     @property
     def max_degree(self) -> int:

@@ -441,7 +441,7 @@ _ENTRY = ",\n    [\n     %d,\n     %d,\n     %s,\n     %s\n    ]"
 
 def _term_set_chunks(terms: HermitianTermSet):
     # The term-set document as text chunks, byte for byte json.dump(doc, indent=1)
-    # and a newline: the head, each term's entries in chunks of rows, the tail.
+    # and a newline: the head, each term's entries in blocks of rows, the tail.
     yield f'{{\n "dimension": {terms.dimension},\n "terms": ['
     for k, (label, h) in enumerate(zip(terms.labels, terms.terms)):
         yield f'{"," if k else ""}\n  {{\n   "label": {json.dumps(label)},\n   "entries": '
@@ -451,8 +451,8 @@ def _term_set_chunks(terms: HermitianTermSet):
 
 
 def _entry_chunks(h):
-    # A term's entries, yielded CSV_CELLS cells at a time. The repr of each distinct
-    # float is taken once a block, by bit pattern (0.0 and -0.0 apart).
+    # A term's entries, yielded CSV_CELLS cells, one % operation, at a time. The repr of
+    # each distinct float is taken once a block, by bit pattern (0.0 and -0.0 apart).
     entries = _nonzero_entries(h)
     for s in range(0, len(entries[0]), CSV_CELLS // 4):
         rows, cols, values = (a[s:s + CSV_CELLS // 4] for a in entries)

@@ -521,3 +521,27 @@ class TestComplexities:
         ]:
             with pytest.raises(ValueError, match=message):
                 self._report(**kwargs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: majority_bound(1, n=1), "n must be >= 2"),
+    (lambda: majority_error_exact(1.5, 1), "p must lie in [0, 1]"),
+    (lambda: majority_error_exact(-0.1, 1), "p must lie in [0, 1]"),
+    (lambda: wilson_interval(0, 0), "trials must be positive"),
+    (lambda: averaging_error(1, 1), "need n >= 2 and runs >= 1"),
+    (lambda: averaging_error(4, 0), "need n >= 2 and runs >= 1"),
+    (lambda: runs_required(16, 0.0), "error budget must lie in (0, 1)"),
+    (lambda: runs_required(16, 1.0), "error budget must lie in (0, 1)"),
+    (lambda: runs_required(2, 0.1), "majority amplification needs n >= 3"),
+    (lambda: runs_required(5, 1e-30), f"budget 1e-30 needs more than {MAX_RUNS} runs"),
+    (lambda: asymptotic_runs(16, 1.0), "error budget must lie in (0, 1)"),
+    (lambda: register_width(0, 1, 0.1), "steps and term_count must be >= 1"),
+    (lambda: register_width(1, 0, 0.1), "steps and term_count must be >= 1"),
+    (lambda: register_width(1, 1, 0.0), "error budget must lie in (0, 1)"),
+    (lambda: per_step_cost(1, 1), "need dimension >= 2 and bits >= 1"),
+    (lambda: per_step_cost(4, 0), "need dimension >= 2 and bits >= 1"),
+])
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -859,6 +859,34 @@ class TestPlumbing:
         assert rc == EXIT_IO
         assert str(out) in capsys.readouterr().err
 
+    def test_help_exits_0_and_prints_the_usage(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: hamsearch ") and "{trajectory," in out and err == ""
+
+    def test_a_failed_edge_coloring_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def fail(graph):
+            raise AssertionError("color 1 meets vertex 0 twice")
+
+        monkeypatch.setattr(decompose, "color_edges", fail)
+        argv = ["decompose", "--lattice", "ring", "--length", "4",
+                "--out", str(tmp_path / "terms.json"), "--report", str(tmp_path / "report.json")]
+        assert main(argv) == EXIT_CLAIM
+        assert capsys.readouterr() == (
+            "", "hamsearch: edge coloring failed: color 1 meets vertex 0 twice\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, message", [
+        ("equivalence --samples 1", "need at least 2 samples"),
+        ("equivalence --n-list , --samples 3", "N list is empty"),
+    ])
+    def test_input_checks_exit_2_with_their_messages(self, tmp_path, capsys, command, message):
+        out = tmp_path / "out.csv"
+        assert main([*command.split(), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"hamsearch: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command, code", [
         ("equivalence --n-list 1,4", EXIT_VALIDATION),
         ("equivalence --n-list 4,x", EXIT_VALIDATION),
@@ -916,9 +944,11 @@ class TestPlumbing:
     def test_cli_import_loads_no_pool_modules(self):
         # setup_s: concurrent.futures alone costs about 6 ms and 0.65 MiB on
         # every import; equivalence's shares and the Monte Carlo fork with plain
-        # os.fork (hamsearch._on_forks).
+        # os.fork (hamsearch._on_forks). The CSV kernel, about 1.5 ms to load,
+        # is imported by the first table that uses it.
         probe = ("import sys, hamsearch.cli\n"
-                 "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
+                 "print(sorted({'concurrent.futures', 'multiprocessing', 'hamsearch.csvcells'}"
+                 " & set(sys.modules)))\n")
         src = os.path.dirname(os.path.dirname(hamsearch.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
@@ -1189,14 +1219,27 @@ class TestPlumbing:
 
     def test_config_flag_needs_a_true_value(self, tmp_path):
         reports = []
-        for value in ("yes", "off"):
+        for value in ("yes", "off", "On", "TRUE", "1", "No", "False", "0"):
             cfg = tmp_path / f"{value}.cfg"
             cfg.write_text(f"lattice = honeycomb\ncells_x = 2\ncells_y = 2\nperiodic = {value}\n")
             report = tmp_path / f"{value}.json"
             rc = main(["decompose", "--config", str(cfg), "--out", "-", "--report", str(report)])
             assert rc == EXIT_OK
             reports.append(json.loads(report.read_text()))
-        assert [r["edges"] for r in reports] == [12, 8]
+        assert [r["edges"] for r in reports] == [12, 8, 12, 12, 12, 8, 8, 8]
+
+    @pytest.mark.parametrize("value", ["banana", ""])
+    def test_config_flag_rejects_other_words(self, tmp_path, capsys, value):
+        # As --periodic=banana does: exit 2, the line and the key named, nothing written.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lattice = honeycomb\ncells_x = 2\ncells_y = 2\nperiodic = {value}\n")
+        report = tmp_path / "report.json"
+        rc = main(["decompose", "--config", str(cfg), "--out", "-", "--report", str(report)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", (
+            f"hamsearch: {cfg}:4: config key 'periodic' is a flag: {value!r} is not one of "
+            "1/true/yes/on or 0/false/no/off\n"))
+        assert not report.exists()
 
     def test_seventeen_significant_digits(self, tmp_path):
         out = tmp_path / "eq.csv"

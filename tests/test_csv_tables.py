@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,10 +56,9 @@ def _env():
 
 @pytest.fixture
 def forks(monkeypatch):
-    # Shares of THRESHOLD rows on CPUS CPUs, in chunks of two rows, CSV tables of 6 cells
-    # or more through the kernel in blocks of 6 cells; counts the forks.
+    # Shares of THRESHOLD rows on CPUS CPUs, text in blocks of max(1, 6 // width) rows,
+    # CSV tables of 6 cells or more through the kernel; counts the forks.
     monkeypatch.setattr(cli, "SHARE_ROWS", THRESHOLD)
-    monkeypatch.setattr(hamsearch, "CHUNK_ROWS", 2)
     monkeypatch.setattr(hamsearch, "CSV_CELLS", 6)
     monkeypatch.setattr(hamsearch, "usable_cpus", lambda: CPUS)
     made = []
@@ -109,10 +109,9 @@ def test_a_non_finite_cell_of_a_kernel_sized_table_matches_the_reference():
 
 
 def _kernel_text(values):
-    # The kernel's text of values, a ',' after each, and '%.17g' % value's.
+    # The kernel's text of values as one CSV row, and '%.17g' % value's.
     values = np.asarray(values, dtype=float)
-    text = csvcells._csv_block(values, np.full(len(values), ord(","), np.uint8))
-    return text, "".join("%.17g," % v for v in values.tolist())
+    return csvcells.csv_block(values[None]), ",".join("%.17g" % v for v in values.tolist()) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,13 +137,18 @@ def test_the_csv_kernel_at_powers_of_ten_and_ties():
 @given(width=st.integers(min_value=1, max_value=7), count=st.integers(min_value=1, max_value=30),
        block=st.integers(min_value=1, max_value=40), data=st.data())
 def test_csv_rows_in_any_block_size_match_the_per_row_reference(width, count, block, data):
-    # Blocks of max(1, block // width) rows, so the last is often short, and 1-row tables.
+    # Blocks of max(1, block // width) rows, so the last is often short, and 1-row tables;
+    # through the kernel whenever the table has CSV_CELLS = block cells or more, and the
+    # whole table through the kernel as one block.
     rows = np.array(data.draw(st.lists(st.lists(st.one_of(DOUBLES, NON_FINITE), min_size=width,
                                                 max_size=width), min_size=count, max_size=count)))
     template = ",".join(["%.17g"] * width) + "\n"
-    chunks = list(csvcells.csv_rows(rows, block))
+    with mock.patch.object(hamsearch, "CSV_CELLS", block):
+        chunks = list(hamsearch._format_rows(template, rows))
+    reference = "".join(template % tuple(row) for row in rows.tolist())
     assert len(chunks) == -(-count // max(1, block // width))
-    assert "".join(chunks) == "".join(template % tuple(row) for row in rows.tolist())
+    assert "".join(chunks) == reference
+    assert csvcells.csv_block(rows) == reference
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -809,3 +809,17 @@ class TestEdgeColoringType:
     def test_rejects_negative_colors(self):
         with pytest.raises(ValueError):
             EdgeColoring(colors=(-1,), bipartite=False)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: InteractionGraph(0, []), "graph needs at least one vertex"),
+    (lambda: decompose(*laplacian_chain(3), EdgeColoring((0,), bipartite=True)),
+     "coloring does not match the graph's edge list"),
+    (lambda: decompose_matrix(np.zeros((2, 3))), "matrix shape (2, 3) does not match 2 vertices"),
+    (lambda: honeycomb_lattice(0, 3), "need at least one cell per direction"),
+    (lambda: honeycomb_lattice(3, 0), "need at least one cell per direction"),
+])
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

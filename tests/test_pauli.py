@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamsearch.linalg import assert_hermitian
 from hamsearch.pauli import (
     IDENTITY2,
     SIGMA,
@@ -219,3 +220,32 @@ class TestBlochPoint:
         rotated = bloch_point(rotation_unitary(axis, angle) @ psi)
         expected = bloch_rotation_matrix(axis, angle) @ bloch_point(psi)
         assert np.max(np.abs(rotated - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rotation_unitary([1.0, 0.0], 0.1), "axis must be a real 3-vector"),
+    (lambda: rotation_unitary(np.eye(3), 0.1), "axis must be a real 3-vector"),
+    (lambda: phase_aligned_distance(np.eye(2), np.eye(3)),
+     "operands must be square matrices of equal shape"),
+    (lambda: phase_aligned_distance(np.ones(2), np.ones(2)),
+     "operands must be square matrices of equal shape"),
+    (lambda: phase_aligned_distance(np.ones((2, 3)), np.ones((2, 3))),
+     "operands must be square matrices of equal shape"),
+    (lambda: bloch_point([1.0, 0.0, 0.0]), "states must have a last axis of length 2"),
+])
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((2, 3)), "term 0 is not Hermitian (shape (2, 3) is not square)"),
+    (np.zeros(3), "term 0 is not Hermitian (shape (3,) is not square)"),
+    (np.zeros((4, 2, 3)), "term 0 is not Hermitian (shape (4, 2, 3) is not square)"),
+])
+def test_hermitian_check_names_a_shape_that_is_not_square(matrix, message):
+    # linalg.assert_hermitian, the check every term set and decomposition input goes through.
+    with pytest.raises(ValueError) as info:
+        assert_hermitian(matrix, what="term 0")
+    assert str(info.value) == message

@@ -208,3 +208,15 @@ class TestSubspaceAgreement:
         n = 64
         steps = 2 * expected_peak_step(n)
         assert subspace_agreement(n, steps) < 1e-9
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: uniform_state(1), "database size must be >= 2"),
+    (lambda: uniform_state(-3), "database size must be >= 2"),
+    (lambda: grover_iterate(uniform_state(4), 0, -1), "steps must be nonnegative"),
+    (lambda: subspace_agreement(4, -1), "steps must be nonnegative"),
+])
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

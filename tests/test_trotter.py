@@ -128,7 +128,7 @@ def _text_term_sets(draw):
 
 
 # An all-zero term, dense and as a BlockTerm ("entries": []), and a dense 4 x 4
-# term of 15 nonzero entries, some values repeated, that spans chunks of two rows.
+# term of 15 nonzero entries, some values repeated, that spans blocks of two rows.
 ZERO_TERMS = HermitianTermSet(3, (np.zeros((3, 3)), BlockTerm(3, np.zeros((0, 2)), np.zeros(
     (0, 2, 2)), [0, 1, 2], np.zeros(3))), ("zero dense", "zero block"))
 DENSE_TERMS = HermitianTermSet(4, (np.add.outer(np.arange(4.0), np.arange(4.0))
@@ -560,9 +560,9 @@ class TestJsonInterchange:
     @example(ZERO_TERMS)
     @example(DENSE_TERMS)
     def test_writer_matches_json_dump(self, tmp_path_factory, terms):
-        # Entries formatted in chunks of two rows, so that most terms span several.
+        # Entries formatted in blocks of two rows (8 cells), so that most terms span several.
         path = tmp_path_factory.mktemp("terms") / "terms.json"
-        with mock.patch.object(hamsearch, "CHUNK_ROWS", 2):
+        with mock.patch.object(hamsearch, "CSV_CELLS", 8):
             save_term_set(path, terms)
         assert path.read_text(encoding="utf-8") == term_set_json(terms)
 
@@ -574,9 +574,9 @@ class TestJsonInterchange:
     @example(DENSE_TERMS)
     def test_each_distinct_value_formats_as_json_dump_does(self, terms):
         # Each term's values are formatted once per bit pattern (0.0 and -0.0
-        # apart), dense terms and BlockTerms alike, and its entries in chunks of
-        # two rows; the text is json.dump's bytes.
-        with mock.patch.object(hamsearch, "CHUNK_ROWS", 2):
+        # apart), dense terms and BlockTerms alike, and its entries in blocks of
+        # two rows (8 cells); the text is json.dump's bytes.
+        with mock.patch.object(hamsearch, "CSV_CELLS", 8):
             assert "".join(trotter._term_set_chunks(terms)) == term_set_json(terms)
 
     def test_a_failed_save_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
@@ -721,3 +721,23 @@ class TestJsonInterchange:
         doc = {"dimension": 2, "terms": [{"label": "x", "entries": entries}]}
         with pytest.raises(ValueError, match=r"term 0: entry \(0, 1\) is non-finite"):
             load_term_set(doc)
+
+
+_PAIR = HermitianTermSet(2, (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])), ("z", "x"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HermitianTermSet(2, (), ()), "term set must contain at least one term"),
+    (lambda: HermitianTermSet(2, (np.eye(2),), ("a", "b")),
+     "labels and terms must have equal length"),
+    (lambda: HermitianTermSet(2, (np.eye(2), np.eye(2)), ("a",)),
+     "labels and terms must have equal length"),
+    (lambda: plan_for_budget(_PAIR, 0.0, 0.1), "total_time and error_budget must be positive"),
+    (lambda: plan_for_budget(_PAIR, 1.0, -1.0), "total_time and error_budget must be positive"),
+    (lambda: telescoping_bound_check(np.eye(2), np.eye(2), 0), "n must be a positive integer"),
+    (lambda: telescoping_bound_check(np.eye(2), np.eye(2), 1.5), "n must be a positive integer"),
+])
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
