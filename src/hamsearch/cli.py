@@ -71,9 +71,10 @@ def float_list(text: str) -> list:
 
 
 # The fewest rows per share of equivalence, whose forked shares compute and format their
-# rows. On a 2-vCPU Xeon VM, in process (CSV, two N, medians of 41 calls, 2-4 runs), one
-# share against two took 13.7-22.4 ms and 16.3-21.3 ms at 4096 rows, 37-45 ms and 27-29 ms
-# at 8192 and 64-78 ms and 45-48 ms at 16000: a second CPU pays from 2 x 4096 rows.
+# rows. On a 2-vCPU Xeon VM, one CSV run per fresh process (medians of 20 runs), one share
+# against two took 20.6 and 23.6 ms at 4096 rows (two N), 33.2 and 29.7 ms at 8192 (two N)
+# and 49.5-56.1 and 43.3-44.7 ms at 16000 (eight N, four sets of runs): a second CPU pays
+# from 2 x 4096 rows.
 SHARE_ROWS = 4096
 
 

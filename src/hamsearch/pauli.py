@@ -16,6 +16,10 @@
 #   phase arg tr(V^dag U) coincides with the midpoint whenever the
 #   eigenphases span less than a half turn, but not in general, so the arc
 #   construction is used throughout. Tests cross-check against grid search.)
+# - An SU(2) operator U = a0 I - i a.sigma can also be held as its unit
+#   quaternion: the four real arrays (a0, a1, a2, a3), each of the stack's
+#   shape (...). The private _su2_* helpers compose and compare such
+#   operators with real arithmetic alone, without a matrix or an eigensolve.
 
 from __future__ import annotations
 
@@ -58,16 +62,54 @@ def rotation_unitary(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
     The angle may be an array of shape (...); the result then has shape
     (..., 2, 2), one rotation about the same axis per angle.
     """
+    n = _unit_axis(axis)
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
+    n_dot_sigma = n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]
+    return np.cos(half) * IDENTITY2 - 1j * np.sin(half) * n_dot_sigma
+
+
+def _unit_axis(axis: np.ndarray) -> np.ndarray:
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
         raise ValueError("axis must be a real 3-vector")
     norm = float(np.linalg.norm(ax))
     if abs(norm - 1.0) > AXIS_TOL:
         raise ValueError(f"axis norm {norm!r} deviates from 1 beyond {AXIS_TOL:.0e}")
-    n = ax / norm
-    half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
-    n_dot_sigma = n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]
-    return np.cos(half) * IDENTITY2 - 1j * np.sin(half) * n_dot_sigma
+    return ax / norm
+
+
+def _su2_rotation(axis: np.ndarray, angle: float | np.ndarray) -> tuple:
+    """rotation_unitary(axis, angle) as its quaternion (cos(angle/2), sin(angle/2) n).
+
+    The four numbers are those of the matrix's entries, bit for bit.
+    """
+    n = _unit_axis(axis)
+    half = 0.5 * np.asarray(angle, dtype=float)
+    s = np.sin(half)
+    return np.cos(half), n[0] * s, n[1] * s, n[2] * s
+
+
+def _su2_product(p: tuple, q: tuple) -> tuple:
+    """The quaternion of U V, for U held as p and V as q (the Hamilton product)."""
+    a0, a1, a2, a3 = p
+    b0, b1, b2, b3 = q
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def _su2_distance(u: tuple, v: tuple) -> float | np.ndarray:
+    """phase_aligned_distance(U, V) for SU(2) operands held as quaternions.
+
+    W = V^dag U = w0 - i w.sigma has the eigenphases +-atan2(|w|, w0). The
+    smallest arc that covers both is 2 phi wide, phi = atan2(|w|, |w0|), so the
+    distance is 2 sin(phi / 2), at most sqrt(2).
+    """
+    b0, b1, b2, b3 = v
+    w0, w1, w2, w3 = _su2_product((b0, -b1, -b2, -b3), u)
+    return (2.0 * np.sin(0.5 * np.arctan2(np.sqrt(w1 * w1 + w2 * w2 + w3 * w3),
+                                          np.abs(w0))))[()]
 
 
 def _eigenphase_arc_width(w: np.ndarray) -> np.ndarray:

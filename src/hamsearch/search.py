@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _Record
-from .pauli import phase_aligned_distance, rotation_unitary
+from .pauli import _su2_distance, _su2_product, _su2_rotation, rotation_unitary
 from .trotter import HermitianTermSet
 
 __all__ = [
@@ -118,11 +118,15 @@ def evolve_continuous(inst: SearchInstance, t: float | np.ndarray) -> np.ndarray
     exp(-i n.sigma t/sqrt(N)): a rotation by 2 t/sqrt(N) about continuous_axis.
     For an array of times (...) the result has shape (..., 2, 2).
     """
+    return rotation_unitary(*_continuous(inst, t))
+
+
+def _continuous(inst: SearchInstance, t: float | np.ndarray) -> tuple:
+    # The (axis, angle) of evolve_continuous(inst, t).
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"evolution time must be nonnegative (t={float(np.min(t))!r})")
-    angle = 2.0 * t / np.sqrt(inst.n)
-    return rotation_unitary(continuous_axis(inst), angle)
+    return continuous_axis(inst), 2.0 * t / np.sqrt(inst.n)
 
 
 def grover_power(inst: SearchInstance, q: float | np.ndarray) -> np.ndarray:
@@ -132,12 +136,22 @@ def grover_power(inst: SearchInstance, q: float | np.ndarray) -> np.ndarray:
     is already in SU(2), so no global phase appears). For an array of powers
     (...) the result has shape (..., 2, 2).
     """
-    return rotation_unitary(GROVER_AXIS, 2.0 * np.asarray(q, dtype=float) * inst.half_step_angle)
+    return rotation_unitary(*_grover(inst, q))
+
+
+def _grover(inst: SearchInstance, q: float | np.ndarray) -> tuple:
+    # The (axis, angle) of grover_power(inst, q).
+    return GROVER_AXIS, 2.0 * np.asarray(q, dtype=float) * inst.half_step_angle
 
 
 def phase_rotation(beta: float | np.ndarray) -> np.ndarray:
     """exp(i beta s3) = diag(e^{i beta}, e^{-i beta}), shape (..., 2, 2) for beta (...)."""
-    return rotation_unitary((0.0, 0.0, 1.0), -2.0 * np.asarray(beta, dtype=float))
+    return rotation_unitary(*_phase(beta))
+
+
+def _phase(beta: float | np.ndarray) -> tuple:
+    # The (axis, angle) of phase_rotation(beta).
+    return (0.0, 0.0, 1.0), -2.0 * np.asarray(beta, dtype=float)
 
 
 def equivalence_params(inst: SearchInstance, t: float | np.ndarray) -> EquivalenceParams:
@@ -173,20 +187,25 @@ def equivalence_residual(inst: SearchInstance, t: float | np.ndarray,
     Grover power. Exact equality is expected up to floating round-off. For
     an array of times the result holds one distance per time. ``params``,
     if given, are equivalence_params(inst, t), which are then not computed again.
+
+    Every factor is in SU(2), so the operators are composed and compared as
+    quaternions of the same rotation angles (pauli._su2_*): the distance equals
+    phase_aligned_distance of the matrices, with no matrix built.
     """
     params = equivalence_params(inst, t) if params is None else params
-    lhs = evolve_continuous(inst, t)
-    rhs = (
-        phase_rotation(params.beta)
-        @ grover_power(inst, params.q_t)
-        @ phase_rotation(0.5 * np.pi + params.beta)
+    lhs = _su2_rotation(*_continuous(inst, t))
+    rhs = _su2_product(
+        _su2_product(_su2_rotation(*_phase(params.beta)), _su2_rotation(*_grover(inst, params.q_t))),
+        _su2_rotation(*_phase(0.5 * np.pi + params.beta)),
     )
-    return phase_aligned_distance(lhs, rhs)
+    return _su2_distance(lhs, rhs)
 
 
 def endpoint_residual(inst: SearchInstance) -> float:
-    """Distance for the t = T special case: U_cont(T) = i (1 - 2|t><t|) U^{Q_T}."""
-    lhs = evolve_continuous(inst, inst.total_time)
-    reflect_target = np.diag([-1.0, 1.0]).astype(complex)
-    rhs = 1j * reflect_target @ grover_power(inst, inst.q_total)
-    return phase_aligned_distance(lhs, rhs)
+    """Distance for the t = T special case: U_cont(T) = i (1 - 2|t><t|) U^{Q_T}.
+
+    i (1 - 2|t><t|) = diag(-i, i) = rotation_unitary(z, pi) is the quaternion (0, 0, 0, 1).
+    """
+    lhs = _su2_rotation(*_continuous(inst, inst.total_time))
+    rhs = _su2_product((0.0, 0.0, 0.0, 1.0), _su2_rotation(*_grover(inst, inst.q_total)))
+    return _su2_distance(lhs, rhs)

@@ -26,6 +26,16 @@
 # - The equivalence sweeps of 8 x 2000 rows were recorded while one process
 #   computed every row and forked workers only formatted CSV text, and held
 #   unedited when each share came to compute its own rows.
+# - All three equivalence pins were re-recorded when the residual moved from
+#   stacked complex matrices and LAPACK eigvals to SU(2) quaternion products
+#   (old digests 88b55089..., 088b1375..., 9e45eb20...). Only the residual
+#   column and the footer's max_residual moved: 400 of 400 residual cells
+#   (by at most 2.5e-16) in the 8 x 50 table and 15998 of 16000 (by at most
+#   3.4e-16) in the sweeps; the N, t, Q_t and beta cells kept every byte.
+#   Against a 60-digit mpmath residual of the same float t, Q_t and beta
+#   (tests/test_search.py), the quaternion residual's largest error on the
+#   oracle grid is 3.3e-16 against the matrix path's 6.0e-16, and its mean
+#   error is lower at every N of the grid.
 # - trajectory was recorded from the stacked layer. It differs from the
 #   per-sample output in 24 z cells, by at most 2.2e-16 each: the stacked
 #   |a|^2 is a correctly rounded square, the per-sample one went through
@@ -40,9 +50,9 @@
 #
 # The graph's weights are multiples of 1/4, so its residuals are exact in
 # binary floating point and do not depend on how a product is summed. The
-# trotter-scan rows and the phase-aligned distances go through LAPACK (eigh,
-# svd, geev), so their digests assume the same numpy/BLAS build (recorded
-# with numpy 2.4.6 and OpenBLAS).
+# trotter-scan rows go through LAPACK (eigh, svd) and the equivalence
+# residuals through numpy's sin, cos and arctan2, so their digests assume the
+# same numpy/BLAS build (recorded with numpy 2.4.6 and OpenBLAS).
 
 import hashlib
 import json
@@ -104,16 +114,16 @@ SCAN = {
 SUBSPACE = {
     "equivalence": (
         ["equivalence", "--n-list", "4,16,64,256,1024,4096,16384,65536", "--samples", "50"],
-        "88b550893be3f023864cced3af1dfe439377e32dbeb2224f5179463a8efd57c6",
+        "4e6a4b9712440084aed4b99fe6a303c141919e03076e3ea6a4554f778f1dd0b9",
     ),
     "equivalence-sweep": (
         ["equivalence", "--n-list", "4,16,64,256,1024,4096,16384,65536", "--samples", "2000"],
-        "088b137509124aa81d7123ef67433aaba8a723348a5fc85cb0f1e43eaffd9b34",
+        "903e28f3db9835db86b8d4ee964be7fa4b221fc53cb69d811e93ffacb8d866c6",
     ),
     "equivalence-sweep-json": (
         ["equivalence", "--n-list", "4,16,64,256,1024,4096,16384,65536", "--samples", "2000",
          "--format", "json"],
-        "9e45eb20ffa7ce775ab6933051f792ead622405197cfe8243597e3457b30ef9d",
+        "c3c4e0beba8d5648967cabef78d19ab4d317229202fbce35884b97bdebd3ebdf",
     ),
     "trajectory": (
         ["trajectory", "--n", "1024", "--samples", "10001"],

@@ -12,6 +12,8 @@ from hamsearch.linalg import assert_hermitian
 from hamsearch.pauli import (
     IDENTITY2,
     SIGMA,
+    _su2_distance,
+    _su2_rotation,
     bloch_point,
     pauli_decompose,
     phase_aligned_distance,
@@ -189,6 +191,30 @@ class TestPhaseAlignedDistance:
     def test_works_beyond_two_dimensions(self, seed, phi):
         u = random_unitary(5, np.random.default_rng(seed))
         assert phase_aligned_distance(u, np.exp(1j * phi) * u) < 1e-13
+
+
+class TestSU2Quaternions:
+    @settings(max_examples=300, deadline=None)
+    @given(seeds, st.floats(min_value=-20.0, max_value=20.0),
+           st.floats(min_value=-20.0, max_value=20.0), st.sampled_from([None, 0.0, np.pi, 2 * np.pi]))
+    def test_distance_is_the_phase_aligned_distance(self, seed, a, b, shift):
+        # A shift turns the second rotation into the first one turned on about the same
+        # axis, so that W = V^dag U is I (0), a half turn (sqrt(2), the largest
+        # distance in SU(2)) or -I (0 again, across the phase wrap).
+        rng = np.random.default_rng(seed)
+        m, n = _unit_vector(rng), _unit_vector(rng)
+        if shift is not None:
+            n, b = m, a + shift
+        u, v = _su2_rotation(m, a), _su2_rotation(n, b)
+        a0, a1, a2, a3 = u  # the numbers of rotation_unitary's entries, bit for bit
+        assert np.array_equal(rotation_unitary(m, a), [[a0 - 1j * a3, -a2 - 1j * a1],
+                                                       [a2 - 1j * a1, a0 + 1j * a3]])
+        d = _su2_distance(u, v)
+        assert abs(d - phase_aligned_distance(rotation_unitary(m, a), rotation_unitary(n, b))) < 1e-15
+        if shift == np.pi:
+            assert d == pytest.approx(np.sqrt(2.0), abs=1e-14)
+        elif shift is not None:
+            assert d < 1e-14
 
 
 class TestBlochPoint:

@@ -1,6 +1,7 @@
 # Both search evolutions and the identities linking them. Oracles: direct
 # reflection products, dense eigensolves, eigendecomposition matrix powers,
-# and fine-step product-formula state integration. H is the shipped
+# fine-step product-formula state integration, and a 60-digit mpmath
+# residual of the equivalence identity. H is the shipped
 # search_split's sum, U is grover_power(inst, 1), and both are checked
 # against the projectors |s><s| and |t><t| and the closed forms
 # H = I + (sqrt(N-1)/N) s1 + (1/N) s3 and U = -(1 - 2|s><s|)(1 - 2|t><t|).
@@ -307,6 +308,53 @@ class TestEquivalence:
     def test_phase_rotation_is_the_phase_diagonal(self, beta):
         expected = np.diag([np.exp(1j * beta), np.exp(-1j * beta)])
         assert np.array_equal(phase_rotation(beta), expected)
+
+
+def _exact_residual(mp, n, t, q_t, beta):
+    # The identity's residual at these float t, Q_t and beta, in 60-digit arithmetic:
+    # both sides as matrices from their definitions, compared through the
+    # eigenphases of V^dag U (the smallest arc covering both, 2 sin(arc / 4)).
+    with mp.workdps(60):
+        s = 1 / mp.sqrt(n)
+
+        def rotation(nx, ny, nz, half):  # exp(-i half n.sigma)
+            c, sn = mp.cos(half), mp.sin(half)
+            return mp.matrix([[c - 1j * sn * nz, -1j * sn * (nx - 1j * ny)],
+                              [-1j * sn * (nx + 1j * ny), c + 1j * sn * nz]])
+
+        lhs = rotation(mp.sqrt(1 - s * s), 0, s, mp.mpf(t) * s)
+        rhs = (rotation(0, 0, 1, -mp.mpf(beta))
+               @ rotation(0, -1, 0, mp.mpf(q_t) * 2 * mp.asin(s))
+               @ rotation(0, 0, 1, -(mp.pi / 2 + mp.mpf(beta))))
+        first, second = (mp.arg(e) for e in mp.eig(rhs.H @ lhs)[0])
+        gap = abs(first - second)
+        return 2 * mp.sin(min(gap, 2 * mp.pi - gap) / 4)
+
+
+class TestResidualOracle:
+    # The SU(2) residual against the 60-digit residual of the same float inputs,
+    # next to the matrix path it replaced: phase_aligned_distance of the stacked
+    # matrices that evolve_continuous, phase_rotation and grover_power build.
+    # Both paths start from the same rounded entries of the four factors, so at
+    # a single point either may land closer (the SU(2) one does at about 5 of 8
+    # points); at each N its worst and its mean error are the smaller.
+    @pytest.mark.parametrize("n", [4, 64, 1024, 65536])
+    def test_residual_is_as_close_to_the_exact_value_as_the_matrix_path(self, n):
+        mp = pytest.importorskip("mpmath")
+        inst = SearchInstance(n)
+        t = np.linspace(0.0, inst.total_time, 200)
+        params = equivalence_params(inst, t)
+        su2 = equivalence_residual(inst, t, params)
+        matrices = phase_aligned_distance(
+            evolve_continuous(inst, t),
+            phase_rotation(params.beta) @ grover_power(inst, params.q_t)
+            @ phase_rotation(0.5 * np.pi + params.beta))
+        exact = [_exact_residual(mp, n, *point) for point in zip(t, params.q_t, params.beta)]
+        su2_error = np.array([float(abs(mp.mpf(x) - e)) for x, e in zip(su2, exact)])
+        matrix_error = np.array([float(abs(mp.mpf(x) - e)) for x, e in zip(matrices, exact)])
+        assert su2_error.max() < 1e-15
+        assert su2_error.max() <= matrix_error.max()
+        assert su2_error.mean() <= matrix_error.mean()
 
 
 class TestTrajectories:

@@ -132,8 +132,11 @@ class TestChecksCoverEverySample:
             equivalence_params(SearchInstance(16), np.array([0.0, np.nan]))
 
     def test_negative_time_names_the_most_negative(self):
-        with pytest.raises(ValueError, match=r"t=-3\.0"):
-            evolve_continuous(SearchInstance(4), np.array([1.0, -0.1, -3.0]))
+        inst, t = SearchInstance(4), np.array([1.0, -0.1, -3.0])
+        params = equivalence_params(inst, np.abs(t))  # given params skip the domain check
+        for call in (lambda: evolve_continuous(inst, t), lambda: equivalence_residual(inst, t, params)):
+            with pytest.raises(ValueError, match=r"evolution time must be nonnegative \(t=-3\.0\)"):
+                call()
 
     def test_state_norm_names_the_worst_state(self):
         psi = np.array([[1.0, 0.0], [1.0, 1.0], [0.6, 0.8], [0.0, 1.1]])
